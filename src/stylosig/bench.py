@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classifiers
+from .config import ExperimentConfig
 from .corpus import Corpus, Document, Subject
-from .features import FeatureModel, build_vocabulary, vectorize
-from .possibility import to_possibility
+from .experiment import score_folds
 
 DEFAULT_SUBJECTS = 10
 DEFAULT_DOC_TOKENS = 400
@@ -54,8 +53,8 @@ def synthetic_corpus(
 
 
 def time_attribution(corpus: Corpus, profile_size: int = DEFAULT_PROFILE_SIZE, alpha: float = DEFAULT_ALPHA) -> float:
-    """Seconds for one end-to-end pass: extract, build vocabulary, train, score."""
-    fmodel = FeatureModel("ngram", (1, 2))
+    """Seconds for one end-to-end pass of the eval path: extract, build vocabulary, train, score."""
+    config = ExperimentConfig(profile_size=profile_size, alpha=alpha)
     started = time.perf_counter()
     train_docs = []
     test_docs = []
@@ -64,13 +63,10 @@ def time_attribution(corpus: Corpus, profile_size: int = DEFAULT_PROFILE_SIZE, a
         cut = max(1, (4 * len(docs)) // 5)
         train_docs.extend(docs[:cut])
         test_docs.extend(docs[cut:])
-    counts = [fmodel.extract(doc) for doc in train_docs]
-    vocab = build_vocabulary(counts, fmodel, profile_size)
-    pairs = [(vectorize(c, vocab), doc.subject) for c, doc in zip(counts, train_docs)]
-    model = classifiers.mnb_train(pairs, vocab, alpha, corpus.subject_labels)
-    for doc in test_docs:
-        vector = vectorize(fmodel.extract(doc), vocab)
-        to_possibility(classifiers.mnb_posterior(model, vector))
+    docs = train_docs + test_docs
+    fold = (np.arange(len(train_docs)), np.arange(len(train_docs), len(docs)))
+    subjects = np.array([doc.subject for doc in docs])
+    score_folds(config, docs, len(train_docs), [fold], subjects, corpus.subject_labels, {})
     return time.perf_counter() - started
 
 

@@ -1,7 +1,8 @@
-"""Subject classifiers over feature vectors: multinomial and Poisson naive Bayes.
+"""Subject classifiers over feature count matrices: multinomial and Poisson naive Bayes.
 
 Both train per-subject parameters from pooled in-vocabulary counts, score
-in log space, and normalize with a max-shifted softmax.  Priors are
+every row of a (documents, m) count matrix in log space with one sparse
+product, and normalize each row with a max-shifted softmax.  Priors are
 uniform.  Model files round-trip bit-exactly.
 """
 
@@ -10,13 +11,15 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError, DegenerateInputWarning
-from .features import FeatureModel, FeatureVector, Vocabulary
+from .features import FeatureModel, Vocabulary
 
 ALPHA_FLOOR = 1e-10
 FORMAT_VERSION = 1
@@ -41,83 +44,59 @@ class PnbModel:
     subject_labels: tuple[str, ...]
     alpha: float
     rates: np.ndarray  # (S, m) per-document expected counts
-    log_rates: np.ndarray  # (S, m), -inf where the rate is zero
-    rate_totals: np.ndarray  # (S,)
     log_priors: np.ndarray  # (S,)
 
     @property
     def n_subjects(self) -> int:
         return len(self.subject_labels)
 
+    @cached_property
+    def log_rates(self) -> np.ndarray:
+        """(S, m), -inf where the rate is zero."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.rates)
 
-def _count_matrix(train: Sequence[tuple[FeatureVector, int]], n_subjects: int, m: int):
-    counts = np.zeros((n_subjects, m), dtype=np.float64)
-    docs_per_subject = np.zeros(n_subjects, dtype=np.int64)
-    for vector, subject in train:
-        if not 0 <= subject < n_subjects:
-            raise DataError(f"training vector labeled with unknown subject {subject}")
-        docs_per_subject[subject] += 1
-        for fid, c in vector.counts.items():
-            counts[subject, fid] += c
-    missing = [str(s) for s in range(n_subjects) if docs_per_subject[s] == 0]
+    @cached_property
+    def rate_totals(self) -> np.ndarray:
+        return self.rates.sum(axis=1)
+
+
+def _subject_counts(counts, subjects, n_subjects: int):
+    """Pool training rows per subject: a subject-indicator matrix times the counts."""
+    subjects = np.asarray(subjects, dtype=np.int64)
+    unknown = subjects[(subjects < 0) | (subjects >= n_subjects)]
+    if unknown.size:
+        raise DataError(f"training vector labeled with unknown subject {unknown[0]}")
+    docs_per_subject = np.bincount(subjects, minlength=n_subjects)
+    missing = [str(s) for s in np.flatnonzero(docs_per_subject == 0)]
     if missing:
         raise DataError("subjects without training vectors: " + ", ".join(missing))
-    return counts, docs_per_subject
+    n = len(subjects)
+    indicator = sparse.csr_array((np.ones(n), (subjects, np.arange(n))), shape=(n_subjects, n))
+    return (indicator @ counts).toarray(), docs_per_subject
 
 
-def mnb_train(
-    train: Sequence[tuple[FeatureVector, int]],
-    vocab: Vocabulary,
-    alpha: float,
-    subject_labels: Sequence[str],
-) -> MnbModel:
+def mnb_train(counts, subjects, vocab: Vocabulary, alpha: float, subject_labels: Sequence[str]) -> MnbModel:
     """Fit multinomial feature probabilities with additive smoothing.
 
-    alpha=0 is replaced by a 1e-10 floor so that log probabilities stay
-    finite; negative alpha is rejected.
+    ``counts`` is a sparse (documents, m) matrix over the vocabulary and
+    ``subjects`` the subject id of each row.  alpha=0 is replaced by a
+    1e-10 floor so that log probabilities stay finite; negative alpha is
+    rejected.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     a = alpha if alpha > 0 else ALPHA_FLOOR
     labels = tuple(subject_labels)
     m = len(vocab)
-    counts, _ = _count_matrix(train, len(labels), m)
-    totals = counts.sum(axis=1)
-    log_params = np.log(counts + a) - np.log(totals + a * m)[:, None]
+    pooled, _ = _subject_counts(counts, subjects, len(labels))
+    totals = pooled.sum(axis=1)
+    log_params = np.log(pooled + a) - np.log(totals + a * m)[:, None]
     log_priors = np.full(len(labels), -np.log(len(labels)))
     return MnbModel(vocab, labels, alpha, log_params, log_priors)
 
 
-def _softmax(log_scores: np.ndarray) -> np.ndarray:
-    shifted = np.exp(log_scores - log_scores.max())
-    return shifted / shifted.sum()
-
-
-def _sparse_loglik(log_table: np.ndarray, vector: FeatureVector) -> np.ndarray:
-    fids = np.fromiter(vector.counts.keys(), dtype=np.int64, count=len(vector.counts))
-    cnts = np.fromiter(vector.counts.values(), dtype=np.float64, count=len(vector.counts))
-    return log_table[:, fids] @ cnts
-
-
-def mnb_posterior(model: MnbModel, vector: FeatureVector) -> np.ndarray:
-    """Posterior over subjects; an empty vector falls back on the uniform."""
-    if vector.total == 0:
-        warnings.warn("empty feature vector, returning uniform posterior", DegenerateInputWarning)
-        return np.full(model.n_subjects, 1.0 / model.n_subjects)
-    return _softmax(model.log_priors + _sparse_loglik(model.log_params, vector))
-
-
-def mnb_attribute(model: MnbModel, vector: FeatureVector) -> int:
-    """Most probable subject id; posterior ties go to the lowest id."""
-    return int(np.argmax(mnb_posterior(model, vector)))
-
-
-def pnb_train(
-    train: Sequence[tuple[FeatureVector, int]],
-    vocab: Vocabulary,
-    alpha: float,
-    subject_labels: Sequence[str],
-) -> PnbModel:
+def pnb_train(counts, subjects, vocab: Vocabulary, alpha: float, subject_labels: Sequence[str]) -> PnbModel:
     """Fit one Poisson rate per (subject, feature): smoothed count / document count.
 
     alpha=0 is kept as-is here; a zero rate is a legal degenerate Poisson
@@ -126,34 +105,34 @@ def pnb_train(
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     labels = tuple(subject_labels)
-    counts, docs_per_subject = _count_matrix(train, len(labels), len(vocab))
-    rates = (counts + alpha) / docs_per_subject[:, None]
-    with np.errstate(divide="ignore"):
-        log_rates = np.log(rates)
-    log_priors = np.full(len(labels), -np.log(len(labels)))
-    return PnbModel(vocab, labels, alpha, rates, log_rates, rates.sum(axis=1), log_priors)
+    pooled, docs_per_subject = _subject_counts(counts, subjects, len(labels))
+    rates = (pooled + alpha) / docs_per_subject[:, None]
+    return PnbModel(vocab, labels, alpha, rates, np.full(len(labels), -np.log(len(labels))))
 
 
-def pnb_posterior(model: PnbModel, vector: FeatureVector) -> np.ndarray:
-    """Posterior over subjects under independent Poisson feature counts."""
-    log_scores = model.log_priors - model.rate_totals
-    if vector.counts:
-        log_scores = log_scores + _sparse_loglik(model.log_rates, vector)
-    if np.all(np.isneginf(log_scores)):
-        warnings.warn(
-            "every subject has zero likelihood, returning uniform posterior",
-            DegenerateInputWarning,
-        )
-        return np.full(model.n_subjects, 1.0 / model.n_subjects)
-    return _softmax(log_scores)
+def posterior(model, counts) -> np.ndarray:
+    """Posterior over subjects, one row per row of a sparse (documents, m) count matrix.
 
-
-def posterior(model, vector: FeatureVector) -> np.ndarray:
+    Rows that no subject explains (empty under MNB, of zero likelihood for every
+    subject under PNB) fall back on the uniform posterior, with a warning.
+    """
+    counts = sparse.csr_array(counts, dtype=np.float64)
     if isinstance(model, MnbModel):
-        return mnb_posterior(model, vector)
-    if isinstance(model, PnbModel):
-        return pnb_posterior(model, vector)
-    raise TypeError(f"not a classifier model: {type(model).__name__}")
+        log_scores = model.log_priors + counts @ model.log_params.T
+        degenerate, what = counts.sum(axis=1) == 0, "empty feature vector"
+    elif isinstance(model, PnbModel):
+        # only stored counts meet the log rates, so a zero rate costs nothing where a row has no count
+        log_scores = (model.log_priors - model.rate_totals) + counts @ model.log_rates.T
+        degenerate, what = np.all(np.isneginf(log_scores), axis=1), "every subject has zero likelihood"
+    else:
+        raise TypeError(f"not a classifier model: {type(model).__name__}")
+    log_scores[degenerate] = 0.0
+    shifted = np.exp(log_scores - log_scores.max(axis=1, keepdims=True))
+    posteriors = shifted / shifted.sum(axis=1, keepdims=True)
+    if degenerate.any():
+        warnings.warn(f"{what} in {int(degenerate.sum())} row(s), returning uniform posterior", DegenerateInputWarning)
+        posteriors[degenerate] = 1.0 / model.n_subjects
+    return posteriors
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +159,6 @@ def save_model(model, path: str | Path) -> None:
     elif isinstance(model, PnbModel):
         header["kind"] = "pnb"
         arrays["rates"] = model.rates
-        arrays["log_rates"] = model.log_rates
-        arrays["rate_totals"] = model.rate_totals
     else:
         raise TypeError(f"not a classifier model: {type(model).__name__}")
     arrays["header"] = np.array(json.dumps(header))
@@ -206,15 +183,7 @@ def load_model(path: str | Path):
             if header["kind"] == "mnb":
                 return MnbModel(vocab, labels, header["alpha"], data["log_params"], data["log_priors"])
             if header["kind"] == "pnb":
-                return PnbModel(
-                    vocab,
-                    labels,
-                    header["alpha"],
-                    data["rates"],
-                    data["log_rates"],
-                    data["rate_totals"],
-                    data["log_priors"],
-                )
+                return PnbModel(vocab, labels, header["alpha"], data["rates"], data["log_priors"])
             raise DataError(f"{path}: unknown model kind {header['kind']!r}")
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load model from {path}: {exc}") from exc

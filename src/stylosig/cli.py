@@ -10,18 +10,14 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as benchmod
 from . import classifiers, experiment, metrics
 from .config import ExperimentConfig, build_config, parse_config_file, validate_for
-from .conllu import read_conllu
-from .corpus import Document
+from .corpus import read_document
 from .errors import ConfigError, DataError
-from .features import vectorize, write_feature_tsv
+from .features import extract_matrix, write_feature_tsv
 from .fusion import decide
-from .possibility import to_possibility
-from .signature import save_score_matrix
+from .signature import ScoreMatrix, save_score_matrix
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,14 +80,12 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def cmd_train(args, config: ExperimentConfig) -> int:
-    model, pooled = experiment.train_on_corpus(config)
+    model, counts = experiment.train_on_corpus(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.npz"
     classifiers.save_model(model, model_path)
-    write_feature_tsv(
-        ((f, pooled[f]) for f in model.vocab.features), out / "vocabulary.tsv"
-    )
+    write_feature_tsv(zip(model.vocab.features, counts.tolist()), out / "vocabulary.tsv")
     print(
         f"trained {config.classifier} on {model.n_subjects} subjects, "
         f"{len(model.vocab)} features -> {model_path}"
@@ -99,37 +93,15 @@ def cmd_train(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _document_from_path(path: Path) -> Document:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    sidecar = path.with_suffix(".conllu")
-    tree = read_conllu(sidecar) if sidecar.is_file() else None
-    return Document(str(path), 0, text, tree)
-
-
 def cmd_attribute(args, config: ExperimentConfig) -> int:
     model = classifiers.load_model(args.model)
-    vocab = model.vocab
-    rows = []
-    for name in args.texts:
-        doc = _document_from_path(Path(name))
-        vector = vectorize(vocab.model.extract(doc), vocab)
-        pi = to_possibility(classifiers.posterior(model, vector))
-        subject, tie = decide(pi)
-        rows.append((name, pi))
-        flag = " (tie)" if tie else ""
-        print(f"{name}\t{model.subject_labels[subject]}{flag}")
+    docs = [read_document(Path(name), name, 0) for name in args.texts]
+    counts = extract_matrix(model.vocab.model, docs, index=model.vocab.index).counts
+    scores = experiment.possibility_rows(model, counts)
+    for name, subject, tie in zip(args.texts, *decide(scores)):
+        print(f"{name}\t{model.subject_labels[subject]}{' (tie)' if tie else ''}")
     if args.scores:
-        from .signature import ScoreMatrix
-
-        matrix = ScoreMatrix(
-            tuple(name for name, _ in rows),
-            model.subject_labels,
-            np.vstack([pi for _, pi in rows]),
-        )
-        save_score_matrix(matrix, args.scores)
+        save_score_matrix(ScoreMatrix(tuple(args.texts), model.subject_labels, scores), args.scores)
     return 0
 
 

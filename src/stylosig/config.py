@@ -20,7 +20,7 @@ PROTOCOLS = ("rolling", "chimeric")
 CLASSIFIERS = ("mnb", "pnb")
 FAMILIES = ("ngram", "sngram")
 ELEMENTS = ("word", "lemma", "upos", "deprel")
-FUSION_OPERATORS = ("average", "sum", "product")
+FUSION_OPERATORS = ("average", "product")
 EXTERNAL_KINDS = ("fuzzy", "probability")
 
 
@@ -206,9 +206,10 @@ def validate_for(config: ExperimentConfig, command: str) -> None:
     problems = []
     if command == "eval":
         required = ["corpus_dir"]
-        if config.protocol == "chimeric":
-            if config.signature_dir is None and config.signature_matrix is None:
-                problems.append("chimeric eval needs signature_dir or signature_matrix")
+        if config.protocol == "chimeric" and config.signature_dir is None:
+            # the pairing of authors with writers needs the writers, even
+            # when signature_matrix supplies the scores
+            problems.append("chimeric eval needs signature_dir, also with signature_matrix")
     else:
         required = list(_REQUIRED.get(command, ()))
     for key in required:

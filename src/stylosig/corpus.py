@@ -54,16 +54,12 @@ class Corpus:
         return len(self.documents)
 
 
-def load_text_corpus(root: str | Path, layout: str = "subject-dirs") -> Corpus:
-    """Load a corpus from ``root``.
+def load_text_corpus(root: str | Path) -> Corpus:
+    """Load a corpus from ``root``, one directory per subject.
 
-    ``layout`` names the on-disk convention; only ``subject-dirs`` (one
-    directory per subject) is supported.  Subject ids are assigned densely
-    in sorted-label order.  A ``doc.conllu`` next to ``doc.txt`` is parsed
-    as its dependency tree.
+    Subject ids are assigned densely in sorted-label order.  A
+    ``doc.conllu`` next to ``doc.txt`` is parsed as its dependency tree.
     """
-    if layout != "subject-dirs":
-        raise DataError(f"unknown corpus layout {layout!r}")
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"corpus root {root} is not a directory")
@@ -79,15 +75,19 @@ def load_text_corpus(root: str | Path, layout: str = "subject-dirs") -> Corpus:
         txt_paths = sorted(subj_dir.glob("*.txt"))
         if not txt_paths:
             raise DataError(f"subject directory {subj_dir} contains no .txt documents")
-        for path in txt_paths:
-            try:
-                text = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                raise DataError(f"cannot read {path}: {exc}") from exc
-            sidecar = path.with_suffix(".conllu")
-            tree = read_conllu(sidecar) if sidecar.is_file() else None
-            documents.append(Document(f"{subj.label}/{path.name}", subj.id, text, tree))
+        documents.extend(read_document(path, f"{subj.label}/{path.name}", subj.id) for path in txt_paths)
     return Corpus(subjects, tuple(documents))
+
+
+def read_document(path: Path, doc_id: str, subject: int) -> Document:
+    """Read one ``.txt`` document and its optional ``.conllu`` sidecar."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    sidecar = path.with_suffix(".conllu")
+    tree = read_conllu(sidecar) if sidecar.is_file() else None
+    return Document(doc_id, subject, text, tree)
 
 
 def keep_largest(corpus: Corpus, n: int) -> Corpus:

@@ -9,7 +9,7 @@ reproducible across runs.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -17,19 +17,10 @@ import numpy as np
 
 from . import classifiers, metrics
 from .config import ExperimentConfig
-from .corpus import (
-    ChimericDataset,
-    Corpus,
-    Document,
-    build_chimeric,
-    keep_largest,
-    load_text_corpus,
-    rolling_folds,
-    split_documents,
-)
+from .corpus import build_chimeric, keep_largest, load_text_corpus, rolling_folds, split_documents
 from .errors import DataError
-from .features import FeatureModel, FeatureVector, Vocabulary, build_vocabulary, vectorize
-from .fusion import fuse
+from .features import FeatureMatrix, FeatureModel, build_vocabulary, extract_matrix
+from .fusion import decide, fuse
 from .possibility import to_possibility
 from .signature import ScoreMatrix, load_score_matrix, load_svc, score_matrix_from_templates
 
@@ -40,40 +31,49 @@ def build_feature_model(config: ExperimentConfig) -> FeatureModel:
     return FeatureModel("sngram", (config.sngram_order,), config.sngram_element)
 
 
-def fit_stylome(
-    config: ExperimentConfig,
-    train_docs: Sequence[Document],
-    subject_of: dict[str, int],
-    subject_labels: Sequence[str],
-):
-    """Extract features, freeze the vocabulary, and train the configured classifier."""
-    fmodel = build_feature_model(config)
-    counts = [fmodel.extract(doc) for doc in train_docs]
-    vocab = build_vocabulary(counts, fmodel, config.profile_size)
-    pairs = [(vectorize(c, vocab), subject_of[doc.doc_id]) for c, doc in zip(counts, train_docs)]
-    train = classifiers.mnb_train if config.classifier == "mnb" else classifiers.pnb_train
-    model = train(pairs, vocab, config.alpha, tuple(subject_labels))
-    pooled: Counter = Counter()
-    for c in counts:
-        pooled.update(c)
-    return model, pooled
+def fit_stylome(config: ExperimentConfig, features: FeatureMatrix, rows, subjects, subject_labels: Sequence[str]):
+    """Rank the vocabulary on the training ``rows`` of ``subjects`` and train the configured classifier.
+
+    Returns the model and the vocabulary's columns in ``features``.
+    """
+    train = features.counts[np.asarray(rows, dtype=np.int64)]
+    vocab, columns = build_vocabulary(features, train.sum(axis=0), config.profile_size)
+    fit = classifiers.mnb_train if config.classifier == "mnb" else classifiers.pnb_train
+    return fit(train[:, columns], subjects, vocab, config.alpha, tuple(subject_labels)), columns
 
 
-def possibility_rows(model, vocab: Vocabulary, docs: Sequence[Document]) -> np.ndarray:
-    """Fuzzified posteriors, one row per document."""
-    fmodel = vocab.model
-    rows = np.zeros((len(docs), model.n_subjects), dtype=np.float64)
-    for i, doc in enumerate(docs):
-        vector = vectorize(fmodel.extract(doc), vocab)
-        rows[i] = to_possibility(classifiers.posterior(model, vector))
-    return rows
+def possibility_rows(model, counts) -> np.ndarray:
+    """Fuzzified posteriors, one row per row of a (documents, m) count matrix over the model's vocabulary."""
+    return to_possibility(classifiers.posterior(model, counts))
 
 
-def _decisions(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    best = scores.argmax(axis=1)
-    top = scores[np.arange(len(scores)), best]
-    ties = (scores == top[:, None]).sum(axis=1) > 1
-    return best, ties
+@contextmanager
+def _timed(seconds: dict[str, float], stage: str):
+    """Record the wall seconds of one stage of a run, for run.json."""
+    started = time.perf_counter()
+    yield
+    seconds[stage] = time.perf_counter() - started
+
+
+def score_folds(config: ExperimentConfig, docs, n_indexed: int, folds, subjects: np.ndarray, labels, stages: dict):
+    """Extract ``docs`` once, then train on and fuzzify each fold's (train rows, test rows).
+
+    Returns each fold's possibility rows and the feature statistics, and
+    adds the extract and folds seconds to ``stages``.
+    """
+    with _timed(stages, "extract"):
+        features = extract_matrix(build_feature_model(config), docs, n_indexed)
+    scores = []
+    test_mass = in_vocab = 0
+    with _timed(stages, "folds"):
+        for train, test in folds:
+            model, columns = fit_stylome(config, features, train, subjects[train], labels)
+            test_counts = features.counts[test][:, columns]
+            scores.append(possibility_rows(model, test_counts))
+            test_mass += int(features.mass[test].sum())
+            in_vocab += int(test_counts.sum())
+    oov_rate = 1.0 - in_vocab / test_mass if test_mass else 0.0
+    return scores, {"indexed": len(features.features), "test_oov_rate": oov_rate}
 
 
 def write_bundle(
@@ -90,7 +90,7 @@ def write_bundle(
     truth = np.asarray(truth, dtype=np.int64)
     grid = metrics.default_grid(config.grid_points)
 
-    decided, ties = _decisions(matrix.scores)
+    decided, ties = decide(matrix.scores)
     correct = decided == truth
     acc = metrics.accuracy(correct=correct, confidence=config.confidence)
 
@@ -146,8 +146,8 @@ def write_bundle(
 def _ttest_on_correctness(matrices: dict[str, ScoreMatrix], truth: np.ndarray, pairs) -> dict:
     out = {}
     for name_a, name_b in pairs:
-        a = (_decisions(matrices[name_a].scores)[0] == truth).astype(np.float64)
-        b = (_decisions(matrices[name_b].scores)[0] == truth).astype(np.float64)
+        a = (decide(matrices[name_a].scores).subject == truth).astype(np.float64)
+        b = (decide(matrices[name_b].scores).subject == truth).astype(np.float64)
         result = metrics.paired_ttest(a, b)
         out[f"{name_a}_vs_{name_b}"] = {
             "statistic": result.statistic,
@@ -161,27 +161,45 @@ def _ttest_on_correctness(matrices: dict[str, ScoreMatrix], truth: np.ndarray, p
 # ---------------------------------------------------------------------------
 # chimeric protocol
 
-def _load_external(path: Path, kind: str, n_items: int, n_subjects: int, labels) -> ScoreMatrix:
+def _load_external(path: Path, kind: str, n_items: int, labels) -> ScoreMatrix:
     matrix = load_score_matrix(path)
-    if matrix.scores.shape != (n_items, n_subjects):
+    if matrix.scores.shape != (n_items, len(labels)):
         raise DataError(
-            f"{path}: expected {n_items}x{n_subjects} scores, got "
+            f"{path}: expected {n_items}x{len(labels)} scores, got "
             f"{matrix.scores.shape[0]}x{matrix.scores.shape[1]}"
         )
     scores = matrix.scores
     if kind == "probability":
-        scores = np.vstack([to_possibility(row) for row in scores])
+        try:
+            scores = to_possibility(scores)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
     return ScoreMatrix(matrix.item_ids, tuple(labels), scores)
+
+
+def _load_chimeric(config: ExperimentConfig):
+    if config.signature_dir is None:
+        raise DataError("chimeric run needs signature_dir (raw capture files)")
+    text = load_text_corpus(config.corpus_dir)
+    return build_chimeric(text, load_svc(config.signature_dir), config.train_docs, config.test_docs)
+
+
+def _chimeric_counts(dataset) -> dict:
+    return {
+        "subjects": dataset.n_subjects,
+        "test_items": dataset.n_test_items,
+        "claims": dataset.n_claims,
+        "genuine": dataset.n_genuine,
+        "imposter": dataset.n_imposter,
+    }
 
 
 def run_chimeric(config: ExperimentConfig) -> dict:
     """Full bimodal run: stylome route, signature route, and their fusion."""
     started = time.perf_counter()
-    text = load_text_corpus(config.corpus_dir)
-    if config.signature_dir is None:
-        raise DataError("chimeric run needs signature_dir (raw capture files)")
-    sig = load_svc(config.signature_dir)
-    dataset = build_chimeric(text, sig, config.train_docs, config.test_docs)
+    stages: dict[str, float] = {}
+    with _timed(stages, "load"):
+        dataset = _load_chimeric(config)
     labels = dataset.subject_labels
 
     item_ids = tuple(
@@ -189,25 +207,28 @@ def run_chimeric(config: ExperimentConfig) -> dict:
     )
     truth = np.repeat(np.arange(dataset.n_subjects), config.test_docs)
 
-    # stylome route
-    train_docs = [doc for subj in dataset.subjects for doc in subj.train_docs]
-    subject_of = {doc.doc_id: subj.id for subj in dataset.subjects for doc in subj.train_docs}
-    model, _ = fit_stylome(config, train_docs, subject_of, labels)
-    test_docs = [doc for subj in dataset.subjects for doc in subj.test_docs]
-    stylome = ScoreMatrix(item_ids, labels, possibility_rows(model, model.vocab, test_docs))
+    # stylome route, one fold; only the training documents index features
+    docs = [doc for subj in dataset.subjects for doc in subj.train_docs]
+    n_train = len(docs)
+    docs += [doc for subj in dataset.subjects for doc in subj.test_docs]
+    subjects = np.concatenate([np.repeat(np.arange(dataset.n_subjects), config.train_docs), truth])
+    fold = (np.arange(n_train), np.arange(n_train, len(docs)))
+    (scores,), feature_stats = score_folds(config, docs, n_train, [fold], subjects, labels, stages)
+    stylome = ScoreMatrix(item_ids, labels, scores)
 
     # signature route
-    if config.signature_matrix is not None:
-        signature = _load_external(config.signature_matrix, "fuzzy", len(item_ids), dataset.n_subjects, labels)
-    else:
-        probes = [
-            (item_ids[i * config.test_docs + j], subj.test_sigs[j])
-            for i, subj in enumerate(dataset.subjects)
-            for j in range(config.test_docs)
-        ]
-        signature = score_matrix_from_templates(
-            probes, [subj.train_sigs for subj in dataset.subjects], labels, config.delta_alpha
-        )
+    with _timed(stages, "signature"):
+        if config.signature_matrix is not None:
+            signature = _load_external(config.signature_matrix, "fuzzy", len(item_ids), labels)
+        else:
+            probes = [
+                (item_ids[i * config.test_docs + j], subj.test_sigs[j])
+                for i, subj in enumerate(dataset.subjects)
+                for j in range(config.test_docs)
+            ]
+            signature = score_matrix_from_templates(
+                probes, [subj.train_sigs for subj in dataset.subjects], labels, config.delta_alpha
+            )
 
     fused_name = f"{config.classifier}+signature"
     matrices = {
@@ -219,9 +240,7 @@ def run_chimeric(config: ExperimentConfig) -> dict:
     }
     ttest_pairs = [(fused_name, config.classifier), (fused_name, "signature")]
     if config.external_matrix is not None:
-        external = _load_external(
-            config.external_matrix, config.external_kind, len(item_ids), dataset.n_subjects, labels
-        )
+        external = _load_external(config.external_matrix, config.external_kind, len(item_ids), labels)
         matrices["external"] = external
         matrices["external+signature"] = ScoreMatrix(
             item_ids, labels, fuse(external.scores, signature.scores, config.fusion_operator)
@@ -230,19 +249,16 @@ def run_chimeric(config: ExperimentConfig) -> dict:
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summaries = {name: write_bundle(out_dir, name, m, truth, config) for name, m in matrices.items()}
+    with _timed(stages, "write"):
+        summaries = {name: write_bundle(out_dir, name, m, truth, config) for name, m in matrices.items()}
 
     run_info = {
         "protocol": "chimeric",
         "systems": sorted(matrices),
-        "counts": {
-            "subjects": dataset.n_subjects,
-            "test_items": dataset.n_test_items,
-            "claims": dataset.n_claims,
-            "genuine": dataset.n_genuine,
-            "imposter": dataset.n_imposter,
-        },
+        "counts": _chimeric_counts(dataset),
+        "features": feature_stats,
         "ttests": _ttest_on_correctness(matrices, truth, ttest_pairs),
+        "stage_seconds": stages,
         "elapsed_seconds": time.perf_counter() - started,
     }
     metrics.write_summary_json(run_info, out_dir / "run.json")
@@ -253,35 +269,35 @@ def run_chimeric(config: ExperimentConfig) -> dict:
 # rolling-window protocol
 
 def run_rolling(config: ExperimentConfig) -> dict:
-    """Per-fold attribution over a uniform corpus; curves pool all folds."""
-    started = time.perf_counter()
-    n_docs = config.train_window + config.test_window
-    corpus = keep_largest(load_text_corpus(config.corpus_dir), n_docs)
-    plan = rolling_folds(corpus, config.train_window, config.test_window)
-    labels = corpus.subject_labels
+    """Per-fold attribution over a uniform corpus; curves pool all folds.
 
-    fold_accuracies = []
-    pooled_rows = []
+    Every document trains in some fold, so every document indexes features.
+    """
+    started = time.perf_counter()
+    stages: dict[str, float] = {}
+    n_docs = config.train_window + config.test_window
+    with _timed(stages, "load"):
+        corpus = keep_largest(load_text_corpus(config.corpus_dir), n_docs)
+        plan = rolling_folds(corpus, config.train_window, config.test_window)
+    labels = corpus.subject_labels
+    row_of = {doc.doc_id: i for i, doc in enumerate(corpus.documents)}
+    subjects = np.array([doc.subject for doc in corpus.documents], dtype=np.int64)
+    folds = []
     pooled_ids = []
-    pooled_truth = []
     for fold in plan.folds:
         train_docs, test_docs = split_documents(corpus, fold)
-        subject_of = {doc.doc_id: doc.subject for doc in train_docs}
-        model, _ = fit_stylome(config, train_docs, subject_of, labels)
-        rows = possibility_rows(model, model.vocab, test_docs)
-        truth = np.array([doc.subject for doc in test_docs], dtype=np.int64)
-        decided, _ = _decisions(rows)
-        fold_accuracies.append(float((decided == truth).mean()))
-        pooled_rows.append(rows)
+        folds.append(([row_of[d.doc_id] for d in train_docs], [row_of[d.doc_id] for d in test_docs]))
         pooled_ids.extend(f"f{fold.index:02d}/{doc.doc_id}" for doc in test_docs)
-        pooled_truth.append(truth)
-
-    matrix = ScoreMatrix(tuple(pooled_ids), labels, np.vstack(pooled_rows))
-    truth = np.concatenate(pooled_truth)
+    fold_rows, feature_stats = score_folds(config, corpus.documents, len(corpus), folds, subjects, labels, stages)
+    fold_truth = [subjects[test] for _, test in folds]
+    fold_accuracies = [float((decide(r).subject == t).mean()) for r, t in zip(fold_rows, fold_truth)]
+    matrix = ScoreMatrix(tuple(pooled_ids), labels, np.vstack(fold_rows))
+    truth = np.concatenate(fold_truth)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = write_bundle(out_dir, config.classifier, matrix, truth, config, fold_accuracies=fold_accuracies)
+    with _timed(stages, "write"):
+        summary = write_bundle(out_dir, config.classifier, matrix, truth, config, fold_accuracies=fold_accuracies)
 
     run_info = {
         "protocol": "rolling",
@@ -291,6 +307,8 @@ def run_rolling(config: ExperimentConfig) -> dict:
             "folds": len(plan),
             "test_items": len(pooled_ids),
         },
+        "features": feature_stats,
+        "stage_seconds": stages,
         "elapsed_seconds": time.perf_counter() - started,
     }
     metrics.write_summary_json(run_info, out_dir / "run.json")
@@ -301,10 +319,12 @@ def run_rolling(config: ExperimentConfig) -> dict:
 # standalone fitting / scoring used by the CLI
 
 def train_on_corpus(config: ExperimentConfig):
-    """Fit the configured classifier on every document of a corpus."""
+    """Fit the configured classifier on every document of a corpus; also returns each vocabulary feature's count."""
     corpus = load_text_corpus(config.corpus_dir)
-    subject_of = {doc.doc_id: doc.subject for doc in corpus.documents}
-    return fit_stylome(config, list(corpus.documents), subject_of, corpus.subject_labels)
+    features = extract_matrix(build_feature_model(config), corpus.documents)
+    subjects = [doc.subject for doc in corpus.documents]
+    model, columns = fit_stylome(config, features, np.arange(len(corpus)), subjects, corpus.subject_labels)
+    return model, features.counts.sum(axis=0)[columns]
 
 
 def signature_matrix_from_dir(config: ExperimentConfig) -> ScoreMatrix:
@@ -328,19 +348,11 @@ def signature_matrix_from_dir(config: ExperimentConfig) -> ScoreMatrix:
 
 def chimeric_manifest(config: ExperimentConfig) -> dict:
     """The pairing plan as plain data, for inspection or downstream tooling."""
-    text = load_text_corpus(config.corpus_dir)
-    sig = load_svc(config.signature_dir)
-    dataset = build_chimeric(text, sig, config.train_docs, config.test_docs)
+    dataset = _load_chimeric(config)
     return {
         "train_n": dataset.train_n,
         "test_n": dataset.test_n,
-        "counts": {
-            "subjects": dataset.n_subjects,
-            "test_items": dataset.n_test_items,
-            "claims": dataset.n_claims,
-            "genuine": dataset.n_genuine,
-            "imposter": dataset.n_imposter,
-        },
+        "counts": _chimeric_counts(dataset),
         "subjects": [
             {
                 "id": subj.id,

@@ -1,4 +1,4 @@
-"""Feature extraction: word n-grams, syntactic n-grams, profile vocabularies.
+"""Feature extraction: word n-grams, syntactic n-grams, count matrices, profile vocabularies.
 
 Features are strings; the parts of a gram are joined with the unit
 separator (U+001F) so multi-word features can never collide with each
@@ -13,6 +13,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+from scipy import sparse
 
 from .conllu import DepSentence
 from .corpus import Document
@@ -160,32 +164,64 @@ class Vocabulary:
         return len(self.features)
 
 
-def build_vocabulary(train_counts: list[Counter], model: FeatureModel, m: int) -> Vocabulary:
-    """Rank pooled training counts by frequency (desc), ties lexicographic (asc)."""
+@dataclass(frozen=True)
+class FeatureMatrix:
+    """Feature counts of a document list: row i is document i, column j counts ``features[j]``."""
+
+    model: FeatureModel
+    features: tuple[str, ...]
+    counts: sparse.csr_array  # (documents, features) int64
+    mass: np.ndarray  # per document: every extracted count, features outside the columns included
+
+    @cached_property
+    def lex_rank(self) -> np.ndarray:
+        """Position of each column's feature in ascending string order."""
+        return np.argsort(sorted(range(len(self.features)), key=self.features.__getitem__))
+
+
+def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None, index=None) -> FeatureMatrix:
+    """Extract each document once into a sparse count matrix over the columns of ``index``.
+
+    The first ``n_indexed`` documents add their features to ``index`` in
+    first-seen order: by default all of them to a new index, none to a
+    given one.  The others lose the features outside it, which no
+    vocabulary ranked on the indexed documents can hold; ``mass`` still
+    counts them.
+    """
+    if n_indexed is None:
+        n_indexed = len(docs) if index is None else 0
+    index = {} if index is None else index
+    add, get = index.setdefault, index.get
+    cols: list[int] = []
+    vals: list[int] = []
+    lengths = np.zeros(len(docs), dtype=np.int64)
+    for i, doc in enumerate(docs):
+        counts = model.extract(doc)
+        if i < n_indexed:
+            cols.extend([add(f, len(index)) for f in counts])
+        else:
+            cols.extend([get(f, -1) for f in counts])  # -1: outside the index, dropped below
+        vals.extend(counts.values())
+        lengths[i] = len(counts)
+    col = np.array(cols, dtype=np.int64)
+    val = np.array(vals, dtype=np.int64)
+    row = np.repeat(np.arange(len(docs)), lengths)
+    kept = col >= 0
+    counts = sparse.csr_array((val[kept], (row[kept], col[kept])), shape=(len(docs), len(index)))
+    mass = np.bincount(row, weights=val, minlength=len(docs)).astype(np.int64)
+    return FeatureMatrix(model, tuple(index), counts, mass)
+
+
+def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> tuple[Vocabulary, np.ndarray]:
+    """Keep the top m columns with a nonzero training count in ``totals``: most frequent first, ties lexicographic.
+
+    Returns the vocabulary and its columns in ``matrix``.
+    """
     if m < 1:
         raise ValueError("profile size must be >= 1")
-    total: Counter = Counter()
-    for counts in train_counts:
-        total.update(counts)
-    ranked = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))[:m]
-    return Vocabulary(model, m, tuple(f for f, _ in ranked))
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse in-vocabulary counts of one document."""
-
-    counts: dict[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def vectorize(counts: Counter, vocab: Vocabulary) -> FeatureVector:
-    """Project raw counts onto the vocabulary; out-of-vocabulary mass is dropped."""
-    idx = vocab.index
-    return FeatureVector({idx[f]: c for f, c in counts.items() if f in idx})
+    seen = np.flatnonzero(totals)
+    ranked = seen[np.lexsort((matrix.lex_rank[seen], -totals[seen]))][:m]
+    return Vocabulary(matrix.model, m, tuple(matrix.features[j] for j in ranked)), ranked
 
 
 def write_feature_tsv(pairs, path: str | Path) -> None:

@@ -9,15 +9,14 @@ import numpy as np
 
 from .errors import DegenerateInputWarning
 
-OPERATORS = ("average", "sum", "product")
+OPERATORS = ("average", "product")
 
 
 def fuse(a, b, operator: str = "average") -> np.ndarray:
     """Combine two aligned score vectors (or matrices) elementwise.
 
-    "average" keeps fused scores on the [0, 1] scale of the inputs; "sum"
-    and "product" rank identically to it for two sources but are exposed
-    for experimentation.
+    Both keep scores on the [0, 1] scale of the inputs, but they can rank
+    differently: (0.5, 0.5) beats (0.9, 0.2) under "product", not "average".
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -27,25 +26,31 @@ def fuse(a, b, operator: str = "average") -> np.ndarray:
         raise ValueError("scores must be finite")
     if operator == "average":
         return (a + b) / 2.0
-    if operator == "sum":
-        return a + b
     if operator == "product":
         return a * b
     raise ValueError(f"unknown fusion operator {operator!r}")
 
 
 class Decision(NamedTuple):
-    subject: int
-    tie: bool
+    subject: int | np.ndarray
+    tie: bool | np.ndarray
 
 
 def decide(scores) -> Decision:
-    """Pick the best-scoring subject; exact ties go to the lowest id, flagged."""
+    """Pick the best-scoring subject of each row; exact ties go to the lowest id, flagged.
+
+    An (n, S) matrix gives arrays of n subjects and tie flags; a 1-D score
+    vector is one row and gives a single subject and flag.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise ValueError("expected a non-empty 1-D score vector")
-    best = int(np.argmax(scores))
-    tie = bool(np.count_nonzero(scores == scores[best]) > 1)
-    if tie:
-        warnings.warn("tied top score, keeping the lowest subject id", DegenerateInputWarning)
-    return Decision(best, tie)
+    if scores.ndim not in (1, 2) or scores.size == 0:
+        raise ValueError("expected a non-empty score vector or (n, S) matrix")
+    rows = scores.reshape(-1, scores.shape[-1])
+    best = rows.argmax(axis=1)
+    ties = np.count_nonzero(rows == rows[np.arange(len(rows)), best][:, None], axis=1) > 1
+    if ties.any():
+        message = f"tied top score in {int(ties.sum())} row(s), keeping the lowest subject id"
+        warnings.warn(message, DegenerateInputWarning)
+    if scores.ndim == 1:
+        return Decision(int(best[0]), bool(ties[0]))
+    return Decision(best, ties)

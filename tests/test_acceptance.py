@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from stylosig import classifiers, metrics
 from stylosig.bench import run_scaling, synthetic_corpus, time_attribution
 from stylosig.config import build_config
 from stylosig.corpus import build_chimeric, load_text_corpus
-from stylosig.experiment import fit_stylome, possibility_rows, run_rolling
-from stylosig.features import FeatureModel, FeatureVector, Vocabulary
+from stylosig.experiment import build_feature_model, fit_stylome, possibility_rows, run_rolling
+from stylosig.features import FeatureModel, Vocabulary, extract_matrix
 from stylosig.fusion import decide, fuse
 from stylosig.possibility import to_possibility
 from stylosig.signature import ScoreMatrix, baseline_score, load_svc
@@ -91,16 +92,20 @@ def test_criterion_02_mnb_matches_literal_posterior_within_1e9():
         labels = tuple(f"s{i}" for i in range(n_subjects))
         subject_grids = _count_grids(n_features, train_values)
         docs = [d for d in _count_grids(n_features, doc_values) if sum(d)]
+        doc_counts = sparse.csr_array(np.array(docs, dtype=np.int64))
         for rows in itertools.product(subject_grids, repeat=n_subjects):
-            train = []
+            train_rows = []
+            subjects = []
             for s, pooled in enumerate(rows):
                 for part in _split_two_docs(pooled):
-                    train.append((FeatureVector({i: c for i, c in enumerate(part) if c}), s))
+                    train_rows.append(part)
+                    subjects.append(s)
+            train = sparse.csr_array(np.array(train_rows, dtype=np.int64))
             for alpha in (0.01, 1.0):
-                model = classifiers.mnb_train(train, vocab, alpha, labels)
-                for doc in docs:
-                    vector = FeatureVector({i: c for i, c in enumerate(doc) if c})
-                    ours = classifiers.mnb_posterior(model, vector)
+                model = classifiers.mnb_train(train, subjects, vocab, alpha, labels)
+                # every document of the grid is scored in one batched call
+                posteriors = classifiers.posterior(model, doc_counts)
+                for doc, ours in zip(docs, posteriors):
                     ref = mnb_posterior_reference([list(r) for r in rows], alpha, list(doc))
                     worst = max(worst, float(np.max(np.abs(ours - ref))))
                     # argmax must agree except inside an exact tie band,
@@ -124,16 +129,15 @@ def test_criterion_03_posteriors_sum_to_one_within_1e9():
             n_features = int(rng.integers(2, 9))
             vocab = Vocabulary(FeatureModel("ngram", (1,)), n_features, tuple(f"f{i}" for i in range(n_features)))
             labels = tuple(f"s{i}" for i in range(n_subjects))
-            train = [
-                (FeatureVector({i: int(c) for i, c in enumerate(rng.integers(0, 21, n_features)) if c}), s)
-                for s in range(n_subjects)
-            ]
-            doc = FeatureVector({i: int(c) for i, c in enumerate(rng.integers(0, 13, n_features)) if c})
-            if doc.total == 0:
+            # one draw per row, in the order of the original per-vector cases
+            train = sparse.csr_array(np.array([rng.integers(0, 21, n_features) for _ in range(n_subjects)]))
+            subjects = list(range(n_subjects))
+            doc = sparse.csr_array(rng.integers(0, 13, n_features)[None, :])
+            if doc.sum() == 0:
                 continue
-            mnb = classifiers.mnb_train(train, vocab, alpha, labels)
-            pnb = classifiers.pnb_train(train, vocab, alpha, labels)
-            for posterior in (classifiers.mnb_posterior(mnb, doc), classifiers.pnb_posterior(pnb, doc)):
+            mnb = classifiers.mnb_train(train, subjects, vocab, alpha, labels)
+            pnb = classifiers.pnb_train(train, subjects, vocab, alpha, labels)
+            for posterior in (classifiers.posterior(mnb, doc), classifiers.posterior(pnb, doc)):
                 worst = max(worst, abs(float(posterior.sum()) - 1.0))
     assert worst <= 1e-9
     print(f"PASS posterior normalization: alpha in {{0.01, 1}}, max |sum-1| {worst:.3e} <= 1e-9")
@@ -347,9 +351,12 @@ def test_criterion_10_ccat50_accuracy_if_available():
             "alpha": "0.01",
         }
     )
-    subject_of = {doc.doc_id: doc.subject for doc in train_corpus.documents}
-    model, _ = fit_stylome(config, list(train_corpus.documents), subject_of, train_corpus.subject_labels)
-    rows = possibility_rows(model, model.vocab, list(test_corpus.documents))
+    docs = train_corpus.documents + test_corpus.documents
+    features = extract_matrix(build_feature_model(config), docs, len(train_corpus.documents))
+    train = np.arange(len(train_corpus.documents))
+    subjects = [doc.subject for doc in train_corpus.documents]
+    model, columns = fit_stylome(config, features, train, subjects, train_corpus.subject_labels)
+    rows = possibility_rows(model, features.counts[len(train) :][:, columns])
     truth = np.array([doc.subject for doc in test_corpus.documents])
     accuracy = float((rows.argmax(axis=1) == truth).mean())
     assert accuracy >= 10 * (1.0 / len(train_corpus.subjects))

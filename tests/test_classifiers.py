@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from scipy import sparse
+
 from stylosig.classifiers import (
     MnbModel,
     PnbModel,
     load_model,
-    mnb_attribute,
-    mnb_posterior,
     mnb_train,
-    pnb_posterior,
     pnb_train,
+    posterior,
     save_model,
 )
 from stylosig.errors import DataError, DegenerateInputWarning
-from stylosig.features import FeatureModel, FeatureVector, Vocabulary
+from stylosig.features import FeatureModel, Vocabulary
+from stylosig.fusion import decide
 
 from .oracles import mnb_posterior_reference, pnb_posterior_reference
 
@@ -26,23 +27,30 @@ def make_vocab(n_features=4):
 
 
 def vec(counts):
-    return FeatureVector({i: c for i, c in enumerate(counts) if c})
+    """One document's counts as a 1-row sparse matrix."""
+    return sparse.csr_array(np.array([counts], dtype=np.int64))
+
+
+def docs(*rows):
+    """Training rows as (count matrix, subject of each row)."""
+    return sparse.csr_array(np.array([r for r, _ in rows], dtype=np.int64)), [s for _, s in rows]
 
 
 def pairs_from_rows(rows):
     # one training document per subject, counts given densely
-    return [(vec(row), s) for s, row in enumerate(rows)]
+    return docs(*((row, s) for s, row in enumerate(rows)))
+
 
 
 def test_smoothed_parameter_hand_value():
     # counts [3, 2, 6, 0], alpha=1, 4 features: p_f0 = (3+1)/(11+4) = 4/15
-    model = mnb_train(pairs_from_rows([[3, 2, 6, 0], [1, 1, 1, 1]]), make_vocab(), 1.0, ("s0", "s1"))
+    model = mnb_train(*pairs_from_rows([[3, 2, 6, 0], [1, 1, 1, 1]]), make_vocab(), 1.0, ("s0", "s1"))
     assert math.isclose(math.exp(model.log_params[0, 0]), 4 / 15, rel_tol=1e-12)
     assert math.isclose(math.exp(model.log_params[0, 3]), 1 / 15, rel_tol=1e-12)
 
 
 def test_parameters_sum_to_one_per_subject():
-    model = mnb_train(pairs_from_rows([[3, 0, 1, 2], [5, 5, 0, 0]]), make_vocab(), 0.01, ("a", "b"))
+    model = mnb_train(*pairs_from_rows([[3, 0, 1, 2], [5, 5, 0, 0]]), make_vocab(), 0.01, ("a", "b"))
     sums = np.exp(model.log_params).sum(axis=1)
     assert np.allclose(sums, 1.0, atol=1e-12)
 
@@ -56,8 +64,8 @@ def test_posterior_matches_literal_reference():
             doc = rng.integers(0, 4, size=3).tolist()
             if sum(doc) == 0:
                 continue
-            model = mnb_train(pairs_from_rows(rows), vocab, alpha, ("a", "b", "c"))
-            ours = mnb_posterior(model, vec(doc))
+            model = mnb_train(*pairs_from_rows(rows), vocab, alpha, ("a", "b", "c"))
+            ours = posterior(model, vec(doc))[0]
             ref = mnb_posterior_reference(rows, alpha, doc)
             assert np.max(np.abs(ours - ref)) < 1e-9
 
@@ -67,22 +75,22 @@ def test_posterior_sums_to_one():
     vocab = make_vocab(5)
     for alpha in (0.0, 0.01, 1.0):
         rows = rng.integers(0, 9, size=(4, 5)).tolist()
-        model = mnb_train(pairs_from_rows(rows), vocab, alpha, tuple("abcd"))
+        model = mnb_train(*pairs_from_rows(rows), vocab, alpha, tuple("abcd"))
         doc = vec(rng.integers(0, 6, size=5).tolist())
-        assert abs(mnb_posterior(model, doc).sum() - 1.0) < 1e-9
+        assert abs(posterior(model, doc).sum() - 1.0) < 1e-9
 
 
 def test_training_pools_documents_per_subject():
     vocab = make_vocab(2)
-    split = [(vec([2, 1]), 0), (vec([1, 0]), 0), (vec([0, 4]), 1)]
-    pooled = [(vec([3, 1]), 0), (vec([0, 4]), 1)]
-    a = mnb_train(split, vocab, 0.5, ("x", "y"))
-    b = mnb_train(pooled, vocab, 0.5, ("x", "y"))
+    split = docs(([2, 1], 0), ([1, 0], 0), ([0, 4], 1))
+    pooled = docs(([3, 1], 0), ([0, 4], 1))
+    a = mnb_train(*split, vocab, 0.5, ("x", "y"))
+    b = mnb_train(*pooled, vocab, 0.5, ("x", "y"))
     assert np.array_equal(a.log_params, b.log_params)
 
 
 def test_alpha_zero_uses_floor():
-    model = mnb_train(pairs_from_rows([[4, 0], [1, 1]]), make_vocab(2), 0.0, ("a", "b"))
+    model = mnb_train(*pairs_from_rows([[4, 0], [1, 1]]), make_vocab(2), 0.0, ("a", "b"))
     assert np.all(np.isfinite(model.log_params))
     # unseen feature gets the floor mass, vastly smaller than a seen one
     assert model.log_params[0, 1] < model.log_params[0, 0] - 20
@@ -90,54 +98,57 @@ def test_alpha_zero_uses_floor():
 
 def test_negative_alpha_rejected():
     with pytest.raises(ValueError):
-        mnb_train(pairs_from_rows([[1, 1]]), make_vocab(2), -0.1, ("a",))
+        mnb_train(*pairs_from_rows([[1, 1]]), make_vocab(2), -0.1, ("a",))
 
 
 def test_subject_without_vectors_rejected():
     with pytest.raises(DataError, match="without training vectors"):
-        mnb_train([(vec([1, 0]), 0)], make_vocab(2), 0.1, ("a", "b"))
+        mnb_train(*docs(([1, 0], 0)), make_vocab(2), 0.1, ("a", "b"))
 
 
 def test_unknown_subject_rejected():
     with pytest.raises(DataError, match="unknown subject"):
-        mnb_train([(vec([1, 0]), 5)], make_vocab(2), 0.1, ("a",))
+        mnb_train(*docs(([1, 0], 5)), make_vocab(2), 0.1, ("a",))
 
 
 def test_empty_document_gives_uniform_with_warning():
-    model = mnb_train(pairs_from_rows([[2, 1], [1, 2]]), make_vocab(2), 0.1, ("a", "b"))
+    model = mnb_train(*pairs_from_rows([[2, 1], [1, 2]]), make_vocab(2), 0.1, ("a", "b"))
     with pytest.warns(DegenerateInputWarning):
-        posterior = mnb_posterior(model, vec([0, 0]))
-    assert np.array_equal(posterior, [0.5, 0.5])
+        post = posterior(model, vec([0, 0]))
+    assert np.array_equal(post, [[0.5, 0.5]])
 
 
 def test_attribute_breaks_ties_toward_lowest_id():
     # identical training counts make every posterior uniform
-    model = mnb_train(pairs_from_rows([[2, 2], [2, 2]]), make_vocab(2), 1.0, ("a", "b"))
-    assert mnb_attribute(model, vec([3, 1])) == 0
+    model = mnb_train(*pairs_from_rows([[2, 2], [2, 2]]), make_vocab(2), 1.0, ("a", "b"))
+    with pytest.warns(DegenerateInputWarning):
+        assert decide(posterior(model, vec([3, 1]))).subject[0] == 0
 
 
 def test_attribute_picks_the_right_subject():
-    model = mnb_train(pairs_from_rows([[9, 1], [1, 9]]), make_vocab(2), 0.01, ("a", "b"))
-    assert mnb_attribute(model, vec([5, 0])) == 0
-    assert mnb_attribute(model, vec([0, 5])) == 1
+    model = mnb_train(*pairs_from_rows([[9, 1], [1, 9]]), make_vocab(2), 0.01, ("a", "b"))
+    assert decide(posterior(model, vec([5, 0]))).subject[0] == 0
+    assert decide(posterior(model, vec([0, 5]))).subject[0] == 1
+    # one call decides every row of a matrix
+    assert list(decide(posterior(model, sparse.vstack([vec([5, 0]), vec([0, 5])]))).subject) == [0, 1]
 
 
 def test_extreme_counts_stay_finite():
     # log-space scoring must survive counts that would underflow linearly
     vocab = make_vocab(3)
-    model = mnb_train(pairs_from_rows([[900, 5, 5], [5, 900, 5]]), vocab, 0.01, ("a", "b"))
-    posterior = mnb_posterior(model, vec([500, 0, 300]))
-    assert np.all(np.isfinite(posterior))
-    assert abs(posterior.sum() - 1.0) < 1e-9
-    assert posterior[0] > 0.99
+    model = mnb_train(*pairs_from_rows([[900, 5, 5], [5, 900, 5]]), vocab, 0.01, ("a", "b"))
+    post = posterior(model, vec([500, 0, 300]))[0]
+    assert np.all(np.isfinite(post))
+    assert abs(post.sum() - 1.0) < 1e-9
+    assert post[0] > 0.99
 
 
 # -- Poisson benchmark ------------------------------------------------------
 
 def test_poisson_rate_hand_value():
     # subject 0: 4 occurrences over 2 docs, alpha=0 -> rate 2
-    train = [(vec([3, 0]), 0), (vec([1, 2]), 0), (vec([0, 1]), 1)]
-    model = pnb_train(train, make_vocab(2), 0.0, ("a", "b"))
+    train = docs(([3, 0], 0), ([1, 2], 0), ([0, 1], 1))
+    model = pnb_train(*train, make_vocab(2), 0.0, ("a", "b"))
     assert model.rates[0, 0] == 2.0
     assert model.rates[0, 1] == 1.0
     assert np.isneginf(model.log_rates[1, 0])
@@ -150,37 +161,37 @@ def test_poisson_matches_literal_reference():
         for _ in range(50):
             rows = rng.integers(0, 5, size=(3, 3)).tolist()
             doc = rng.integers(0, 4, size=3).tolist()
-            model = pnb_train(pairs_from_rows(rows), vocab, alpha, ("a", "b", "c"))
+            model = pnb_train(*pairs_from_rows(rows), vocab, alpha, ("a", "b", "c"))
             ref = pnb_posterior_reference(rows, [1, 1, 1], alpha, doc)
-            assert np.max(np.abs(pnb_posterior(model, vec(doc)) - ref)) < 1e-9
+            assert np.max(np.abs(posterior(model, vec(doc))[0] - ref)) < 1e-9
 
 
 def test_poisson_zero_rate_kills_subject():
     # alpha=0: subject b never produced f0, so a doc containing f0 rules b out
-    model = pnb_train(pairs_from_rows([[2, 2], [0, 4]]), make_vocab(2), 0.0, ("a", "b"))
-    posterior = pnb_posterior(model, vec([1, 1]))
-    assert posterior[1] == 0.0
-    assert posterior[0] == 1.0
+    model = pnb_train(*pairs_from_rows([[2, 2], [0, 4]]), make_vocab(2), 0.0, ("a", "b"))
+    post = posterior(model, vec([1, 1]))[0]
+    assert post[1] == 0.0
+    assert post[0] == 1.0
 
 
 def test_poisson_identical_subjects_are_uniform():
-    model = pnb_train(pairs_from_rows([[2, 1], [2, 1]]), make_vocab(2), 0.5, ("a", "b"))
-    assert np.allclose(pnb_posterior(model, vec([4, 2])), [0.5, 0.5], atol=1e-12)
+    model = pnb_train(*pairs_from_rows([[2, 1], [2, 1]]), make_vocab(2), 0.5, ("a", "b"))
+    assert np.allclose(posterior(model, vec([4, 2])), [[0.5, 0.5]], atol=1e-12)
 
 
 def test_poisson_all_impossible_warns_uniform():
     # both subjects have zero rates everywhere the doc has counts
-    model = pnb_train(pairs_from_rows([[0, 2], [0, 3]]), make_vocab(2), 0.0, ("a", "b"))
+    model = pnb_train(*pairs_from_rows([[0, 2], [0, 3]]), make_vocab(2), 0.0, ("a", "b"))
     with pytest.warns(DegenerateInputWarning):
-        posterior = pnb_posterior(model, vec([2, 0]))
-    assert np.array_equal(posterior, [0.5, 0.5])
+        post = posterior(model, vec([2, 0]))
+    assert np.array_equal(post, [[0.5, 0.5]])
 
 
 # -- persistence ------------------------------------------------------------
 
 def test_mnb_roundtrip_is_bit_exact(tmp_path):
     vocab = make_vocab(3)
-    model = mnb_train(pairs_from_rows([[3, 1, 0], [0, 2, 5]]), vocab, 0.01, ("ann", "bob"))
+    model = mnb_train(*pairs_from_rows([[3, 1, 0], [0, 2, 5]]), vocab, 0.01, ("ann", "bob"))
     path = tmp_path / "model.npz"
     save_model(model, path)
     loaded = load_model(path)
@@ -191,12 +202,12 @@ def test_mnb_roundtrip_is_bit_exact(tmp_path):
     assert loaded.vocab.model == vocab.model
     assert np.array_equal(loaded.log_params, model.log_params)
     doc = vec([1, 0, 2])
-    assert np.array_equal(mnb_posterior(loaded, doc), mnb_posterior(model, doc))
+    assert np.array_equal(posterior(loaded, doc), posterior(model, doc))
 
 
 def test_pnb_roundtrip_is_bit_exact(tmp_path):
     vocab = make_vocab(2)
-    model = pnb_train(pairs_from_rows([[3, 1], [0, 2]]), vocab, 0.0, ("a", "b"))
+    model = pnb_train(*pairs_from_rows([[3, 1], [0, 2]]), vocab, 0.0, ("a", "b"))
     path = tmp_path / "model.npz"
     save_model(model, path)
     loaded = load_model(path)

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from stylosig.cli import main
-from stylosig.signature import load_score_matrix
+from stylosig.signature import ScoreMatrix, load_score_matrix, save_score_matrix
 
 from .conftest import write_svc_dir, write_text_corpus
 from .test_experiment import disjoint_corpus
@@ -163,3 +164,44 @@ def test_env_var_redirects_output(tmp_path, monkeypatch):
     monkeypatch.setenv("STYLOSIG_OUTPUT_DIR", str(env_out))
     assert main(["train", "-O", f"corpus_dir={corpus_dir}"]) == 0
     assert (env_out / "model.npz").is_file()
+
+
+def chimeric_args(tmp_path, *extra, signatures=True):
+    corpus_dir = disjoint_corpus(tmp_path)
+    args = ["eval", "-O", f"corpus_dir={corpus_dir}", "-O", "protocol=chimeric"]
+    if signatures:
+        sig_dir = write_svc_dir(tmp_path / "sigs", n_writers=3, n_samples=4)
+        args += ["-O", f"signature_dir={sig_dir}"]
+    return args + ["-O", "train_docs=2", "-O", "test_docs=2", "--output-dir", str(tmp_path / "out"), *extra]
+
+
+def test_fusion_sum_is_config_error(tmp_path, capsys):
+    assert main(chimeric_args(tmp_path, "-O", "fusion_operator=sum")) == 2
+    err = capsys.readouterr().err
+    assert "config error: fusion_operator='sum'" in err
+    assert "Traceback" not in err
+
+
+def test_signature_matrix_without_signature_dir_is_config_error(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    save_score_matrix(ScoreMatrix(("x",), ("a",), np.array([[0.5]])), scores)
+    assert main(chimeric_args(tmp_path, "-O", f"signature_matrix={scores}", signatures=False)) == 2
+    assert "config error: chimeric eval needs signature_dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, row, message",
+    [
+        ("probability", [0.5, 0.4, 0.0], "must sum to 1"),
+        ("fuzzy", [1.5, 0.0, 0.0], "within \\[0, 1\\]"),
+    ],
+)
+def test_bad_external_scores_are_data_errors(tmp_path, capsys, kind, row, message):
+    path = tmp_path / "external.csv"
+    ids = tuple(f"s{s:02d}i{j:02d}" for s in range(3) for j in range(2))
+    save_score_matrix(ScoreMatrix(ids, ("a", "b", "c"), np.array([row] * 6)), path)
+    args = chimeric_args(tmp_path, "-O", f"external_matrix={path}", "-O", f"external_kind={kind}")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert re.search(message, err)

@@ -80,6 +80,7 @@ def test_enum_values_checked():
         ("feature_family", "chars"),
         ("sngram_element", "stem"),
         ("fusion_operator", "max"),
+        ("fusion_operator", "sum"),
         ("external_kind", "raw"),
         ("classifier", "knn"),
     ]:
@@ -95,6 +96,14 @@ def test_validate_for_requires_inputs(tmp_path):
         validate_for(config, "sigscore")
     with pytest.raises(ConfigError, match="chimeric eval needs"):
         validate_for(build_config({"protocol": "chimeric", "corpus_dir": str(tmp_path)}), "eval")
+    # precomputed signature scores do not replace the writers the pairing needs
+    scores = tmp_path / "scores.csv"
+    scores.write_text("item_id,w1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="chimeric eval needs signature_dir"):
+        validate_for(
+            build_config({"protocol": "chimeric", "corpus_dir": str(tmp_path), "signature_matrix": str(scores)}),
+            "eval",
+        )
     validate_for(config, "bench")  # no requirements
 
 

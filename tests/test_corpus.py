@@ -41,11 +41,6 @@ def test_load_reads_conllu_sidecar(tmp_path):
     assert doc.tree is not None and doc.tree[0].tokens[0].form == "Hello"
 
 
-def test_load_rejects_bad_layout(tiny_corpus_dir):
-    with pytest.raises(DataError, match="layout"):
-        load_text_corpus(tiny_corpus_dir, layout="flat")
-
-
 def test_load_rejects_missing_root(tmp_path):
     with pytest.raises(DataError, match="not a directory"):
         load_text_corpus(tmp_path / "nowhere")

@@ -1,9 +1,14 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from stylosig import experiment
 from stylosig.config import build_config
+from stylosig.corpus import load_text_corpus
+from stylosig.errors import DegenerateInputWarning
+from stylosig.features import FeatureModel
 from stylosig.experiment import (
     build_feature_model,
     chimeric_manifest,
@@ -13,6 +18,7 @@ from stylosig.experiment import (
 )
 
 from .conftest import write_svc_dir, write_text_corpus
+from .oracles import mnb_posterior_reference, pnb_posterior_reference, possibility_naive, rolling_plan_reference
 
 
 def disjoint_corpus(tmp_path, n_subjects=3, docs=4, words=6, tokens=30):
@@ -181,3 +187,109 @@ def test_chimeric_manifest_contents(tmp_path):
     assert manifest["subjects"][0]["train_docs"] == ["subj0/doc00.txt", "subj0/doc01.txt"]
     assert manifest["subjects"][0]["test_sigs"] == ["U1S3", "U1S4"]
     assert json.dumps(manifest)  # JSON-serializable as written
+
+
+# -- the matrix path against the per-document reference ------------------------
+
+def degenerate_corpus(tmp_path):
+    """3 subjects x 4 short documents; subject s always writes s{s}w0 and mixes in shared words.
+
+    subj0/doc03 shares no word with anything else, so in the fold that tests
+    it (fold 0) it is entirely out of vocabulary.  subj2/doc03 uses one
+    private word of subj0 and one of subj1, so under Poisson rates without
+    smoothing every subject has zero likelihood for it.
+    """
+    rng = np.random.default_rng(8)
+    subjects = {}
+    for s in range(3):
+        words = [f"s{s}w{j}" for j in range(4)] + ["c0", "c1", "c2"]
+        subjects[f"subj{s}"] = [
+            " ".join([f"s{s}w0"] + [words[int(j)] for j in rng.integers(0, len(words), 6)]) for _ in range(4)
+        ]
+    subjects["subj0"][3] = "only here"
+    subjects["subj2"][3] = "s0w0 s1w0"
+    return write_text_corpus(tmp_path / "texts", subjects)
+
+
+def reference_rolling_rows(corpus_dir, classifier, alpha, profile_size):
+    """Rolling possibility rows computed one document at a time with the literal oracles."""
+    corpus = load_text_corpus(corpus_dir)
+    fmodel = FeatureModel("ngram", (1, 2))
+    n_docs = len(corpus.by_subject[0])
+    rows = {}
+    for fold, (train_pos, test_pos) in enumerate(rolling_plan_reference(n_docs, 3, 1)):
+        train = {s: [fmodel.extract(corpus.by_subject[s][p]) for p in train_pos] for s in corpus.by_subject}
+        pooled = Counter()
+        for counts in train.values():
+            for c in counts:
+                pooled.update(c)
+        vocab = [f for f, _ in sorted(pooled.items(), key=lambda kv: (-kv[1], kv[0]))[:profile_size]]
+        train_counts = [[sum(c[f] for c in train[s]) for f in vocab] for s in sorted(train)]
+        for s in sorted(corpus.by_subject):
+            for p in test_pos:
+                doc = corpus.by_subject[s][p]
+                counts = fmodel.extract(doc)
+                vector = [counts[f] for f in vocab]
+                if classifier == "mnb":
+                    post = mnb_posterior_reference(train_counts, alpha, vector)
+                else:
+                    post = pnb_posterior_reference(train_counts, [len(train_pos)] * len(train), alpha, vector)
+                rows[f"f{fold:02d}/{doc.doc_id}"] = possibility_naive(post)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "classifier, alpha, warning",
+    [("mnb", 0.01, "empty feature vector"), ("pnb", 0.0, "zero likelihood")],
+)
+def test_rolling_matrix_path_matches_per_document_reference(tmp_path, monkeypatch, classifier, alpha, warning):
+    corpus_dir = degenerate_corpus(tmp_path)
+    captured = {}
+    original = experiment.write_bundle
+
+    def capture(out_dir, name, matrix, truth, config, **kwargs):
+        captured["matrix"] = matrix
+        return original(out_dir, name, matrix, truth, config, **kwargs)
+
+    monkeypatch.setattr(experiment, "write_bundle", capture)
+    config = build_config(
+        {
+            "corpus_dir": str(corpus_dir),
+            "train_window": "3",
+            "test_window": "1",
+            "profile_size": "20",
+            "classifier": classifier,
+            "alpha": str(alpha),
+            "output_dir": str(tmp_path / "out"),
+        }
+    )
+    with pytest.warns(DegenerateInputWarning, match=warning):
+        result = run_rolling(config)
+    matrix = captured["matrix"]
+    reference = reference_rolling_rows(corpus_dir, classifier, alpha, 20)
+    assert sorted(matrix.item_ids) == sorted(reference)
+    ref_ties = 0
+    for item_id, row in zip(matrix.item_ids, matrix.scores):
+        ref = reference[item_id]
+        assert np.max(np.abs(row - ref)) <= 1e-9
+        assert np.argmax(row) == np.argmax(ref)
+        ref_ties += int(np.count_nonzero(ref == ref.max()) > 1)
+    assert result["summaries"][classifier]["n_tied_decisions"] == ref_ties
+    if classifier == "mnb":
+        # the out-of-vocabulary row falls back on the uniform posterior
+        assert np.all(matrix.scores[matrix.item_ids.index("f00/subj0/doc03.txt")] == 1.0)
+        assert ref_ties >= 1
+
+
+def test_run_json_records_stages_and_feature_stats(tmp_path):
+    corpus_dir = degenerate_corpus(tmp_path)
+    config = build_config(
+        {"corpus_dir": str(corpus_dir), "train_window": "3", "test_window": "1", "output_dir": str(tmp_path / "out")}
+    )
+    with pytest.warns(DegenerateInputWarning):
+        run_rolling(config)
+    run = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert set(run["stage_seconds"]) == {"load", "extract", "folds", "write"}
+    assert all(t >= 0.0 for t in run["stage_seconds"].values())
+    assert run["features"]["indexed"] > 0
+    assert 0.0 < run["features"]["test_oov_rate"] < 1.0

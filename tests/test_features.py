@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +12,11 @@ from stylosig.features import (
     SEP,
     FeatureModel,
     build_vocabulary,
+    extract_matrix,
     extract_ngrams,
     extract_sngrams,
     read_feature_tsv,
     tokenize,
-    vectorize,
     write_feature_tsv,
 )
 
@@ -180,40 +181,82 @@ def test_model_validation():
         FeatureModel("sngram", (2,), "stem")
 
 
-# -- vocabulary and vectors -------------------------------------------------
+# -- count matrices and vocabulary -------------------------------------------
+
+UNIGRAMS = FeatureModel("ngram", (1,))
+
+
+def text_of(counts):
+    return " ".join(f for f, c in counts.items() for _ in range(c))
+
+
+def ranked(dicts, m):
+    """Vocabulary ranked on documents holding exactly the given unigram counts."""
+    docs = [Document(f"d{i}", 0, text_of(d)) for i, d in enumerate(dicts)]
+    matrix = extract_matrix(UNIGRAMS, docs)
+    vocab, columns = build_vocabulary(matrix, matrix.counts.sum(axis=0), m)
+    assert [matrix.features[j] for j in columns] == list(vocab.features)
+    return vocab
+
+
+def test_extract_matrix_rows_match_per_document_counts():
+    model = FeatureModel("ngram", (1, 2))
+    docs = [Document("d0", 0, "a b a"), Document("d1", 1, "b c"), Document("d2", 1, "")]
+    matrix = extract_matrix(model, docs)
+    for i, doc in enumerate(docs):
+        row = matrix.counts[[i]].toarray()[0]
+        assert {matrix.features[j]: int(c) for j, c in enumerate(row) if c} == model.extract(doc)
+    assert list(matrix.mass) == [5, 3, 0]
+
+
+def test_extract_matrix_projects_unindexed_documents():
+    docs = [Document("d0", 0, "a b"), Document("d1", 1, "a c c")]
+    matrix = extract_matrix(UNIGRAMS, docs, n_indexed=1)
+    assert matrix.features == ("a", "b")
+    assert matrix.counts.toarray().tolist() == [[1, 1], [1, 0]]
+    assert list(matrix.mass) == [2, 3]  # the dropped "c c" still counts
+
+
+def test_lex_rank_orders_feature_strings():
+    matrix = extract_matrix(UNIGRAMS, [Document("d", 0, "b c a b")])
+    assert [matrix.features[j] for j in np.argsort(matrix.lex_rank)] == ["a", "b", "c"]
+
 
 def test_vocabulary_ranks_by_frequency_then_lexicographic():
-    model = FeatureModel("ngram", (1,))
-    docs = [Counter({"b": 3, "a": 1}), Counter({"c": 3, "a": 2})]
-    vocab = build_vocabulary(docs, model, 3)
+    vocab = ranked([{"b": 3, "a": 1}, {"c": 3, "a": 2}], 3)
     # totals: a=3, b=3, c=3 -> all tie, lexicographic
     assert vocab.features == ("a", "b", "c")
 
 
 def test_vocabulary_truncates_to_m():
-    model = FeatureModel("ngram", (1,))
-    vocab = build_vocabulary([Counter({"a": 5, "b": 4, "c": 3})], model, 2)
+    vocab = ranked([{"a": 5, "b": 4, "c": 3}], 2)
     assert vocab.features == ("a", "b")
     assert vocab.profile_size == 2
 
 
 def test_vocabulary_smaller_than_m_is_fine():
-    model = FeatureModel("ngram", (1,))
-    vocab = build_vocabulary([Counter({"a": 1})], model, 100)
+    vocab = ranked([{"a": 1}], 100)
     assert len(vocab) == 1
+
+
+def test_vocabulary_skips_features_absent_from_training():
+    matrix = extract_matrix(UNIGRAMS, [Document("d0", 0, "a"), Document("d1", 0, "b b")])
+    vocab, columns = build_vocabulary(matrix, matrix.counts[[0]].sum(axis=0), 5)
+    assert vocab.features == ("a",) and list(columns) == [0]
 
 
 def test_vocabulary_rejects_bad_size():
     with pytest.raises(ValueError):
-        build_vocabulary([], FeatureModel("ngram", (1,)), 0)
+        build_vocabulary(extract_matrix(UNIGRAMS, []), np.zeros(0), 0)
 
 
-def test_vectorize_drops_out_of_vocabulary():
-    model = FeatureModel("ngram", (1,))
-    vocab = build_vocabulary([Counter({"a": 2, "b": 1})], model, 2)
-    vec = vectorize(Counter({"a": 4, "z": 9}), vocab)
-    assert vec.counts == {vocab.index["a"]: 4}
-    assert vec.total == 4
+def test_extract_matrix_over_vocabulary_drops_out_of_vocabulary():
+    vocab = ranked([{"a": 2, "b": 1}], 2)
+    counts = extract_matrix(UNIGRAMS, [Document("q", 0, text_of({"a": 4, "z": 9}))], index=vocab.index).counts
+    assert counts.shape == (1, 2) and counts.nnz == 1
+    assert counts[0, vocab.index["a"]] == 4
+    assert counts.sum() == 4
+    assert vocab.index == {"a": 0, "b": 1}  # a given index is not extended
 
 
 @given(
@@ -226,14 +269,13 @@ def test_vectorize_drops_out_of_vocabulary():
 )
 @settings(max_examples=100, deadline=None)
 def test_vocabulary_size_bounded_and_sorted(dicts, m):
-    model = FeatureModel("ngram", (1,))
-    vocab = build_vocabulary([Counter(d) for d in dicts], model, m)
+    vocab = ranked(dicts, m)
     assert len(vocab) <= m
     total = Counter()
     for d in dicts:
         total.update(d)
-    ranked = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))
-    assert list(vocab.features) == [f for f, _ in ranked[:m]]
+    ranked_ref = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert list(vocab.features) == [f for f, _ in ranked_ref[:m]]
 
 
 # -- TSV round trip ---------------------------------------------------------

@@ -14,8 +14,16 @@ def test_average_hand_value():
 
 def test_sum_and_product():
     a, b = np.array([0.5, 0.1]), np.array([0.25, 0.9])
-    assert np.allclose(fuse(a, b, "sum"), [0.75, 1.0])
+    # a sum leaves [0, 1], which the metrics reject, so it is not an operator
+    with pytest.raises(ValueError, match="operator"):
+        fuse(a, b, "sum")
     assert np.allclose(fuse(a, b, "product"), [0.125, 0.09])
+
+
+def test_product_can_rank_unlike_average():
+    a, b = np.array([0.5, 0.9]), np.array([0.5, 0.2])
+    assert np.argmax(fuse(a, b, "product")) == 0
+    assert np.argmax(fuse(a, b, "average")) == 1
 
 
 def test_average_stays_in_unit_interval():
@@ -43,7 +51,7 @@ def test_fuse_validates():
 @given(
     st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=10),
     st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=10),
-    st.sampled_from(["average", "sum", "product"]),
+    st.sampled_from(["average", "product"]),
 )
 @settings(max_examples=150, deadline=None)
 def test_fusion_is_commutative(xs, ys, op):
@@ -64,8 +72,17 @@ def test_decide_tie_goes_to_lowest_id_and_flags():
         assert decide([0.5, 0.5]) == Decision(0, True)
 
 
+def test_decide_rows_of_a_matrix():
+    with pytest.warns(DegenerateInputWarning, match="1 row"):
+        decision = decide([[0.2, 0.9, 0.1], [0.3, 0.7, 0.7], [0.5, 0.1, 0.4]])
+    assert decision.subject.tolist() == [1, 1, 0]
+    assert decision.tie.tolist() == [False, True, False]
+
+
 def test_decide_validates():
     with pytest.raises(ValueError):
         decide([])
     with pytest.raises(ValueError):
-        decide([[0.1, 0.2]])
+        decide([[[0.1, 0.2]]])
+    with pytest.raises(ValueError):
+        decide(np.zeros((3, 0)))

@@ -74,11 +74,36 @@ def test_dominates_input():
 
 @pytest.mark.parametrize(
     "bad",
-    [[], [[0.5, 0.5]], [0.7, 0.7], [0.5, 0.2], [-0.1, 1.1], [np.nan, 1.0]],
+    [
+        [],
+        [[[0.5, 0.5]]],
+        [0.7, 0.7],
+        [0.5, 0.2],
+        [-0.1, 1.1],
+        [np.nan, 1.0],
+        [[0.5, 0.5], [0.7, 0.7]],
+        np.zeros((2, 0)),
+    ],
 )
 def test_rejects_bad_input(bad):
     with pytest.raises(ValueError):
         to_possibility(bad)
+
+
+def test_matrix_rows_match_vectors():
+    rng = np.random.default_rng(17)
+    p = rng.random((50, 9))
+    p[::4, :3] = p[::4, 3:6]  # rows with tied entries
+    p /= p.sum(axis=1, keepdims=True)
+    pi = to_possibility(p)
+    assert pi.shape == p.shape
+    for row, expected in zip(p, pi):
+        assert np.array_equal(to_possibility(row), expected)
+
+
+def test_matrix_error_names_the_row():
+    with pytest.raises(ValueError, match="row 1"):
+        to_possibility([[0.5, 0.5], [0.5, 0.2]])
 
 
 def test_accepts_small_sum_slack():
