@@ -9,7 +9,7 @@ reports them all.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -50,6 +50,10 @@ class ExperimentConfig:
     confidence: float = 0.95
     output_dir: Path = Path("out")
 
+    def to_json(self) -> dict:
+        """Every key with its resolved value; paths become strings."""
+        return {key: str(v) if isinstance(v, Path) else v for key, v in asdict(self).items()}
+
 
 def _parse_orders(raw: str) -> tuple[int, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
@@ -79,10 +83,11 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _nonneg_float(raw: str) -> float:
+def _alpha(raw: str) -> float:
+    # the bound keeps MNB's smoothed denominator, counts + alpha * m, finite
     value = float(raw)
-    if value < 0:
-        raise ValueError("must be >= 0")
+    if not 0.0 <= value <= 1e100:
+        raise ValueError("must be in [0, 1e100]")
     return value
 
 
@@ -120,7 +125,7 @@ _PARSERS = {
     "sngram_order": _positive_int,
     "profile_size": _positive_int,
     "classifier": _enum(CLASSIFIERS),
-    "alpha": _nonneg_float,
+    "alpha": _alpha,
     "fusion_operator": _enum(FUSION_OPERATORS),
     "signature_dir": Path,
     "signature_matrix": Path,
@@ -219,6 +224,10 @@ def validate_for(config: ExperimentConfig, command: str) -> None:
         value = getattr(config, key)
         if value is not None and key in required and not Path(value).is_dir():
             problems.append(f"{key} {value} is not a directory")
+    out = Path(config.output_dir)
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None and command != "attribute":  # attribute writes no bundle
+        problems.append(f"output_dir {out}: {blocker} is not a directory")
     for key in ("signature_matrix", "external_matrix"):
         value = getattr(config, key)
         if value is not None and not Path(value).is_file():

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import classifiers, metrics
+from . import __version__, classifiers, metrics
 from .config import ExperimentConfig
 from .corpus import build_chimeric, keep_largest, load_text_corpus, rolling_folds, split_documents
 from .errors import DataError
@@ -161,13 +161,22 @@ def _ttest_on_correctness(matrices: dict[str, ScoreMatrix], truth: np.ndarray, p
 # ---------------------------------------------------------------------------
 # chimeric protocol
 
-def _load_external(path: Path, kind: str, n_items: int, labels) -> ScoreMatrix:
+def _load_external(path: Path, kind: str, n_items: int, labels, expect=None) -> ScoreMatrix:
+    """Load a score matrix for the chimeric plan, whose rows are fused by position.
+
+    ``expect`` is the (item ids, subject labels) the file must carry, if any.
+    """
     matrix = load_score_matrix(path)
     if matrix.scores.shape != (n_items, len(labels)):
         raise DataError(
             f"{path}: expected {n_items}x{len(labels)} scores, got "
             f"{matrix.scores.shape[0]}x{matrix.scores.shape[1]}"
         )
+    if expect is not None:
+        for what, got, want in zip(("item id", "subject label"), (matrix.item_ids, matrix.subject_labels), expect):
+            for k, (g, w) in enumerate(zip(got, want)):
+                if g != w:
+                    raise DataError(f"{path}: {what} {k + 1} is {g!r}, expected {w!r}")
     scores = matrix.scores
     if kind == "probability":
         try:
@@ -218,14 +227,12 @@ def run_chimeric(config: ExperimentConfig) -> dict:
 
     # signature route
     with _timed(stages, "signature"):
+        probes = list(zip(item_ids, [sig for subj in dataset.subjects for sig in subj.test_sigs]))
         if config.signature_matrix is not None:
-            signature = _load_external(config.signature_matrix, "fuzzy", len(item_ids), labels)
+            # sigscore's ids and labels for the paired writers, in plan order
+            expect = ([sample.item_id for _, sample in probes], [f"w{subj.writer}" for subj in dataset.subjects])
+            signature = _load_external(config.signature_matrix, "fuzzy", len(item_ids), labels, expect)
         else:
-            probes = [
-                (item_ids[i * config.test_docs + j], subj.test_sigs[j])
-                for i, subj in enumerate(dataset.subjects)
-                for j in range(config.test_docs)
-            ]
             signature = score_matrix_from_templates(
                 probes, [subj.train_sigs for subj in dataset.subjects], labels, config.delta_alpha
             )
@@ -253,6 +260,8 @@ def run_chimeric(config: ExperimentConfig) -> dict:
         summaries = {name: write_bundle(out_dir, name, m, truth, config) for name, m in matrices.items()}
 
     run_info = {
+        "config": config.to_json(),
+        "version": __version__,
         "protocol": "chimeric",
         "systems": sorted(matrices),
         "counts": _chimeric_counts(dataset),
@@ -300,6 +309,8 @@ def run_rolling(config: ExperimentConfig) -> dict:
         summary = write_bundle(out_dir, config.classifier, matrix, truth, config, fold_accuracies=fold_accuracies)
 
     run_info = {
+        "config": config.to_json(),
+        "version": __version__,
         "protocol": "rolling",
         "systems": [config.classifier],
         "counts": {

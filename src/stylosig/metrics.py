@@ -39,10 +39,8 @@ def default_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClaimSet:
-    scores: np.ndarray  # (N,) float64
+    scores: np.ndarray  # (N,) float64, row-major over (item, claimed subject)
     genuine: np.ndarray  # (N,) bool
-    item_index: np.ndarray  # (N,) int, row of the source matrix
-    claimed: np.ndarray  # (N,) int, claimed subject column
 
     @property
     def n_genuine(self) -> int:
@@ -57,31 +55,21 @@ class ClaimSet:
 
 
 def expand_claims(matrix: ScoreMatrix, truth: Sequence[int]) -> ClaimSet:
-    """Expand a score matrix into one claim per (item, subject) pair."""
+    """Expand a score matrix into one claim per (item, subject) pair, item by item."""
     n_items, n_subjects = matrix.scores.shape
     truth = np.asarray(truth, dtype=np.int64)
     if truth.shape != (n_items,):
         raise ValueError("need one true subject per matrix row")
     if truth.min() < 0 or truth.max() >= n_subjects:
         raise ValueError("true subject out of range")
-    item_index = np.repeat(np.arange(n_items), n_subjects)
-    claimed = np.tile(np.arange(n_subjects), n_items)
-    return ClaimSet(
-        scores=matrix.scores.reshape(-1).copy(),
-        genuine=claimed == truth[item_index],
-        item_index=item_index,
-        claimed=claimed,
-    )
+    genuine = np.arange(n_subjects)[None, :] == truth[:, None]
+    return ClaimSet(scores=matrix.scores.reshape(-1).copy(), genuine=genuine.reshape(-1))
 
 
 def confusion(claims: ClaimSet, threshold: float) -> tuple[int, int, int, int]:
     """(TP, FP, FN, TN) when accepting scores >= threshold."""
-    accept = claims.scores >= threshold
-    tp = int(np.count_nonzero(accept & claims.genuine))
-    fp = int(np.count_nonzero(accept & ~claims.genuine))
-    fn = claims.n_genuine - tp
-    tn = claims.n_imposter - fp
-    return tp, fp, fn, tn
+    tp, fp = (int(c[0]) for c in _accept_counts(claims, np.array([threshold], dtype=np.float64)))
+    return tp, fp, claims.n_genuine - tp, claims.n_imposter - fp
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +137,13 @@ class DetCurve:
 
 
 def _accept_counts(claims: ClaimSet, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (G,) true accepts and false accepts per threshold
-    accept = claims.scores[None, :] >= grid[:, None]
-    tp = accept[:, claims.genuine].sum(axis=1)
-    fp = accept[:, ~claims.genuine].sum(axis=1)
-    return tp, fp
+    # (G,) true accepts and false accepts per threshold: each class's scores
+    # are sorted once, and the first index holding a score >= t splits it
+    genuine, imposter = np.sort(claims.scores[claims.genuine]), np.sort(claims.scores[~claims.genuine])
+    return (
+        genuine.size - np.searchsorted(genuine, grid, side="left"),
+        imposter.size - np.searchsorted(imposter, grid, side="left"),
+    )
 
 
 def fscore(claims: ClaimSet, threshold: float) -> float:
@@ -217,9 +207,8 @@ def cmc_curve(matrix: ScoreMatrix, truth: Sequence[int]) -> Curve:
     """Fraction of items whose true subject ranks within the top k, for k=1..S."""
     ranks = genuine_ranks(matrix, truth)
     n_subjects = matrix.scores.shape[1]
-    ks = np.arange(1, n_subjects + 1)
-    ys = (ranks[None, :] <= ks[:, None]).mean(axis=1)
-    return Curve(ks.astype(np.float64), ys, "rank", "identification_rate")
+    ys = np.cumsum(np.bincount(ranks, minlength=n_subjects + 1)[1:]) / ranks.size
+    return Curve(np.arange(1, n_subjects + 1, dtype=np.float64), ys, "rank", "identification_rate")
 
 
 # ---------------------------------------------------------------------------

@@ -109,13 +109,6 @@ def load_svc(root: str | Path, genuine_max: int = GENUINE_PER_WRITER) -> Signatu
 # ---------------------------------------------------------------------------
 # direction histograms
 
-@dataclass(frozen=True)
-class DirectionHistogram:
-    delta_alpha: float
-    weights: np.ndarray  # (B,), sums to 1 when any stroke direction exists
-    n_angles: int
-
-
 def stroke_angles(points: np.ndarray) -> np.ndarray:
     """Directions (degrees in [0, 360)) of pen-down steps with real motion."""
     pen = points[:, 3]
@@ -125,59 +118,30 @@ def stroke_angles(points: np.ndarray) -> np.ndarray:
     return np.degrees(np.arctan2(dy[keep], dx[keep])) % 360.0
 
 
-def direction_histogram(sample: SignatureSample, delta_alpha: float = DEFAULT_DELTA_ALPHA) -> DirectionHistogram:
-    """Soft-binned histogram of stroke directions.
+def _n_bins(delta_alpha: float) -> int:
+    if not 0.0 < delta_alpha <= 360.0:
+        raise ValueError("delta_alpha must be in (0, 360]")
+    return math.ceil(360.0 / delta_alpha)
+
+
+def direction_histogram(sample: SignatureSample, delta_alpha: float = DEFAULT_DELTA_ALPHA) -> np.ndarray:
+    """Soft-binned histogram of stroke directions, a (B,) weight array.
 
     Bin centers sit at multiples of delta_alpha; each angle splits unit
     mass linearly between its two nearest centers (wrapping at 360), and
-    the histogram is normalized by the number of angles.
+    the histogram is normalized by the number of angles.  A sample with no
+    pen-down motion gives the all-zero histogram.
     """
-    if not 0.0 < delta_alpha <= 360.0:
-        raise ValueError("delta_alpha must be in (0, 360]")
-    n_bins = math.ceil(360.0 / delta_alpha)
+    weights = np.zeros(_n_bins(delta_alpha), dtype=np.float64)
     angles = stroke_angles(sample.points)
-    weights = np.zeros(n_bins, dtype=np.float64)
     if angles.size:
         offset = angles / delta_alpha
-        lower = np.floor(offset).astype(np.int64) % n_bins
+        lower = np.floor(offset).astype(np.int64) % weights.size
         frac = offset - np.floor(offset)
         np.add.at(weights, lower, 1.0 - frac)
-        np.add.at(weights, (lower + 1) % n_bins, frac)
+        np.add.at(weights, (lower + 1) % weights.size, frac)
         weights /= angles.size
-    return DirectionHistogram(delta_alpha, weights, int(angles.size))
-
-
-def intersection(a: DirectionHistogram, b: DirectionHistogram) -> float:
-    if a.weights.shape != b.weights.shape:
-        raise ValueError("histograms have different bin counts")
-    return float(np.minimum(a.weights, b.weights).sum())
-
-
-def baseline_score(templates, probe: SignatureSample, delta_alpha: float = DEFAULT_DELTA_ALPHA) -> float:
-    """Best histogram intersection between the probe and any template.
-
-    A probe with no pen-down motion matches nothing and scores 0.0 (with
-    a warning); templates without motion are skipped the same way.
-    """
-    templates = list(templates)
-    if not templates:
-        raise ValueError("need at least one template signature")
-    probe_hist = direction_histogram(probe, delta_alpha)
-    if probe_hist.n_angles == 0:
-        warnings.warn("probe signature has no pen-down motion", DegenerateInputWarning)
-        return 0.0
-    best = 0.0
-    usable = 0
-    for template in templates:
-        hist = direction_histogram(template, delta_alpha)
-        if hist.n_angles == 0:
-            continue
-        usable += 1
-        best = max(best, intersection(hist, probe_hist))
-    if usable == 0:
-        warnings.warn("no template signature has pen-down motion", DegenerateInputWarning)
-        return 0.0
-    return best
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -194,30 +158,53 @@ class ScoreMatrix:
             raise ValueError("score matrix shape does not match its labels")
 
 
+def _warn_still(what: str, still: np.ndarray, names) -> None:
+    if still.any():
+        first = names[int(np.argmax(still))]
+        warnings.warn(f"{int(still.sum())} {what} and score 0 (first: {first})", DegenerateInputWarning)
+
+
 def score_matrix_from_templates(probes, template_sets, subject_labels, delta_alpha=DEFAULT_DELTA_ALPHA) -> ScoreMatrix:
     """Score every probe against every subject's template set.
 
-    ``probes`` is a list of (item_id, sample); histograms are computed once
-    per sample, which keeps the full matrix linear in the data size.
+    ``probes`` is a list of (item_id, sample).  A probe's score for a
+    subject is its best histogram intersection (sum of bin-wise minima)
+    with any of the subject's templates.  Each sample's histogram is
+    computed once, so the matrix costs time linear in probes x templates.
+
+    Degenerate inputs: an empty template set, or a template set count
+    that differs from the label count, is a ValueError.  A histogram
+    without pen-down motion is all zero, so probes without motion, and
+    subjects none of whose templates has any, score 0, with one warning
+    per kind and call.
     """
-    template_hists = [
-        [h for h in (direction_histogram(t, delta_alpha) for t in templates) if h.n_angles > 0]
-        for templates in template_sets
-    ]
-    if len(template_hists) != len(subject_labels):
+    template_sets = [tuple(templates) for templates in template_sets]
+    if len(template_sets) != len(subject_labels):
         raise ValueError("one template set per subject label required")
-    item_ids = []
-    rows = np.zeros((len(probes), len(subject_labels)), dtype=np.float64)
-    for i, (item_id, probe) in enumerate(probes):
-        item_ids.append(item_id)
-        probe_hist = direction_histogram(probe, delta_alpha)
-        if probe_hist.n_angles == 0:
-            warnings.warn(f"probe {item_id} has no pen-down motion", DegenerateInputWarning)
-            continue
-        for j, hists in enumerate(template_hists):
-            if hists:
-                rows[i, j] = max(intersection(h, probe_hist) for h in hists)
-    return ScoreMatrix(tuple(item_ids), tuple(subject_labels), rows)
+    if not all(template_sets):
+        raise ValueError("need at least one template signature per subject")
+    item_ids = tuple(item_id for item_id, _ in probes)
+    stacked = np.array([direction_histogram(sample, delta_alpha) for _, sample in probes])
+    stacked = stacked.reshape(len(item_ids), _n_bins(delta_alpha))
+    template_hists = [np.array([direction_histogram(t, delta_alpha) for t in ts]) for ts in template_sets]
+    _warn_still("probe(s) have no pen-down motion", ~stacked.any(axis=1), item_ids)
+    still_subjects = np.array([not h.any() for h in template_hists], dtype=bool)
+    _warn_still("subject(s) have no template with pen-down motion", still_subjects, subject_labels)
+    rows = np.zeros((len(item_ids), len(template_sets)), dtype=np.float64)
+    for j, hists in enumerate(template_hists):
+        # (probes, templates, B) for one subject at a time bounds the memory
+        rows[:, j] = np.minimum(stacked[:, None, :], hists[None, :, :]).sum(axis=2).max(axis=1)
+    return ScoreMatrix(item_ids, tuple(subject_labels), rows)
+
+
+def baseline_score(templates, probe: SignatureSample, delta_alpha: float = DEFAULT_DELTA_ALPHA) -> float:
+    """Best histogram intersection between the probe and any template.
+
+    The one-probe, one-subject case of ``score_matrix_from_templates``,
+    with the same rules for empty template sets and motionless samples.
+    """
+    matrix = score_matrix_from_templates([(probe.item_id, probe)], [templates], ("templates",), delta_alpha)
+    return float(matrix.scores[0, 0])
 
 
 def save_score_matrix(matrix: ScoreMatrix, path: str | Path) -> None:

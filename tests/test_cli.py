@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
 import re
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stylosig import config
 from stylosig.cli import main
+from stylosig.errors import DegenerateInputWarning
 from stylosig.signature import ScoreMatrix, load_score_matrix, save_score_matrix
 
 from .conftest import write_svc_dir, write_text_corpus
@@ -205,3 +213,129 @@ def test_bad_external_scores_are_data_errors(tmp_path, capsys, kind, row, messag
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert re.search(message, err)
+
+
+def sigscore_args(sig_dir, out):
+    return ["sigscore", "-O", f"signature_dir={sig_dir}", "-O", "train_docs=2", "-O", "test_docs=2", "--output-dir", str(out)]
+
+
+def test_sigscore_matrix_round_trip_matches_signature_dir_run(tmp_path):
+    args = chimeric_args(tmp_path)
+    sig_dir = tmp_path / "sigs"
+    assert main(sigscore_args(sig_dir, tmp_path / "scored")) == 0
+    assert main(args + ["--output-dir", str(tmp_path / "direct")]) == 0
+    matrix_arg = f"signature_matrix={tmp_path / 'scored' / 'signature_scores.csv'}"
+    assert main(args + ["-O", matrix_arg, "--output-dir", str(tmp_path / "matrix")]) == 0
+    names = sorted(p.name for p in (tmp_path / "direct" / "signature").iterdir())
+    assert names == ["cmc.csv", "det.csv", "fscore.csv", "msh.csv", "recall.csv", "summary.json"]
+    for name in names:
+        direct = (tmp_path / "direct" / "signature" / name).read_bytes()
+        assert (tmp_path / "matrix" / "signature" / name).read_bytes() == direct
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [lines[0], *reversed(lines[1:])], "item id 1 is 'U3S4', expected 'U1S3'"),
+        (lambda lines: [lines[0].replace("w2", "w9"), *lines[1:]], "subject label 2 is 'w9', expected 'w2'"),
+    ],
+)
+def test_misaligned_signature_matrix_is_data_error(tmp_path, capsys, edit, message):
+    args = chimeric_args(tmp_path)
+    assert main(sigscore_args(tmp_path / "sigs", tmp_path / "scored")) == 0
+    path = tmp_path / "scored" / "signature_scores.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(args + ["-O", f"signature_matrix={path}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert message in err
+
+
+# -- every config value either runs or fails cleanly --------------------------
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-values")
+    corpus_dir = disjoint_corpus(root)
+    sig_dir = write_svc_dir(root / "sigs", n_writers=3, n_samples=4)
+    assert main(sigscore_args(sig_dir, root / "scored")) == 0
+    scores = root / "scored" / "signature_scores.csv"
+    reversed_scores = root / "reversed.csv"
+    lines = scores.read_text().splitlines()
+    reversed_scores.write_text("\n".join([lines[0], *reversed(lines[1:])]) + "\n", encoding="utf-8")
+    external = root / "external.csv"
+    ids = tuple(f"s{s:02d}i{j:02d}" for s in range(3) for j in range(2))
+    save_score_matrix(ScoreMatrix(ids, ("a", "b", "c"), np.full((6, 3), 1.0 / 3.0)), external)
+    a_file = root / "a_file.txt"
+    a_file.write_text("not a directory\n", encoding="utf-8")
+    paths = [corpus_dir, sig_dir, root / "missing", a_file]
+    matrices = [scores, reversed_scores, external, root / "missing.csv", a_file, corpus_dir]
+    return {
+        "base": [
+            "-O", f"corpus_dir={corpus_dir}", "-O", f"signature_dir={sig_dir}", "-O", f"output_dir={root / 'out'}",
+            "-O", "train_window=3", "-O", "test_window=1", "-O", "train_docs=2", "-O", "test_docs=2",
+        ],
+        "paths": paths,
+        "matrices": matrices,
+        "outputs": [root / "out", root / "out" / "nested", a_file, a_file / "below"],
+    }
+
+
+def _config_values(inputs):
+    """A strategy of raw values per config key, valid and invalid alike; none of them allocates much."""
+    ints = st.one_of(st.integers(-3, 12), st.integers(-10_000, 10_000)).map(str)
+    floats = st.one_of(
+        st.floats(-2.0, 2.0).map(repr),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "1e308"]),
+    )
+    junk = st.text(min_size=1, max_size=6)
+
+    def one_of(values):
+        return st.one_of(st.sampled_from([str(v) for v in values]), junk)
+
+    return {
+        "corpus_dir": one_of(inputs["paths"]),
+        "protocol": one_of(config.PROTOCOLS),
+        "train_window": ints,
+        "test_window": ints,
+        "train_docs": ints,
+        "test_docs": ints,
+        "feature_family": one_of(config.FAMILIES),
+        "ngram_orders": st.lists(st.integers(-1, 10_000), max_size=3).map(lambda xs: ",".join(map(str, xs))),
+        "sngram_element": one_of(config.ELEMENTS),
+        "sngram_order": ints,
+        "profile_size": ints,
+        "classifier": one_of(config.CLASSIFIERS),
+        "alpha": floats,
+        "fusion_operator": one_of((*config.FUSION_OPERATORS, "sum")),
+        "signature_dir": one_of(inputs["paths"]),
+        "signature_matrix": one_of(inputs["matrices"]),
+        "external_matrix": one_of(inputs["matrices"]),
+        "external_kind": one_of(config.EXTERNAL_KINDS),
+        # at least 0.5 degrees, so at most 720 histogram bins
+        "delta_alpha": st.one_of(st.floats(0.5, 360.0).map(repr), one_of(["0", "-25", "400", "nan", "inf"])),
+        "msh_bins": ints,
+        "grid_points": ints,
+        "confidence": floats,
+        # never a relative path: the run would write below the working directory
+        "output_dir": st.sampled_from([str(v) for v in inputs["outputs"]]),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["eval", "train", "sigscore", "chimeric"]), data=st.data())
+def test_any_config_value_runs_or_fails_cleanly(cli_inputs, command, data):
+    values = _config_values(cli_inputs)
+    assert set(values) == {f.name for f in fields(config.ExperimentConfig)}
+    keys = data.draw(st.lists(st.sampled_from(sorted(values)), unique=True, min_size=1, max_size=5))
+    args = [command, *cli_inputs["base"]]
+    for key in keys:
+        args += ["-O", f"{key}={data.draw(values[key], label=key)}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        code = main(args)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -116,3 +116,21 @@ def test_validate_for_checks_paths_exist(tmp_path):
     )
     with pytest.raises(ConfigError, match="not a file"):
         validate_for(config, "train")
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e101"])
+def test_alpha_must_be_finite_and_bounded(raw):
+    # nan gives NaN parameters, and inf or 1e308 overflow MNB's smoothed denominator
+    with pytest.raises(ConfigError, match="alpha"):
+        build_config({"alpha": raw})
+    assert build_config({"alpha": "1e100"}).alpha == 1e100
+
+
+def test_validate_for_rejects_output_dir_below_a_file(tmp_path):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("x", encoding="utf-8")
+    for out in (a_file, a_file / "below"):
+        config = build_config({"corpus_dir": str(tmp_path), "output_dir": str(out)})
+        with pytest.raises(ConfigError, match=f"output_dir {out}: {a_file} is not a directory"):
+            validate_for(config, "train")
+    validate_for(build_config({"output_dir": str(a_file)}), "attribute")  # attribute writes no bundle

@@ -1,11 +1,13 @@
 import json
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import stylosig
 from stylosig import experiment
-from stylosig.config import build_config
+from stylosig.config import ExperimentConfig, build_config
 from stylosig.corpus import load_text_corpus
 from stylosig.errors import DegenerateInputWarning
 from stylosig.features import FeatureModel
@@ -293,3 +295,19 @@ def test_run_json_records_stages_and_feature_stats(tmp_path):
     assert all(t >= 0.0 for t in run["stage_seconds"].values())
     assert run["features"]["indexed"] > 0
     assert 0.0 < run["features"]["test_oov_rate"] < 1.0
+    assert run["version"] == stylosig.__version__
+    assert run["config"] == json.loads(json.dumps(config.to_json()))
+    assert set(run["config"]) == {f.name for f in fields(ExperimentConfig)}
+    assert run["config"]["corpus_dir"] == str(corpus_dir)
+    assert run["config"]["ngram_orders"] == [1, 2]
+
+
+def test_chimeric_run_json_records_config_and_version(tmp_path):
+    config = chimeric_setup(tmp_path)
+    run_chimeric(config)
+    run = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert run["version"] == stylosig.__version__
+    assert run["config"]["protocol"] == "chimeric"
+    assert run["config"]["signature_dir"] == str(config.signature_dir)
+    assert run["config"]["signature_matrix"] is None
+    assert set(run["config"]) == {f.name for f in fields(ExperimentConfig)}

@@ -66,11 +66,10 @@ def test_expand_claims_layout():
     assert len(claims) == 6
     assert claims.n_genuine == 3
     assert claims.n_imposter == 3
-    # row-major expansion: item 0's claims come first
-    assert np.array_equal(claims.item_index[:2], [0, 0])
-    assert np.array_equal(claims.claimed[:2], [0, 1])
+    # row-major expansion: item 0's claims come first, claim k is (item k // 2, subject k % 2)
     assert np.array_equal(claims.scores[:2], matrix.scores[0])
-    assert np.array_equal(claims.genuine, claims.claimed == truth[claims.item_index])
+    assert np.array_equal(claims.scores, [matrix.scores[k // 2, k % 2] for k in range(6)])
+    assert np.array_equal(claims.genuine, [k % 2 == truth[k // 2] for k in range(6)])
 
 
 def test_expand_claims_validates_truth():
@@ -158,12 +157,7 @@ def test_recall_curve_endpoints_and_monotonicity():
 def test_recall_needs_genuine_claims():
     matrix, _ = random_claims(3, 3)
     claims = expand_claims(matrix, [0, 0, 0])
-    only_imposters = ClaimSet(
-        claims.scores[~claims.genuine],
-        claims.genuine[~claims.genuine],
-        claims.item_index[~claims.genuine],
-        claims.claimed[~claims.genuine],
-    )
+    only_imposters = ClaimSet(claims.scores[~claims.genuine], claims.genuine[~claims.genuine])
     with pytest.raises(ValueError):
         recall_curve(only_imposters)
 
@@ -196,12 +190,7 @@ def test_fscore_curve_peaks_at_separating_threshold():
 def test_fscore_undefined_scores_zero_with_warning():
     matrix = ScoreMatrix(("a",), ("x", "y"), np.array([[0.2, 0.3]]))
     claims = expand_claims(matrix, [0])
-    no_genuine = ClaimSet(
-        claims.scores[~claims.genuine],
-        claims.genuine[~claims.genuine],
-        claims.item_index[~claims.genuine],
-        claims.claimed[~claims.genuine],
-    )
+    no_genuine = ClaimSet(claims.scores[~claims.genuine], claims.genuine[~claims.genuine])
     with pytest.warns(DegenerateInputWarning):
         assert fscore(no_genuine, 0.9) == 0.0
 
@@ -266,7 +255,7 @@ def test_msh_matches_loop_reference():
 def test_msh_identical_distributions_overlap_one():
     scores = np.array([0.1, 0.5, 0.9, 0.1, 0.5, 0.9])
     genuine = np.array([True, True, True, False, False, False])
-    claims = ClaimSet(scores, genuine, np.zeros(6, dtype=int), np.zeros(6, dtype=int))
+    claims = ClaimSet(scores, genuine)
     assert abs(msh(claims, bins=10).overlap - 1.0) < 1e-12
 
 

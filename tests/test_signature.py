@@ -7,7 +7,6 @@ from stylosig.signature import (
     SignatureSample,
     baseline_score,
     direction_histogram,
-    intersection,
     load_score_matrix,
     load_svc,
     save_score_matrix,
@@ -97,13 +96,13 @@ def test_angle_quadrants():
 def test_histogram_mass_and_normalization():
     s = segment([(1, 0), (0, 1)])
     hist = direction_histogram(s, 25.0)
-    assert len(hist.weights) == 15
-    assert hist.n_angles == 2
-    assert abs(hist.weights.sum() - 1.0) < 1e-12
+    assert hist.shape == (15,)
+    assert stroke_angles(s.points).size == 2
+    assert abs(hist.sum() - 1.0) < 1e-12
     # 0 degrees sits exactly on bin 0; 90 degrees splits between bins 3 and 4
-    assert hist.weights[0] == 0.5
-    assert np.isclose(hist.weights[3], 0.2)
-    assert np.isclose(hist.weights[4], 0.3)
+    assert hist[0] == 0.5
+    assert np.isclose(hist[3], 0.2)
+    assert np.isclose(hist[4], 0.3)
 
 
 def test_histogram_wraparound_seam():
@@ -111,9 +110,9 @@ def test_histogram_wraparound_seam():
     # share must wrap from the last bin into bin 0
     s = segment([(100, -9)])
     hist = direction_histogram(s, 25.0)
-    assert hist.weights[14] > 0.5
-    assert hist.weights[0] > 0
-    assert np.isclose(hist.weights.sum(), 1.0)
+    assert hist[14] > 0.5
+    assert hist[0] > 0
+    assert np.isclose(hist.sum(), 1.0)
 
 
 def test_histogram_matches_loop_reference():
@@ -124,15 +123,16 @@ def test_histogram_matches_loop_reference():
         for delta in (25.0, 30.0, 45.0):
             ours = direction_histogram(sample, delta)
             ref_hist, ref_count = direction_histogram_reference(pts, delta)
-            assert ours.n_angles == ref_count
-            assert np.max(np.abs(ours.weights - ref_hist)) < 1e-12
+            assert stroke_angles(pts).size == ref_count
+            assert np.max(np.abs(ours - ref_hist)) < 1e-12
 
 
 def test_histogram_empty_when_no_motion():
     s = segment([(0, 0), (0, 0)])
     hist = direction_histogram(s, 25.0)
-    assert hist.n_angles == 0
-    assert np.all(hist.weights == 0)
+    assert stroke_angles(s.points).size == 0
+    assert hist.shape == (15,)
+    assert np.all(hist == 0)
 
 
 def test_histogram_rejects_bad_width():
@@ -192,27 +192,20 @@ def test_score_is_symmetric_for_single_templates():
 def test_motionless_probe_scores_zero_with_warning():
     template = segment([(1, 0)])
     probe = segment([(0, 0)])
-    with pytest.warns(DegenerateInputWarning):
+    with pytest.warns(DegenerateInputWarning, match="1 probe"):
         assert baseline_score([template], probe) == 0.0
 
 
 def test_motionless_templates_score_zero_with_warning():
     template = segment([(0, 0)])
     probe = segment([(1, 0)])
-    with pytest.warns(DegenerateInputWarning):
+    with pytest.warns(DegenerateInputWarning, match="1 subject"):
         assert baseline_score([template], probe) == 0.0
 
 
 def test_no_templates_rejected():
     with pytest.raises(ValueError):
         baseline_score([], segment([(1, 0)]))
-
-
-def test_intersection_shape_mismatch():
-    a = direction_histogram(segment([(1, 0)]), 25.0)
-    b = direction_histogram(segment([(1, 0)]), 45.0)
-    with pytest.raises(ValueError):
-        intersection(a, b)
 
 
 def test_scores_bounded():
@@ -232,6 +225,47 @@ def test_score_matrix_from_templates(tmp_path):
     matrix = score_matrix_from_templates(probes, templates, [f"w{w}" for w in corpus.writers])
     assert matrix.scores.shape == (6, 3)
     assert matrix.scores.min() >= 0.0 and matrix.scores.max() <= 1.0
+
+
+def per_pair_scores(probes, template_sets, delta):
+    """Min-sum of every probe x template pair over the loop histograms, max per template set."""
+    rows = np.zeros((len(probes), len(template_sets)))
+    for i, (_, probe) in enumerate(probes):
+        p, _ = direction_histogram_reference(probe.points, delta)
+        for j, templates in enumerate(template_sets):
+            for template in templates:
+                t, _ = direction_histogram_reference(template.points, delta)
+                rows[i, j] = max(rows[i, j], sum(min(a, b) for a, b in zip(p, t)))
+    return rows
+
+
+@pytest.mark.parametrize("delta", [25.0, 45.0])
+def test_score_matrix_matches_per_pair_oracle(delta):
+    still = segment([(0, 0), (0, 0)])
+    moving = [sample_from(signature_points(w, i), w, i) for w in (1, 2, 3) for i in range(1, 5)]
+    # ragged sets; one set without motion; one mixing a motionless template in
+    template_sets = [moving[0:1], moving[1:4], [still, still], [still, moving[4]]]
+    probes = [("still0", still)] + [(s.item_id, s) for s in moving[5:]] + [("still1", still)]
+    with pytest.warns(DegenerateInputWarning) as record:
+        matrix = score_matrix_from_templates(probes, template_sets, ("a", "b", "c", "d"), delta)
+    messages = [str(w.message) for w in record if issubclass(w.category, DegenerateInputWarning)]
+    assert len(messages) == 2
+    assert "2 probe(s)" in messages[0] and "first: still0" in messages[0]
+    assert "1 subject(s)" in messages[1] and "first: c" in messages[1]
+    assert matrix.item_ids == tuple(item_id for item_id, _ in probes)
+    assert np.max(np.abs(matrix.scores - per_pair_scores(probes, template_sets, delta))) < 1e-12
+    assert np.all(matrix.scores[[0, -1]] == 0.0)
+    assert np.all(matrix.scores[:, 2] == 0.0)
+    assert np.all(matrix.scores[1:-1, [0, 1, 3]] > 0.0)
+
+
+def test_score_matrix_rejects_bad_template_sets_before_histograms():
+    # the probe is not a sample: any histogram computed before the check would fail otherwise
+    probes = [("x", None)]
+    with pytest.raises(ValueError, match="one template set per subject"):
+        score_matrix_from_templates(probes, [[segment([(1, 0)])]], ("a", "b"))
+    with pytest.raises(ValueError, match="at least one template"):
+        score_matrix_from_templates(probes, [[segment([(1, 0)])], []], ("a", "b"))
 
 
 def test_score_matrix_roundtrip_bit_exact(tmp_path):
