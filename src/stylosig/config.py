@@ -83,26 +83,16 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _alpha(raw: str) -> float:
-    # the bound keeps MNB's smoothed denominator, counts + alpha * m, finite
-    value = float(raw)
-    if not 0.0 <= value <= 1e100:
-        raise ValueError("must be in [0, 1e100]")
-    return value
+def _in_range(kind, low, high):
+    """Parser of a ``kind`` value in [low, high]; NaN lies in no range."""
 
+    def parse(raw: str):
+        value = kind(raw)
+        if not low <= value <= high:
+            raise ValueError(f"must be in [{low:g}, {high:g}]")
+        return value
 
-def _delta_alpha(raw: str) -> float:
-    value = float(raw)
-    if not 0.0 < value <= 360.0:
-        raise ValueError("must be in (0, 360]")
-    return value
-
-
-def _grid_points(raw: str) -> int:
-    value = int(raw)
-    if value < 2:
-        raise ValueError("must be >= 2")
-    return value
+    return parse
 
 
 def _confidence(raw: str) -> float:
@@ -125,15 +115,15 @@ _PARSERS = {
     "sngram_order": _positive_int,
     "profile_size": _positive_int,
     "classifier": _enum(CLASSIFIERS),
-    "alpha": _alpha,
+    "alpha": _in_range(float, 0.0, 1e100),  # keeps MNB's smoothed denominator, counts + alpha * m, finite
     "fusion_operator": _enum(FUSION_OPERATORS),
     "signature_dir": Path,
     "signature_matrix": Path,
     "external_matrix": Path,
     "external_kind": _enum(EXTERNAL_KINDS),
-    "delta_alpha": _delta_alpha,
-    "msh_bins": _positive_int,
-    "grid_points": _grid_points,
+    "delta_alpha": _in_range(float, 0.25, 360.0),  # at most 1440 bins per direction histogram
+    "msh_bins": _in_range(int, 1, 10_000),  # bins of each MSH histogram
+    "grid_points": _in_range(int, 2, 10_001),  # thresholds of each curve, down to a step of 1e-4
     "confidence": _confidence,
     "output_dir": Path,
 }

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .conllu import DepSentence, read_conllu
 from .errors import DataError
 
@@ -119,70 +121,31 @@ def keep_largest(corpus: Corpus, n: int) -> Corpus:
 # ---------------------------------------------------------------------------
 # rolling-window splits
 
-@dataclass(frozen=True)
-class Fold:
-    index: int
-    train_positions: tuple[int, ...]
-    test_positions: tuple[int, ...]
+def rolling_folds(corpus: Corpus, train_window: int, test_window: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Build the circular rolling plan as (train rows, test rows) of ``corpus.documents``.
 
-
-@dataclass(frozen=True)
-class SplitPlan:
-    train_window: int
-    test_window: int
-    folds: tuple[Fold, ...]
-
-    def __len__(self):
-        return len(self.folds)
-
-
-def rolling_windows(n_docs: int, train_window: int, test_window: int) -> SplitPlan:
-    """Build the circular split plan over document positions 0..n_docs-1.
-
-    Fold k trains on the window starting at position k and tests on the
-    window that follows it, both wrapping around; there are exactly n_docs
-    folds, so every document is tested test_window times.
+    Every subject needs exactly n = train_window + test_window documents.
+    Fold k trains on each subject's window starting at its k-th document
+    and tests on the window that follows it, both wrapping around; there
+    are exactly n folds, so every document is tested test_window times.
+    Rows come subject by subject in id order, positions in window order.
     """
     if train_window < 1 or test_window < 1:
         raise ValueError("window sizes must be >= 1")
-    if train_window + test_window != n_docs:
-        raise ValueError(
-            f"train_window + test_window must equal the document count "
-            f"({train_window}+{test_window} != {n_docs})"
-        )
-    folds = []
-    for k in range(n_docs):
-        train = tuple((k + i) % n_docs for i in range(train_window))
-        test = tuple((k + train_window + i) % n_docs for i in range(test_window))
-        folds.append(Fold(k, train, test))
-    return SplitPlan(train_window, test_window, tuple(folds))
-
-
-def rolling_folds(corpus: Corpus, train_window: int, test_window: int) -> SplitPlan:
-    """Validate per-subject document counts and build the rolling plan."""
-    expected = train_window + test_window
+    n = train_window + test_window
     bad = [
         f"{subj.label} has {len(corpus.by_subject[subj.id])}"
         for subj in corpus.subjects
-        if len(corpus.by_subject[subj.id]) != expected
+        if len(corpus.by_subject[subj.id]) != n
     ]
     if bad:
         raise DataError(
-            f"every subject needs exactly {expected} documents for a "
+            f"every subject needs exactly {n} documents for a "
             f"{train_window}+{test_window} rolling split: " + ", ".join(bad)
         )
-    return rolling_windows(expected, train_window, test_window)
-
-
-def split_documents(corpus: Corpus, fold: Fold) -> tuple[list[Document], list[Document]]:
-    """Materialize one fold as (train_docs, test_docs), subjects in id order."""
-    train: list[Document] = []
-    test: list[Document] = []
-    for subj in corpus.subjects:
-        docs = corpus.by_subject[subj.id]
-        train.extend(docs[p] for p in fold.train_positions)
-        test.extend(docs[p] for p in fold.test_positions)
-    return train, test
+    rows = np.argsort([doc.subject for doc in corpus.documents], kind="stable").reshape(len(corpus.subjects), n)
+    rings = (np.arange(n)[:, None] + np.arange(n)) % n  # ring k lists positions k, k+1, ... mod n
+    return [(rows[:, ring[:train_window]].ravel(), rows[:, ring[train_window:]].ravel()) for ring in rings]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, classifiers, metrics
 from .config import ExperimentConfig
-from .corpus import build_chimeric, keep_largest, load_text_corpus, rolling_folds, split_documents
+from .corpus import build_chimeric, keep_largest, load_text_corpus, rolling_folds
 from .errors import DataError
 from .features import FeatureMatrix, FeatureModel, build_vocabulary, extract_matrix
 from .fusion import decide, fuse
@@ -82,9 +82,14 @@ def write_bundle(
     matrix: ScoreMatrix,
     truth: Sequence[int],
     config: ExperimentConfig,
-    fold_accuracies: Sequence[float] | None = None,
-) -> dict:
-    """Score one system and write its curves; returns the summary dict."""
+    n_folds: int | None = None,
+) -> tuple[dict, np.ndarray]:
+    """Decide each item once, score the system and write its curves.
+
+    Returns the summary dict and each item's correctness.  With
+    ``n_folds``, the items are that many equal folds in order, and the
+    summary also gets each fold's accuracy.
+    """
     out = Path(out_dir) / name
     out.mkdir(parents=True, exist_ok=True)
     truth = np.asarray(truth, dtype=np.int64)
@@ -129,7 +134,8 @@ def write_bundle(
         "cmc_rank1": float(cmc.ys[0]),
         "msh_overlap": hist.overlap,
     }
-    if fold_accuracies is not None:
+    if n_folds is not None:
+        fold_accuracies = correct.reshape(n_folds, -1).mean(axis=1)
         fold_acc = metrics.accuracy(folds=fold_accuracies, confidence=config.confidence)
         summary["fold_accuracy"] = {
             "per_fold": [float(a) for a in fold_accuracies],
@@ -140,15 +146,13 @@ def write_bundle(
             "n": fold_acc.n,
         }
     metrics.write_summary_json(summary, out / "summary.json")
-    return summary
+    return summary, correct
 
 
-def _ttest_on_correctness(matrices: dict[str, ScoreMatrix], truth: np.ndarray, pairs) -> dict:
+def _ttest_on_correctness(correct: dict[str, np.ndarray], pairs) -> dict:
     out = {}
     for name_a, name_b in pairs:
-        a = (decide(matrices[name_a].scores).subject == truth).astype(np.float64)
-        b = (decide(matrices[name_b].scores).subject == truth).astype(np.float64)
-        result = metrics.paired_ttest(a, b)
+        result = metrics.paired_ttest(correct[name_a].astype(np.float64), correct[name_b].astype(np.float64))
         out[f"{name_a}_vs_{name_b}"] = {
             "statistic": result.statistic,
             "pvalue": result.pvalue,
@@ -256,8 +260,10 @@ def run_chimeric(config: ExperimentConfig) -> dict:
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    summaries, correct = {}, {}
     with _timed(stages, "write"):
-        summaries = {name: write_bundle(out_dir, name, m, truth, config) for name, m in matrices.items()}
+        for name, m in matrices.items():
+            summaries[name], correct[name] = write_bundle(out_dir, name, m, truth, config)
 
     run_info = {
         "config": config.to_json(),
@@ -266,7 +272,7 @@ def run_chimeric(config: ExperimentConfig) -> dict:
         "systems": sorted(matrices),
         "counts": _chimeric_counts(dataset),
         "features": feature_stats,
-        "ttests": _ttest_on_correctness(matrices, truth, ttest_pairs),
+        "ttests": _ttest_on_correctness(correct, ttest_pairs),
         "stage_seconds": stages,
         "elapsed_seconds": time.perf_counter() - started,
     }
@@ -287,26 +293,19 @@ def run_rolling(config: ExperimentConfig) -> dict:
     n_docs = config.train_window + config.test_window
     with _timed(stages, "load"):
         corpus = keep_largest(load_text_corpus(config.corpus_dir), n_docs)
-        plan = rolling_folds(corpus, config.train_window, config.test_window)
+        folds = rolling_folds(corpus, config.train_window, config.test_window)
     labels = corpus.subject_labels
-    row_of = {doc.doc_id: i for i, doc in enumerate(corpus.documents)}
-    subjects = np.array([doc.subject for doc in corpus.documents], dtype=np.int64)
-    folds = []
-    pooled_ids = []
-    for fold in plan.folds:
-        train_docs, test_docs = split_documents(corpus, fold)
-        folds.append(([row_of[d.doc_id] for d in train_docs], [row_of[d.doc_id] for d in test_docs]))
-        pooled_ids.extend(f"f{fold.index:02d}/{doc.doc_id}" for doc in test_docs)
-    fold_rows, feature_stats = score_folds(config, corpus.documents, len(corpus), folds, subjects, labels, stages)
-    fold_truth = [subjects[test] for _, test in folds]
-    fold_accuracies = [float((decide(r).subject == t).mean()) for r, t in zip(fold_rows, fold_truth)]
-    matrix = ScoreMatrix(tuple(pooled_ids), labels, np.vstack(fold_rows))
-    truth = np.concatenate(fold_truth)
+    docs = corpus.documents
+    subjects = np.array([doc.subject for doc in docs], dtype=np.int64)
+    fold_rows, feature_stats = score_folds(config, docs, len(docs), folds, subjects, labels, stages)
+    pooled_ids = tuple(f"f{k:02d}/{docs[r].doc_id}" for k, (_, test) in enumerate(folds) for r in test)
+    matrix = ScoreMatrix(pooled_ids, labels, np.vstack(fold_rows))
+    truth = subjects[np.concatenate([test for _, test in folds])]
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _timed(stages, "write"):
-        summary = write_bundle(out_dir, config.classifier, matrix, truth, config, fold_accuracies=fold_accuracies)
+        summary, _ = write_bundle(out_dir, config.classifier, matrix, truth, config, n_folds=len(folds))
 
     run_info = {
         "config": config.to_json(),
@@ -315,7 +314,7 @@ def run_rolling(config: ExperimentConfig) -> dict:
         "systems": [config.classifier],
         "counts": {
             "subjects": len(labels),
-            "folds": len(plan),
+            "folds": len(folds),
             "test_items": len(pooled_ids),
         },
         "features": feature_stats,

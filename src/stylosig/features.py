@@ -215,11 +215,14 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
 def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> tuple[Vocabulary, np.ndarray]:
     """Keep the top m columns with a nonzero training count in ``totals``: most frequent first, ties lexicographic.
 
-    Returns the vocabulary and its columns in ``matrix``.
+    Returns the vocabulary and its columns in ``matrix``; no such column is a DataError.
     """
     if m < 1:
         raise ValueError("profile size must be >= 1")
     seen = np.flatnonzero(totals)
+    if seen.size == 0:
+        orders = ",".join(map(str, matrix.model.orders))
+        raise DataError(f"empty vocabulary: the training documents have no {matrix.model.family} of order {orders}")
     ranked = seen[np.lexsort((matrix.lex_rank[seen], -totals[seen]))][:m]
     return Vocabulary(matrix.model, m, tuple(matrix.features[j] for j in ranked)), ranked
 

@@ -149,6 +149,17 @@ def test_missing_corpus_data_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_empty_vocabulary_is_data_error(tmp_path, capsys, command):
+    corpus_dir = disjoint_corpus(tmp_path)
+    args = [command, "-O", f"corpus_dir={corpus_dir}", "-O", "train_window=3", "-O", "test_window=1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*args, "-O", "ngram_orders=10000", "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "data error: empty vocabulary" in err and "ngram of order 10000" in err
+
+
 def test_bench_command_writes_report(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(
@@ -314,8 +325,8 @@ def _config_values(inputs):
         "signature_matrix": one_of(inputs["matrices"]),
         "external_matrix": one_of(inputs["matrices"]),
         "external_kind": one_of(config.EXTERNAL_KINDS),
-        # at least 0.5 degrees, so at most 720 histogram bins
-        "delta_alpha": st.one_of(st.floats(0.5, 360.0).map(repr), one_of(["0", "-25", "400", "nan", "inf"])),
+        # the config accepts at least 0.25 degrees, so at most 1440 histogram bins
+        "delta_alpha": st.one_of(st.floats(0.25, 360.0).map(repr), floats, one_of(["0", "1e-6", "400"])),
         "msh_bins": ints,
         "grid_points": ints,
         "confidence": floats,

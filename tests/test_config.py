@@ -134,3 +134,14 @@ def test_validate_for_rejects_output_dir_below_a_file(tmp_path):
         with pytest.raises(ConfigError, match=f"output_dir {out}: {a_file} is not a directory"):
             validate_for(config, "train")
     validate_for(build_config({"output_dir": str(a_file)}), "attribute")  # attribute writes no bundle
+
+
+@pytest.mark.parametrize(
+    "key, bound, past",
+    [("grid_points", "10001", "10002"), ("msh_bins", "10000", "10001"), ("delta_alpha", "0.25", "0.24")],
+)
+def test_allocation_sizing_keys_are_bounded(key, bound, past):
+    # each key sizes an array: curve thresholds, MSH bins, or ceil(360 / delta_alpha) histogram bins
+    with pytest.raises(ConfigError, match=key):
+        build_config({key: past})
+    assert getattr(build_config({key: bound}), key) == float(bound)

@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from stylosig.corpus import (
+    Corpus,
+    Document,
+    Subject,
     build_chimeric,
     keep_largest,
     load_text_corpus,
     rolling_folds,
-    rolling_windows,
-    split_documents,
 )
 from stylosig.errors import DataError
 from stylosig.signature import load_svc
@@ -81,53 +84,71 @@ def test_keep_largest_no_survivors(tmp_path):
         keep_largest(corpus, 5)
 
 
-def test_rolling_windows_match_rotation_oracle():
-    for n, tr, te in [(13, 8, 5), (2, 1, 1), (7, 4, 3), (6, 5, 1)]:
-        plan = rolling_windows(n, tr, te)
+def ring_corpus(n_subjects: int, n_docs: int, interleave: bool = False) -> Corpus:
+    """In-memory corpus whose doc id ``s<subject>/p<position>`` names each document's place.
+
+    With ``interleave`` the documents come position by position, so the
+    subjects alternate in ``documents`` and no subject's rows are contiguous.
+    """
+    places = [(s, p) for s in range(n_subjects) for p in range(n_docs)]
+    if interleave:
+        places.sort(key=lambda place: (place[1], place[0]))
+    docs = tuple(Document(f"s{s}/p{p:02d}", s, "text") for s, p in places)
+    return Corpus(tuple(Subject(s, f"s{s}") for s in range(n_subjects)), docs)
+
+
+def doc_ids(corpus: Corpus, rows) -> list[str]:
+    return [corpus.documents[r].doc_id for r in rows]
+
+
+def test_rolling_folds_match_rotation_oracle():
+    for (n, tr, te), interleave in itertools.product([(13, 8, 5), (2, 1, 1), (7, 4, 3), (6, 5, 1)], (False, True)):
+        corpus = ring_corpus(3, n, interleave)
+        folds = rolling_folds(corpus, tr, te)
         expected = rolling_plan_reference(n, tr, te)
-        assert len(plan) == n
-        for fold, (train, test) in zip(plan.folds, expected):
-            assert fold.train_positions == train
-            assert fold.test_positions == test
+        assert len(folds) == n
+        for (train, test), (train_pos, test_pos) in zip(folds, expected):
+            # subjects in id order, positions in window order within each subject
+            assert doc_ids(corpus, train) == [f"s{s}/p{p:02d}" for s in range(3) for p in train_pos]
+            assert doc_ids(corpus, test) == [f"s{s}/p{p:02d}" for s in range(3) for p in test_pos]
 
 
 def test_rolling_window_wraparound_example():
-    plan = rolling_windows(13, 8, 5)
-    last = plan.folds[12]
-    assert last.train_positions == (12, 0, 1, 2, 3, 4, 5, 6)
-    assert last.test_positions == (7, 8, 9, 10, 11)
+    corpus = ring_corpus(1, 13)
+    train, test = rolling_folds(corpus, 8, 5)[12]
+    assert doc_ids(corpus, train) == [f"s0/p{p:02d}" for p in (12, 0, 1, 2, 3, 4, 5, 6)]
+    assert doc_ids(corpus, test) == [f"s0/p{p:02d}" for p in (7, 8, 9, 10, 11)]
 
 
 def test_every_position_tested_uniformly():
-    plan = rolling_windows(9, 6, 3)
-    seen = np.zeros(9, dtype=int)
-    for fold in plan.folds:
-        for p in fold.test_positions:
-            seen[p] += 1
+    corpus = ring_corpus(2, 9, interleave=True)
+    folds = rolling_folds(corpus, 6, 3)
+    seen = np.bincount(np.concatenate([test for _, test in folds]), minlength=len(corpus))
     assert np.all(seen == 3)
 
 
-def test_rolling_windows_rejects_bad_sizes():
+def test_rolling_folds_rejects_bad_sizes():
+    with pytest.raises(DataError, match="exactly 4 documents"):
+        rolling_folds(ring_corpus(2, 5), 3, 1)
     with pytest.raises(ValueError):
-        rolling_windows(5, 3, 1)
+        rolling_folds(ring_corpus(2, 3), 3, 0)
     with pytest.raises(ValueError):
-        rolling_windows(3, 3, 0)
+        rolling_folds(ring_corpus(2, 3), 0, 3)
 
 
 def test_rolling_folds_validates_doc_counts(tiny_corpus_dir):
     corpus = load_text_corpus(tiny_corpus_dir)
-    plan = rolling_folds(corpus, 2, 1)
-    assert len(plan) == 3
+    folds = rolling_folds(corpus, 2, 1)
+    assert len(folds) == 3
     with pytest.raises(DataError, match="alpha has 3"):
         rolling_folds(corpus, 3, 1)
 
 
-def test_split_documents(tiny_corpus_dir):
+def test_rolling_folds_fold_one(tiny_corpus_dir):
     corpus = load_text_corpus(tiny_corpus_dir)
-    plan = rolling_folds(corpus, 2, 1)
-    train, test = split_documents(corpus, plan.folds[1])
-    assert [d.doc_id for d in test] == ["alpha/doc00.txt", "beta/doc00.txt", "gamma/doc00.txt"]
-    assert [d.doc_id for d in train][:2] == ["alpha/doc01.txt", "alpha/doc02.txt"]
+    train, test = rolling_folds(corpus, 2, 1)[1]
+    assert doc_ids(corpus, test) == ["alpha/doc00.txt", "beta/doc00.txt", "gamma/doc00.txt"]
+    assert doc_ids(corpus, train)[:2] == ["alpha/doc01.txt", "alpha/doc02.txt"]
     assert len(train) == 6
 
 

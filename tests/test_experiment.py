@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 from dataclasses import fields
 
@@ -11,6 +12,7 @@ from stylosig.config import ExperimentConfig, build_config
 from stylosig.corpus import load_text_corpus
 from stylosig.errors import DegenerateInputWarning
 from stylosig.features import FeatureModel
+from stylosig.fusion import decide
 from stylosig.experiment import (
     build_feature_model,
     chimeric_manifest,
@@ -92,6 +94,21 @@ def test_run_rolling_csvs_are_reproducible(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_rolling_eval_warns_once_about_tied_decisions(tmp_path):
+    # both subjects write the same texts, so every decision of every fold ties
+    texts = ["one two three", "two three four", "three four five"]
+    corpus_dir = write_text_corpus(tmp_path / "texts", {"a": texts, "b": texts})
+    config = build_config(
+        {"corpus_dir": str(corpus_dir), "train_window": "2", "test_window": "1", "output_dir": str(tmp_path / "out")}
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_rolling(config)
+    ties = [str(w.message) for w in caught if "tied top score" in str(w.message)]
+    assert ties == ["tied top score in 6 row(s), keeping the lowest subject id"]
+    assert result["summaries"]["mnb"]["n_tied_decisions"] == 6
+
+
 def chimeric_setup(tmp_path, n=3):
     corpus_dir = disjoint_corpus(tmp_path, n_subjects=n, docs=4)
     sig_dir = write_svc_dir(tmp_path / "sigs", n_writers=n, n_samples=4)
@@ -127,6 +144,30 @@ def test_run_chimeric_systems_and_counts(tmp_path):
     assert set(ttests) == {"mnb+signature_vs_mnb", "mnb+signature_vs_signature"}
     for name in ("mnb", "signature", "mnb+signature"):
         assert (tmp_path / "out" / name / "summary.json").is_file()
+
+
+def test_each_system_is_decided_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_decide(scores):
+        calls.append(np.shape(scores))
+        return decide(scores)
+
+    monkeypatch.setattr(experiment, "decide", counting_decide)
+    result = run_chimeric(chimeric_setup(tmp_path))
+    assert len(result["summaries"]) == 3 and calls == [(6, 3)] * 3
+    calls.clear()
+    run_rolling(
+        build_config(
+            {
+                "corpus_dir": str(disjoint_corpus(tmp_path / "rolling")),
+                "train_window": "3",
+                "test_window": "1",
+                "output_dir": str(tmp_path / "rolling-out"),
+            }
+        )
+    )
+    assert calls == [(12, 3)]
 
 
 def test_run_chimeric_with_external_matrix(tmp_path):
@@ -271,12 +312,17 @@ def test_rolling_matrix_path_matches_per_document_reference(tmp_path, monkeypatc
     reference = reference_rolling_rows(corpus_dir, classifier, alpha, 20)
     assert sorted(matrix.item_ids) == sorted(reference)
     ref_ties = 0
+    ref_correct = {}  # fold -> whether the reference's first best subject is the true one, per item
     for item_id, row in zip(matrix.item_ids, matrix.scores):
         ref = reference[item_id]
         assert np.max(np.abs(row - ref)) <= 1e-9
         assert np.argmax(row) == np.argmax(ref)
         ref_ties += int(np.count_nonzero(ref == ref.max()) > 1)
-    assert result["summaries"][classifier]["n_tied_decisions"] == ref_ties
+        fold, subject = item_id.split("/")[:2]
+        ref_correct.setdefault(fold, []).append(np.argmax(ref) == int(subject.removeprefix("subj")))
+    summary = result["summaries"][classifier]
+    assert summary["n_tied_decisions"] == ref_ties
+    assert summary["fold_accuracy"]["per_fold"] == [np.mean(ref_correct[f]) for f in sorted(ref_correct)]
     if classifier == "mnb":
         # the out-of-vocabulary row falls back on the uniform posterior
         assert np.all(matrix.scores[matrix.item_ids.index("f00/subj0/doc03.txt")] == 1.0)
