@@ -116,23 +116,34 @@ def posterior(model, counts) -> np.ndarray:
     Rows that no subject explains (empty under MNB, of zero likelihood for every
     subject under PNB) fall back on the uniform posterior, with a warning.
     """
+    posteriors, fallback = posterior_rows(model, counts)
+    warn_fallback(model, int(fallback.sum()))
+    return posteriors
+
+
+def posterior_rows(model, counts) -> tuple[np.ndarray, np.ndarray]:
+    """``posterior`` without the warning: the posteriors and the mask of rows that fell back."""
     counts = sparse.csr_array(counts, dtype=np.float64)
     if isinstance(model, MnbModel):
         log_scores = model.log_priors + counts @ model.log_params.T
-        degenerate, what = counts.sum(axis=1) == 0, "empty feature vector"
+        degenerate = counts.sum(axis=1) == 0
     elif isinstance(model, PnbModel):
         # only stored counts meet the log rates, so a zero rate costs nothing where a row has no count
         log_scores = (model.log_priors - model.rate_totals) + counts @ model.log_rates.T
-        degenerate, what = np.all(np.isneginf(log_scores), axis=1), "every subject has zero likelihood"
+        degenerate = np.all(np.isneginf(log_scores), axis=1)
     else:
         raise TypeError(f"not a classifier model: {type(model).__name__}")
     log_scores[degenerate] = 0.0
     shifted = np.exp(log_scores - log_scores.max(axis=1, keepdims=True))
     posteriors = shifted / shifted.sum(axis=1, keepdims=True)
-    if degenerate.any():
-        warnings.warn(f"{what} in {int(degenerate.sum())} row(s), returning uniform posterior", DegenerateInputWarning)
-        posteriors[degenerate] = 1.0 / model.n_subjects
-    return posteriors
+    posteriors[degenerate] = 1.0 / model.n_subjects
+    return posteriors, degenerate
+
+
+def warn_fallback(model, n_rows: int) -> None:
+    if n_rows:
+        what = "empty feature vector" if isinstance(model, MnbModel) else "every subject has zero likelihood"
+        warnings.warn(f"{what} in {n_rows} row(s), returning uniform posterior", DegenerateInputWarning)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ reproducible across runs.
 from __future__ import annotations
 
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__, classifiers, metrics
 from .config import ExperimentConfig
 from .corpus import build_chimeric, keep_largest, load_text_corpus, rolling_folds
-from .errors import DataError
+from .errors import DataError, DegenerateInputWarning
 from .features import FeatureMatrix, FeatureModel, build_vocabulary, extract_matrix
 from .fusion import decide, fuse
 from .possibility import to_possibility
@@ -59,21 +60,26 @@ def score_folds(config: ExperimentConfig, docs, n_indexed: int, folds, subjects:
     """Extract ``docs`` once, then train on and fuzzify each fold's (train rows, test rows).
 
     Returns each fold's possibility rows and the feature statistics, and
-    adds the extract and folds seconds to ``stages``.
+    adds the extract and folds seconds to ``stages``.  Uniform posterior
+    fallbacks get one warning with their total row count.
     """
     with _timed(stages, "extract"):
         features = extract_matrix(build_feature_model(config), docs, n_indexed)
     scores = []
-    test_mass = in_vocab = 0
+    test_mass = in_vocab = fallbacks = 0
     with _timed(stages, "folds"):
         for train, test in folds:
             model, columns = fit_stylome(config, features, train, subjects[train], labels)
             test_counts = features.counts[test][:, columns]
-            scores.append(possibility_rows(model, test_counts))
+            posteriors, fallback = classifiers.posterior_rows(model, test_counts)
+            scores.append(to_possibility(posteriors))
+            fallbacks += int(fallback.sum())
             test_mass += int(features.mass[test].sum())
             in_vocab += int(test_counts.sum())
+    classifiers.warn_fallback(model, fallbacks)
     oov_rate = 1.0 - in_vocab / test_mass if test_mass else 0.0
-    return scores, {"indexed": len(features.features), "test_oov_rate": oov_rate}
+    stats = {"indexed": len(features.features), "tokens": features.tokens, "test_oov_rate": oov_rate}
+    return scores, {**stats, "uniform_fallback_rows": fallbacks}
 
 
 def write_bundle(
@@ -287,14 +293,20 @@ def run_rolling(config: ExperimentConfig) -> dict:
     """Per-fold attribution over a uniform corpus; curves pool all folds.
 
     Every document trains in some fold, so every document indexes features.
+    Subjects short of train_window + test_window documents are dropped, with a warning.
     """
     started = time.perf_counter()
     stages: dict[str, float] = {}
     n_docs = config.train_window + config.test_window
     with _timed(stages, "load"):
-        corpus = keep_largest(load_text_corpus(config.corpus_dir), n_docs)
+        loaded = load_text_corpus(config.corpus_dir)
+        corpus = keep_largest(loaded, n_docs)
         folds = rolling_folds(corpus, config.train_window, config.test_window)
     labels = corpus.subject_labels
+    dropped = [label for label in loaded.subject_labels if label not in labels]
+    if dropped:
+        message = f"{len(dropped)} subject(s) with fewer than {n_docs} documents dropped: " + ", ".join(dropped)
+        warnings.warn(message, DegenerateInputWarning)
     docs = corpus.documents
     subjects = np.array([doc.subject for doc in docs], dtype=np.int64)
     fold_rows, feature_stats = score_folds(config, docs, len(docs), folds, subjects, labels, stages)
@@ -316,6 +328,7 @@ def run_rolling(config: ExperimentConfig) -> dict:
             "subjects": len(labels),
             "folds": len(folds),
             "test_items": len(pooled_ids),
+            "dropped_subjects": dropped,
         },
         "features": feature_stats,
         "stage_seconds": stages,

@@ -2,23 +2,24 @@
 
 Features are strings; the parts of a gram are joined with the unit
 separator (U+001F) so multi-word features can never collide with each
-other or with single tokens.
+other or with single tokens.  Extraction counts integer codes and makes
+strings only for the matrix columns.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, filterfalse
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .conllu import DepSentence
 from .corpus import Document
 from .errors import DataError
 
@@ -28,7 +29,13 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 
 NGRAM_FAMILY = "ngram"
 SNGRAM_FAMILY = "sngram"
-SNGRAM_ELEMENTS = ("word", "lemma", "upos", "deprel")
+_NODE_LABELS = {
+    "word": lambda token: token.form.lower(),
+    "lemma": lambda token: token.lemma.lower(),
+    "upos": attrgetter("upos"),
+    "deprel": attrgetter("deprel"),
+}
+SNGRAM_ELEMENTS = tuple(_NODE_LABELS)
 
 
 def tokenize(text: str) -> list[str]:
@@ -36,87 +43,13 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def extract_ngrams(tokens: list[str], k: int) -> Counter:
-    """Count contiguous k-grams; a text shorter than k yields nothing."""
-    if k < 1:
-        raise ValueError("n-gram order must be >= 1")
-    if k == 1:
-        return Counter(tokens)
-    return Counter(SEP.join(tokens[i : i + k]) for i in range(len(tokens) - k + 1))
-
-
-def _node_label(token, element: str) -> str:
-    if element == "word":
-        return token.form.lower()
-    if element == "lemma":
-        return token.lemma.lower()
-    if element == "upos":
-        return token.upos
-    if element == "deprel":
-        return token.deprel
-    raise ValueError(f"unknown sn-gram element {element!r}")
-
-
-def extract_sngrams(sentence: DepSentence, element: str, k: int) -> Counter:
-    """Count continuous syntactic k-grams of one sentence.
-
-    A syntactic k-gram is a head-to-dependent chain of exactly k nodes,
-    written root-side first.  Each node closes exactly one chain (the one
-    ending at it), so a sentence yields one k-gram per token at depth
-    >= k-1 and the walk below touches every node once.
-    """
-    if k < 1:
-        raise ValueError("sn-gram order must be >= 1")
-    if element not in SNGRAM_ELEMENTS:
-        raise ValueError(f"unknown sn-gram element {element!r}")
-    tokens = sentence.tokens
-    n = len(tokens)
-    children: list[list[int]] = [[] for _ in range(n)]
-    root = -1
-    for i, tok in enumerate(tokens):
-        if tok.head == -1:
-            if root != -1:
-                raise ValueError("sentence has multiple roots")
-            root = i
-        else:
-            children[tok.head].append(i)
-    if root == -1:
-        raise ValueError("sentence has no root")
-
-    counts: Counter = Counter()
-    labels = [_node_label(t, element) for t in tokens]
-    # iterative DFS keeping the ancestor chain; cycles would revisit a node
-    # and overflow the chain past n, so guard on its length
-    chain: list[int] = []
-    stack: list[tuple[int, int]] = [(root, 0)]  # (node, next child index)
-    visited = 0
-    while stack:
-        node, ci = stack[-1]
-        if ci == 0:
-            chain.append(node)
-            visited += 1
-            if len(chain) > n:
-                raise ValueError("dependency structure is cyclic")
-            if len(chain) >= k:
-                counts[SEP.join(labels[j] for j in chain[-k:])] += 1
-        if ci < len(children[node]):
-            stack[-1] = (node, ci + 1)
-            stack.append((children[node][ci], 0))
-        else:
-            stack.pop()
-            chain.pop()
-    if visited != n:
-        raise ValueError("dependency structure is not a single tree")
-    return counts
-
-
 @dataclass(frozen=True)
 class FeatureModel:
     """What to count in a document.
 
-    family "ngram" counts word n-grams of every order in ``orders`` (a
-    union profile when more than one); family "sngram" counts continuous
-    syntactic n-grams over the labels picked by ``element``.
+    family "ngram" counts word n-grams (runs of k tokens) of every order in ``orders``,
+    a union profile when more than one; family "sngram" counts continuous syntactic
+    n-grams (head-to-dependent chains of k nodes, root-side first) over ``element`` labels.
     """
 
     family: str
@@ -132,20 +65,6 @@ class FeatureModel:
             raise ValueError("orders must not repeat")
         if self.element not in SNGRAM_ELEMENTS:
             raise ValueError(f"unknown sn-gram element {self.element!r}")
-
-    def extract(self, doc: Document) -> Counter:
-        counts: Counter = Counter()
-        if self.family == NGRAM_FAMILY:
-            tokens = tokenize(doc.text)
-            for k in self.orders:
-                counts.update(extract_ngrams(tokens, k))
-        else:
-            if doc.tree is None:
-                raise DataError(f"document {doc.doc_id} has no dependency tree")
-            for sentence in doc.tree:
-                for k in self.orders:
-                    counts.update(extract_sngrams(sentence, self.element, k))
-        return counts
 
 
 @dataclass(frozen=True)
@@ -172,6 +91,7 @@ class FeatureMatrix:
     features: tuple[str, ...]
     counts: sparse.csr_array  # (documents, features) int64
     mass: np.ndarray  # per document: every extracted count, features outside the columns included
+    tokens: int  # extracted positions: tokens, or tree nodes for sn-grams
 
     @cached_property
     def lex_rank(self) -> np.ndarray:
@@ -179,37 +99,98 @@ class FeatureMatrix:
         return np.argsort(sorted(range(len(self.features)), key=self.features.__getitem__))
 
 
-def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None, index=None) -> FeatureMatrix:
-    """Extract each document once into a sparse count matrix over the columns of ``index``.
+def _positions(model: FeatureModel, docs: Sequence[Document], ids: dict[str, int]):
+    """Label id and predecessor of every position, and each document's position count.
 
-    The first ``n_indexed`` documents add their features to ``index`` in
-    first-seen order: by default all of them to a new index, none to a
-    given one.  The others lose the features outside it, which no
-    vocabulary ranked on the indexed documents can hold; ``mass`` still
-    counts them.
+    The predecessor is the previous token (word n-grams) or the head (syntactic
+    n-grams), -1 for none.  Labels get ids in first-seen order, one document at a time.
     """
-    if n_indexed is None:
-        n_indexed = len(docs) if index is None else 0
-    index = {} if index is None else index
-    add, get = index.setdefault, index.get
-    cols: list[int] = []
-    vals: list[int] = []
+    labels, heads = [np.zeros(0, dtype=np.int32)], []
     lengths = np.zeros(len(docs), dtype=np.int64)
     for i, doc in enumerate(docs):
-        counts = model.extract(doc)
-        if i < n_indexed:
-            cols.extend([add(f, len(index)) for f in counts])
+        if model.family == NGRAM_FAMILY:
+            tokens = tokenize(doc.text)
+        elif doc.tree is None:
+            raise DataError(f"document {doc.doc_id} has no dependency tree")
         else:
-            cols.extend([get(f, -1) for f in counts])  # -1: outside the index, dropped below
-        vals.extend(counts.values())
-        lengths[i] = len(counts)
-    col = np.array(cols, dtype=np.int64)
-    val = np.array(vals, dtype=np.int64)
-    row = np.repeat(np.arange(len(docs)), lengths)
-    kept = col >= 0
-    counts = sparse.csr_array((val[kept], (row[kept], col[kept])), shape=(len(docs), len(index)))
-    mass = np.bincount(row, weights=val, minlength=len(docs)).astype(np.int64)
-    return FeatureMatrix(model, tuple(index), counts, mass)
+            tokens = []
+            for sentence in doc.tree:
+                start = len(heads)
+                heads.extend(start + t.head if t.head >= 0 else -1 for t in sentence.tokens)
+                tokens.extend(map(_NODE_LABELS[model.element], sentence.tokens))
+        ids.update(zip(filterfalse(ids.__contains__, dict.fromkeys(tokens)), count(len(ids))))
+        labels.append(np.fromiter(map(ids.__getitem__, tokens), dtype=np.int32, count=len(tokens)))
+        lengths[i] = len(tokens)
+    label = np.concatenate(labels)
+    if model.family == NGRAM_FAMILY:
+        pred = np.arange(-1, label.size - 1)
+        pred[(np.cumsum(lengths) - lengths)[lengths > 0]] = -1
+    else:
+        pred = np.array(heads, dtype=np.int64)
+    return label, pred, lengths
+
+
+def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None, index=None) -> FeatureMatrix:
+    """Extract each document once into a sparse count matrix.
+
+    Without ``index``, the columns are the features of the first
+    ``n_indexed`` documents (default: all); the others lose the features
+    outside them, which no vocabulary ranked on the indexed documents can
+    hold.  With ``index`` (feature -> column), its columns, and no document
+    adds to it.  ``mass`` counts every extracted feature either way.
+
+    The order-k code at a position is the dense rank of (the order-(k-1)
+    code at its predecessor, its label id): one ``np.unique`` per order for
+    both families.  Gram ids number the codes of each counted order in turn.
+    """
+    ids: dict[str, int] = {}
+    label, pred, lengths = _positions(model, docs, ids)
+    stride = len(ids) + label.size * len(model.orders) + 1  # exceeds every gram id
+    row = np.repeat(np.arange(len(docs)) * stride, lengths)
+    code, tables, keys, blocks, n_grams = label, [], [np.zeros(0, dtype=np.int64)], [], 0
+    for k in range(1, max(model.orders) + 1):
+        if k > 1:
+            has = pred >= 0
+            has[has] = code[pred[has]] >= 0
+            if not has.any():
+                break  # no chain reaches order k, so none reaches a higher one
+            table, dense = np.unique(code[pred[has]].astype(np.int64) * len(ids) + label[has], return_inverse=True)
+            tables.append(np.divmod(table, len(ids)))  # (prefix code, last label) of each order-k code
+            code = np.full(label.size, -1, dtype=np.int32)
+            code[has] = dense
+        if k in model.orders:
+            at = code >= 0
+            keys.append(row[at] + n_grams + code[at])  # document * stride + gram id
+            blocks.append((k, n_grams, n_grams + (len(ids) if k == 1 else table.size)))
+            n_grams = blocks[-1][2]
+    del label, pred, code, row
+    keys, hits = np.unique(np.concatenate(keys), return_counts=True)
+    rows, gram = np.divmod(keys, stride)
+    del keys
+    if index is None:  # the columns: every gram of the indexed documents
+        seen = np.zeros(n_grams, dtype=bool)
+        seen[gram[rows < (len(docs) if n_indexed is None else n_indexed)]] = True
+    else:  # every gram of the batch, looked up in the index below
+        seen = np.ones(n_grams, dtype=bool)
+    wanted = np.flatnonzero(seen)
+    names, strings = np.array(list(ids), dtype=object), []
+    for k, lo, hi in blocks:
+        codes, parts = wanted[(wanted >= lo) & (wanted < hi)] - lo, []
+        for prefix, last in reversed(tables[: k - 1]):  # walk back from the last label to the first
+            parts.append(names[last[codes]])
+            codes = prefix[codes]
+        strings += map(SEP.join, zip(names[codes], *reversed(parts)))
+    if index is None:
+        features, column = tuple(strings), np.where(seen, np.cumsum(seen) - 1, -1)
+    else:
+        features, column = tuple(index), np.array([index.get(f, -1) for f in strings], dtype=np.int64)
+    mass = np.bincount(rows, weights=hits, minlength=len(docs)).astype(np.int64)
+    cols = column[gram]
+    kept = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=len(docs)))])
+    counts = sparse.csr_array((hits[kept], cols[kept], indptr), shape=(len(docs), len(features)))
+    counts.sort_indices()  # a given index may number its columns in any order
+    return FeatureMatrix(model, features, counts, mass, int(lengths.sum()))
 
 
 def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> tuple[Vocabulary, np.ndarray]:
@@ -231,17 +212,4 @@ def write_feature_tsv(pairs, path: str | Path) -> None:
     """Write (feature, count) rows as a two-column TSV."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        for feature, count in pairs:
-            writer.writerow([feature, count])
-
-
-def read_feature_tsv(path: str | Path) -> list[tuple[str, int]]:
-    path = Path(path)
-    out = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh, delimiter="\t"):
-            if len(row) != 2:
-                raise DataError(f"{path}: expected 2 columns, got {len(row)}")
-            out.append((row[0], int(row[1])))
-    return out
+        csv.writer(fh, delimiter="\t", lineterminator="\n").writerows(pairs)

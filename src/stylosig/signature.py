@@ -58,27 +58,35 @@ def _parse_sample(path: Path, writer: int, index: int) -> SignatureSample:
         declared = int(lines[0].split()[0])
     except (ValueError, IndexError):
         raise DataError(f"{path}:1: expected the point count") from None
-    rows = []
-    width = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if width is None:
-            if len(parts) not in (4, 7):
-                raise DataError(f"{path}:{lineno}: expected 4 or 7 columns, got {len(parts)}")
-            width = len(parts)
-        elif len(parts) != width:
-            raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(parts)}")
-        try:
-            rows.append([int(v) for v in parts])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer value") from None
+    rows = [parts for parts in map(str.split, lines[1:]) if parts]
+    try:
+        points = np.array(rows, dtype=np.int64)  # parses each value as int() does
+    except (ValueError, OverflowError):  # ragged rows, or a value that is no int64
+        points = None
+    if rows and (points is None or points.shape[1] not in (4, 7)):
+        raise _bad_line(path, lines)
     if len(rows) != declared:
         raise DataError(f"{path}: declared {declared} points but found {len(rows)}")
     if not rows:
         raise DataError(f"{path}: no points")
-    return SignatureSample(writer, index, np.array(rows, dtype=np.int64))
+    return SignatureSample(writer, index, points)
+
+
+def _bad_line(path: Path, lines: list[str]) -> DataError:
+    """The error naming the first malformed point line, found one line at a time."""
+    numbered = [(lineno, parts) for lineno, parts in enumerate(map(str.split, lines[1:]), start=2) if parts]
+    width = len(numbered[0][1])
+    for lineno, parts in numbered:
+        if width not in (4, 7) or len(parts) != width:
+            expected = width if width in (4, 7) else "4 or 7"
+            return DataError(f"{path}:{lineno}: expected {expected} columns, got {len(parts)}")
+        try:
+            np.array(parts, dtype=np.int64)
+        except ValueError:
+            return DataError(f"{path}:{lineno}: non-integer value")
+        except OverflowError:
+            return DataError(f"{path}:{lineno}: value outside the 64-bit integer range")
+    return DataError(f"{path}: malformed point lines")
 
 
 def load_svc(root: str | Path, genuine_max: int = GENUINE_PER_WRITER) -> SignatureCorpus:

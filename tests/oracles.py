@@ -12,6 +12,9 @@ from collections import Counter
 
 import numpy as np
 
+from stylosig.errors import DataError
+from stylosig.features import NGRAM_FAMILY, SNGRAM_ELEMENTS, tokenize
+
 SEP = "\x1f"
 
 
@@ -68,6 +71,96 @@ def pnb_posterior_reference(train_counts, docs_per_subject, alpha, doc):
     if z == 0.0:
         return np.full(len(train_counts), 1.0 / len(train_counts))
     return np.array([j / z for j in joint])
+
+
+def extract_ngrams(tokens, k):
+    """Count contiguous k-grams by joining each window; a text shorter than k yields nothing."""
+    if k < 1:
+        raise ValueError("n-gram order must be >= 1")
+    if k == 1:
+        return Counter(tokens)
+    return Counter(SEP.join(tokens[i : i + k]) for i in range(len(tokens) - k + 1))
+
+
+def _node_label(token, element):
+    if element == "word":
+        return token.form.lower()
+    if element == "lemma":
+        return token.lemma.lower()
+    if element == "upos":
+        return token.upos
+    if element == "deprel":
+        return token.deprel
+    raise ValueError(f"unknown sn-gram element {element!r}")
+
+
+def extract_sngrams(sentence, element, k):
+    """Count continuous syntactic k-grams of one sentence by a depth-first walk.
+
+    A syntactic k-gram is a head-to-dependent chain of exactly k nodes,
+    written root-side first.  Each node closes exactly one chain (the one
+    ending at it), so a sentence yields one k-gram per token at depth
+    >= k-1.
+    """
+    if k < 1:
+        raise ValueError("sn-gram order must be >= 1")
+    if element not in SNGRAM_ELEMENTS:
+        raise ValueError(f"unknown sn-gram element {element!r}")
+    tokens = sentence.tokens
+    n = len(tokens)
+    children = [[] for _ in range(n)]
+    root = -1
+    for i, tok in enumerate(tokens):
+        if tok.head == -1:
+            if root != -1:
+                raise ValueError("sentence has multiple roots")
+            root = i
+        else:
+            children[tok.head].append(i)
+    if root == -1:
+        raise ValueError("sentence has no root")
+
+    counts = Counter()
+    labels = [_node_label(t, element) for t in tokens]
+    # iterative DFS keeping the ancestor chain; cycles would revisit a node
+    # and overflow the chain past n, so guard on its length
+    chain = []
+    stack = [(root, 0)]  # (node, next child index)
+    visited = 0
+    while stack:
+        node, ci = stack[-1]
+        if ci == 0:
+            chain.append(node)
+            visited += 1
+            if len(chain) > n:
+                raise ValueError("dependency structure is cyclic")
+            if len(chain) >= k:
+                counts[SEP.join(labels[j] for j in chain[-k:])] += 1
+        if ci < len(children[node]):
+            stack[-1] = (node, ci + 1)
+            stack.append((children[node][ci], 0))
+        else:
+            stack.pop()
+            chain.pop()
+    if visited != n:
+        raise ValueError("dependency structure is not a single tree")
+    return counts
+
+
+def extract_counts(model, doc):
+    """One document's feature counts under a ``FeatureModel``, one order and one sentence at a time."""
+    counts = Counter()
+    if model.family == NGRAM_FAMILY:
+        tokens = tokenize(doc.text)
+        for k in model.orders:
+            counts.update(extract_ngrams(tokens, k))
+    else:
+        if doc.tree is None:
+            raise DataError(f"document {doc.doc_id} has no dependency tree")
+        for sentence in doc.tree:
+            for k in model.orders:
+                counts.update(extract_sngrams(sentence, model.element, k))
+    return counts
 
 
 def sngrams_recursive(sentence, element, k):

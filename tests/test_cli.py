@@ -123,6 +123,16 @@ def test_sigscore_writes_matrix(tmp_path):
     assert matrix.scores.shape == (6, 2)
 
 
+def test_sigscore_value_beyond_int64_is_data_error(tmp_path, capsys):
+    sig_dir = write_svc_dir(tmp_path / "sigs", n_writers=2, n_samples=5)
+    (sig_dir / "U2S3.txt").write_text("1\n1 99999999999999999999 3 1\n", encoding="utf-8")
+    code = main(["sigscore", "-O", f"signature_dir={sig_dir}", "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "data error" in err and "U2S3.txt:2: value outside the 64-bit integer range" in err
+    assert "Traceback" not in err
+
+
 def test_chimeric_manifest_command(tmp_path):
     corpus_dir = disjoint_corpus(tmp_path)
     sig_dir = write_svc_dir(tmp_path / "sigs", n_writers=3, n_samples=4)

@@ -11,7 +11,7 @@ from stylosig import experiment
 from stylosig.config import ExperimentConfig, build_config
 from stylosig.corpus import load_text_corpus
 from stylosig.errors import DegenerateInputWarning
-from stylosig.features import FeatureModel
+from stylosig.features import FeatureModel, tokenize
 from stylosig.fusion import decide
 from stylosig.experiment import (
     build_feature_model,
@@ -22,7 +22,13 @@ from stylosig.experiment import (
 )
 
 from .conftest import write_svc_dir, write_text_corpus
-from .oracles import mnb_posterior_reference, pnb_posterior_reference, possibility_naive, rolling_plan_reference
+from .oracles import (
+    extract_counts,
+    mnb_posterior_reference,
+    pnb_posterior_reference,
+    possibility_naive,
+    rolling_plan_reference,
+)
 
 
 def disjoint_corpus(tmp_path, n_subjects=3, docs=4, words=6, tokens=30):
@@ -107,6 +113,39 @@ def test_rolling_eval_warns_once_about_tied_decisions(tmp_path):
     ties = [str(w.message) for w in caught if "tied top score" in str(w.message)]
     assert ties == ["tied top score in 6 row(s), keeping the lowest subject id"]
     assert result["summaries"]["mnb"]["n_tied_decisions"] == 6
+
+
+def test_rolling_eval_reports_dropped_subjects(tmp_path):
+    texts = ["one two three", "two three four", "three four five"]
+    subjects = {"a": texts, "b": texts[::-1], "short": texts[:2], "tiny": texts[:1]}
+    corpus_dir = write_text_corpus(tmp_path / "texts", subjects)
+    config = build_config(
+        {"corpus_dir": str(corpus_dir), "train_window": "2", "test_window": "1", "output_dir": str(tmp_path / "out")}
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_rolling(config)
+    dropped = [str(w.message) for w in caught if "dropped" in str(w.message)]
+    assert dropped == ["2 subject(s) with fewer than 3 documents dropped: short, tiny"]
+    assert all(w.category is DegenerateInputWarning for w in caught if "dropped" in str(w.message))
+    assert result["run"]["counts"]["subjects"] == 2
+    run = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert run["counts"]["dropped_subjects"] == ["short", "tiny"]
+
+
+def test_rolling_eval_without_dropped_subjects_records_none(tmp_path):
+    config = build_config(
+        {
+            "corpus_dir": str(disjoint_corpus(tmp_path, docs=4)),
+            "train_window": "3",
+            "test_window": "1",
+            "output_dir": str(tmp_path / "out"),
+        }
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateInputWarning)
+        run_rolling(config)
+    assert json.loads((tmp_path / "out" / "run.json").read_text())["counts"]["dropped_subjects"] == []
 
 
 def chimeric_setup(tmp_path, n=3):
@@ -261,7 +300,7 @@ def reference_rolling_rows(corpus_dir, classifier, alpha, profile_size):
     n_docs = len(corpus.by_subject[0])
     rows = {}
     for fold, (train_pos, test_pos) in enumerate(rolling_plan_reference(n_docs, 3, 1)):
-        train = {s: [fmodel.extract(corpus.by_subject[s][p]) for p in train_pos] for s in corpus.by_subject}
+        train = {s: [extract_counts(fmodel, corpus.by_subject[s][p]) for p in train_pos] for s in corpus.by_subject}
         pooled = Counter()
         for counts in train.values():
             for c in counts:
@@ -271,7 +310,7 @@ def reference_rolling_rows(corpus_dir, classifier, alpha, profile_size):
         for s in sorted(corpus.by_subject):
             for p in test_pos:
                 doc = corpus.by_subject[s][p]
-                counts = fmodel.extract(doc)
+                counts = extract_counts(fmodel, doc)
                 vector = [counts[f] for f in vocab]
                 if classifier == "mnb":
                     post = mnb_posterior_reference(train_counts, alpha, vector)
@@ -329,6 +368,47 @@ def test_rolling_matrix_path_matches_per_document_reference(tmp_path, monkeypatc
         assert ref_ties >= 1
 
 
+@pytest.mark.parametrize(
+    "classifier, alpha, message, rows",
+    [
+        ("mnb", "0.01", "empty feature vector", 1),
+        ("pnb", "0", "every subject has zero likelihood", 2),
+    ],
+)
+def test_rolling_eval_warns_once_about_uniform_fallbacks(tmp_path, monkeypatch, classifier, alpha, message, rows):
+    corpus_dir = degenerate_corpus(tmp_path)
+    config = build_config(
+        {
+            "corpus_dir": str(corpus_dir),
+            "train_window": "3",
+            "test_window": "1",
+            "profile_size": "20",
+            "classifier": classifier,
+            "alpha": alpha,
+            "output_dir": str(tmp_path / "out"),
+        }
+    )
+    captured = {}
+    original = experiment.write_bundle
+
+    def capture(out_dir, name, matrix, truth, config, **kwargs):
+        captured["matrix"] = matrix
+        return original(out_dir, name, matrix, truth, config, **kwargs)
+
+    monkeypatch.setattr(experiment, "write_bundle", capture)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_rolling(config)
+    fallbacks = [str(w.message) for w in caught if "uniform posterior" in str(w.message)]
+    assert len(fallbacks) == 1 and fallbacks[0].startswith(message)
+    run = json.loads((tmp_path / "out" / "run.json").read_text())
+    total = run["features"]["uniform_fallback_rows"]
+    assert fallbacks == [f"{message} in {total} row(s), returning uniform posterior"]
+    # a fallback row is uniform, so its possibility row is all ones
+    all_ones = int(np.all(captured["matrix"].scores == 1.0, axis=1).sum())
+    assert total == all_ones == rows
+
+
 def test_run_json_records_stages_and_feature_stats(tmp_path):
     corpus_dir = degenerate_corpus(tmp_path)
     config = build_config(
@@ -341,6 +421,9 @@ def test_run_json_records_stages_and_feature_stats(tmp_path):
     assert all(t >= 0.0 for t in run["stage_seconds"].values())
     assert run["features"]["indexed"] > 0
     assert 0.0 < run["features"]["test_oov_rate"] < 1.0
+    corpus = load_text_corpus(corpus_dir)
+    assert run["features"]["tokens"] == sum(len(tokenize(doc.text)) for doc in corpus.documents)
+    assert run["features"]["uniform_fallback_rows"] == 1
     assert run["version"] == stylosig.__version__
     assert run["config"] == json.loads(json.dumps(config.to_json()))
     assert set(run["config"]) == {f.name for f in fields(ExperimentConfig)}

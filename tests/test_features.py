@@ -1,3 +1,4 @@
+import csv
 from collections import Counter
 
 import numpy as np
@@ -5,23 +6,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stylosig.conllu import parse_conllu
+from stylosig.conllu import DepSentence, DepToken, parse_conllu
 from stylosig.corpus import Document
 from stylosig.errors import DataError
 from stylosig.features import (
     SEP,
+    SNGRAM_ELEMENTS,
     FeatureModel,
     build_vocabulary,
     extract_matrix,
-    extract_ngrams,
-    extract_sngrams,
-    read_feature_tsv,
     tokenize,
     write_feature_tsv,
 )
 
 from .conftest import make_sentence
-from .oracles import sngrams_recursive
+from .oracles import extract_counts, sngrams_recursive
+
+
+def row_counts(matrix, i):
+    """Row i of a feature matrix as a Counter over feature strings."""
+    row = matrix.counts[[i]].toarray()[0]
+    return Counter({matrix.features[j]: int(c) for j, c in enumerate(row) if c})
+
+
+def ngrams(text, k):
+    return row_counts(extract_matrix(FeatureModel("ngram", (k,)), [Document("d", 0, text)]), 0)
+
+
+def sngrams(sentence, element, k):
+    doc = Document("d", 0, "", tree=(sentence,))
+    return row_counts(extract_matrix(FeatureModel("sngram", (k,), element), [doc]), 0)
 
 
 # -- tokenization -----------------------------------------------------------
@@ -49,28 +63,28 @@ def test_tokenize_empty():
 # -- word n-grams -----------------------------------------------------------
 
 def test_unigrams_are_plain_counts():
-    assert extract_ngrams(["a", "b", "a"], 1) == Counter({"a": 2, "b": 1})
+    assert ngrams("a b a", 1) == Counter({"a": 2, "b": 1})
 
 
 def test_bigrams_use_separator():
-    grams = extract_ngrams(["a", "b", "a"], 2)
-    assert grams == Counter({f"a{SEP}b": 1, f"b{SEP}a": 1})
+    assert ngrams("a b a", 2) == Counter({f"a{SEP}b": 1, f"b{SEP}a": 1})
 
 
 def test_short_text_yields_nothing():
-    assert extract_ngrams(["a"], 2) == Counter()
-    assert extract_ngrams([], 1) == Counter()
+    assert ngrams("a", 2) == Counter()
+    assert ngrams("", 1) == Counter()
 
 
 def test_ngram_order_must_be_positive():
     with pytest.raises(ValueError):
-        extract_ngrams(["a"], 0)
+        FeatureModel("ngram", (0,))
 
 
 def test_separator_prevents_collisions():
-    # "a b" as a bigram must differ from a token that contains a space
-    bigram = extract_ngrams(["a", "b"], 2)
-    unigram = extract_ngrams(["a b"], 1)
+    # "a b" as a bigram must differ from a token that contains a space,
+    # which only a parse's word forms can hold
+    bigram = sngrams(make_sentence([-1, 0], ["a", "b"]), "word", 2)
+    unigram = sngrams(make_sentence([-1], ["a b"]), "word", 1)
     assert set(bigram) != set(unigram)
 
 
@@ -85,36 +99,30 @@ CONLLU = (
 
 def test_sngrams_head_to_dependent():
     (sent,) = parse_conllu(CONLLU)
-    grams = extract_sngrams(sent, "word", 2)
-    assert grams == Counter({f"chase{SEP}dogs": 1, f"chase{SEP}cats": 1})
+    assert sngrams(sent, "word", 2) == Counter({f"chase{SEP}dogs": 1, f"chase{SEP}cats": 1})
 
 
 def test_sngrams_order_one_is_per_token():
     (sent,) = parse_conllu(CONLLU)
-    assert extract_sngrams(sent, "word", 1) == Counter({"dogs": 1, "chase": 1, "cats": 1})
+    assert sngrams(sent, "word", 1) == Counter({"dogs": 1, "chase": 1, "cats": 1})
 
 
 def test_sngrams_deeper_chain():
     # 0 <- 1 <- 2 <- 3 chain, root at token 0
     sent = make_sentence([-1, 0, 1, 2], ["r", "a", "b", "c"])
-    grams = extract_sngrams(sent, "word", 3)
-    assert grams == Counter({f"r{SEP}a{SEP}b": 1, f"a{SEP}b{SEP}c": 1})
+    assert sngrams(sent, "word", 3) == Counter({f"r{SEP}a{SEP}b": 1, f"a{SEP}b{SEP}c": 1})
 
 
 def test_sngrams_too_long_chain_yields_nothing():
     sent = make_sentence([-1, 0], ["r", "a"])
-    assert extract_sngrams(sent, "word", 3) == Counter()
+    assert sngrams(sent, "word", 3) == Counter()
 
 
 def test_sngrams_element_channels():
     (sent,) = parse_conllu(CONLLU)
-    assert extract_sngrams(sent, "upos", 2) == Counter({f"VERB{SEP}NOUN": 2})
-    assert extract_sngrams(sent, "deprel", 2) == Counter(
-        {f"root{SEP}nsubj": 1, f"root{SEP}obj": 1}
-    )
-    assert extract_sngrams(sent, "lemma", 2) == Counter(
-        {f"chase{SEP}dog": 1, f"chase{SEP}cat": 1}
-    )
+    assert sngrams(sent, "upos", 2) == Counter({f"VERB{SEP}NOUN": 2})
+    assert sngrams(sent, "deprel", 2) == Counter({f"root{SEP}nsubj": 1, f"root{SEP}obj": 1})
+    assert sngrams(sent, "lemma", 2) == Counter({f"chase{SEP}dog": 1, f"chase{SEP}cat": 1})
 
 
 def test_sngrams_count_equals_deep_tokens():
@@ -123,51 +131,47 @@ def test_sngrams_count_equals_deep_tokens():
     for k in (1, 2, 3):
         depth = [0, 1, 1, 2, 2, 3]
         expected = sum(1 for d in depth if d >= k - 1)
-        assert sum(extract_sngrams(sent, "word", k).values()) == expected
+        assert sum(sngrams(sent, "word", k).values()) == expected
 
 
 def test_sngrams_validate_arguments():
-    (sent,) = parse_conllu(CONLLU)
     with pytest.raises(ValueError):
-        extract_sngrams(sent, "word", 0)
+        FeatureModel("sngram", (0,), "word")
     with pytest.raises(ValueError):
-        extract_sngrams(sent, "stem", 2)
+        FeatureModel("sngram", (2,), "stem")
 
 
 @st.composite
-def random_trees(draw):
+def random_trees(draw, forms="wxyz"):
     n = draw(st.integers(min_value=1, max_value=8))
     heads = [-1] + [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
-    labels = [draw(st.sampled_from("wxyz")) for _ in range(n)]
+    labels = [draw(st.sampled_from(forms)) for _ in range(n)]
     return make_sentence(heads, labels)
 
 
 @given(random_trees(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=300, deadline=None)
 def test_sngrams_match_recursive_oracle(sent, k):
-    assert extract_sngrams(sent, "word", k) == sngrams_recursive(sent, "word", k)
+    assert sngrams(sent, "word", k) == sngrams_recursive(sent, "word", k)
 
 
 # -- feature models ---------------------------------------------------------
 
 def test_model_union_of_orders():
-    model = FeatureModel("ngram", (1, 2))
-    doc = Document("d", 0, "a b a")
-    counts = model.extract(doc)
+    counts = row_counts(extract_matrix(FeatureModel("ngram", (1, 2)), [Document("d", 0, "a b a")]), 0)
     assert counts["a"] == 2 and counts[f"a{SEP}b"] == 1
 
 
 def test_model_sngram_requires_tree():
     model = FeatureModel("sngram", (2,), "word")
     with pytest.raises(DataError, match="no dependency tree"):
-        model.extract(Document("d", 0, "some text", tree=None))
+        extract_matrix(model, [Document("d", 0, "some text", tree=None)])
 
 
 def test_model_sngram_over_sentences():
     model = FeatureModel("sngram", (2,), "word")
     doc = Document("d", 0, "Dogs chase cats", tree=parse_conllu(CONLLU + "\n" + CONLLU))
-    counts = model.extract(doc)
-    assert counts[f"chase{SEP}dogs"] == 2
+    assert row_counts(extract_matrix(model, [doc]), 0)[f"chase{SEP}dogs"] == 2
 
 
 def test_model_validation():
@@ -179,6 +183,86 @@ def test_model_validation():
         FeatureModel("ngram", (1, 1))
     with pytest.raises(ValueError):
         FeatureModel("sngram", (2,), "stem")
+
+
+# -- integer-coded extraction against the per-document oracle -----------------
+
+WORDS = ("a", "b", "ab", "É", "é", "straße", "日本", "x1", "Ωμέγα", "İ")
+GAPS = (" ", "  ", ", ", "_", "-", "\n", "…")
+
+
+@st.composite
+def word_documents(draw):
+    docs = []
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        words = draw(st.lists(st.sampled_from(WORDS), max_size=9))
+        text = "".join(w + draw(st.sampled_from(GAPS)) for w in words)
+        docs.append(Document(f"d{i}", 0, text))
+    return docs
+
+
+@st.composite
+def parsed_documents(draw):
+    """Documents of zero to three sentences; a form may hold a space."""
+    docs = []
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        sentences = draw(st.lists(random_trees(forms=("a", "B", "a b", "é", "日本")), max_size=3))
+        tree = tuple(
+            DepSentence(
+                tuple(
+                    DepToken(t.form, draw(st.sampled_from(WORDS)), draw(st.sampled_from("NV")), t.head, t.deprel)
+                    for t in sentence.tokens
+                ),
+                sentence.root,
+            )
+            for sentence in sentences
+        )
+        docs.append(Document(f"d{i}", 0, "", tree=tree))
+    return docs
+
+
+def check_against_oracle(model, docs, n_indexed, index_draw):
+    refs = [extract_counts(model, doc) for doc in docs]
+    indexed = set().union(*refs[:n_indexed])
+    matrix = extract_matrix(model, docs, n_indexed)
+    assert sorted(matrix.features) == sorted(indexed)
+    assert matrix.counts.dtype == np.int64 and matrix.counts.shape == (len(docs), len(indexed))
+    for i, ref in enumerate(refs):
+        assert row_counts(matrix, i) == Counter({f: c for f, c in ref.items() if f in indexed})
+        assert matrix.mass[i] == sum(ref.values())
+    # projection through a given index: some of the grams seen, plus ones never seen
+    seen = sorted(set().union(*refs))
+    index = {f: j for j, f in enumerate(index_draw(seen) + ["never", f"never{SEP}seen"])}
+    projected = extract_matrix(model, docs, index=index)
+    assert projected.features == tuple(index) and projected.counts.shape == (len(docs), len(index))
+    # scoring sums each row in stored order, so both keep columns ascending whatever the numbering
+    assert matrix.counts.has_sorted_indices and projected.counts.has_sorted_indices
+    for i, ref in enumerate(refs):
+        assert row_counts(projected, i) == Counter({f: c for f, c in ref.items() if f in index})
+        assert projected.mass[i] == sum(ref.values())
+
+
+orders = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4, unique=True).map(tuple)
+
+
+@given(word_documents(), orders, st.data())
+@settings(max_examples=200, deadline=None)
+def test_word_extract_matrix_matches_per_document_oracle(docs, ks, data):
+    n_indexed = data.draw(st.integers(min_value=0, max_value=len(docs)))
+    model = FeatureModel("ngram", ks)
+    check_against_oracle(model, docs, n_indexed, lambda seen: data.draw(st.permutations(seen))[: len(seen) // 2])
+    tokens = extract_matrix(model, docs).tokens
+    assert tokens == sum(len(tokenize(doc.text)) for doc in docs)
+
+
+@given(parsed_documents(), orders, st.sampled_from(SNGRAM_ELEMENTS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_syntactic_extract_matrix_matches_per_document_oracle(docs, ks, element, data):
+    n_indexed = data.draw(st.integers(min_value=0, max_value=len(docs)))
+    model = FeatureModel("sngram", ks, element)
+    check_against_oracle(model, docs, n_indexed, lambda seen: data.draw(st.permutations(seen))[: len(seen) // 2])
+    tokens = extract_matrix(model, docs).tokens
+    assert tokens == sum(len(sentence) for doc in docs for sentence in doc.tree)
 
 
 # -- count matrices and vocabulary -------------------------------------------
@@ -204,8 +288,7 @@ def test_extract_matrix_rows_match_per_document_counts():
     docs = [Document("d0", 0, "a b a"), Document("d1", 1, "b c"), Document("d2", 1, "")]
     matrix = extract_matrix(model, docs)
     for i, doc in enumerate(docs):
-        row = matrix.counts[[i]].toarray()[0]
-        assert {matrix.features[j]: int(c) for j, c in enumerate(row) if c} == model.extract(doc)
+        assert row_counts(matrix, i) == extract_counts(model, doc)
     assert list(matrix.mass) == [5, 3, 0]
 
 
@@ -284,4 +367,5 @@ def test_feature_tsv_roundtrip(tmp_path):
     pairs = [("plain", 3), (f"two{SEP}part", 1), ("café", 2)]
     path = tmp_path / "features.tsv"
     write_feature_tsv(pairs, path)
-    assert read_feature_tsv(path) == pairs
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        assert [(feature, int(n)) for feature, n in csv.reader(fh, delimiter="\t")] == pairs

@@ -72,6 +72,46 @@ def test_load_svc_errors(tmp_path):
         load_svc(root)
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("2\n1 2 3 1\n1 2 x 1\n1 2 3\n", r"U1S1.txt:3: non-integer value"),
+        ("2\n1 2 3 1\n\n1 2 3\n1 2 x 1\n", r"U1S1.txt:4: expected 4 columns, got 3"),
+        ("1\n\n1 2 3 4 5\n", r"U1S1.txt:3: expected 4 or 7 columns, got 5"),
+        ("3\n1 2 3 1\n1 2 3 1\n", r"U1S1.txt: declared 3 points but found 2"),
+        ("4\n\n", r"U1S1.txt: declared 4 points but found 0"),
+        ("0\n", r"U1S1.txt: no points"),
+        ("\n1 2 3 1\n", r"U1S1.txt:1: expected the point count"),
+        ("", r"U1S1.txt: empty file"),
+    ],
+)
+def test_load_svc_error_messages(tmp_path, content, message):
+    root = tmp_path / "svc"
+    root.mkdir()
+    (root / "U1S1.txt").write_text(content, encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_svc(root)
+
+
+@pytest.mark.parametrize("value", ["+5", "1_000", "٣", "１", "-7", "-9223372036854775808"])
+def test_load_svc_parses_values_as_int_does(tmp_path, value):
+    root = tmp_path / "svc"
+    root.mkdir()
+    (root / "U1S1.txt").write_text(f"2\n{value} 0 0 1\n\n1 2 3 1\n", encoding="utf-8")
+    points = load_svc(root).by_writer[1][0].points
+    assert points.dtype == np.int64
+    assert points.tolist() == [[int(value), 0, 0, 1], [1, 2, 3, 1]]
+
+
+@pytest.mark.parametrize("value", ["99999999999999999999", "9223372036854775808", "-9223372036854775809"])
+def test_load_svc_value_beyond_int64_is_data_error(tmp_path, value):
+    root = tmp_path / "svc"
+    root.mkdir()
+    (root / "U1S1.txt").write_text(f"2\n1 2 3 1\n1 {value} 3 1\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"U1S1.txt:3: value outside the 64-bit integer range"):
+        load_svc(root)
+
+
 def test_load_svc_missing_dir(tmp_path):
     with pytest.raises(DataError, match="not a directory"):
         load_svc(tmp_path / "nope")
