@@ -1,9 +1,11 @@
 """Subject classifiers over feature count matrices: multinomial and Poisson naive Bayes.
 
-Both train per-subject parameters from pooled in-vocabulary counts, score
-every row of a (documents, m) count matrix in log space with one sparse
-product, and normalize each row with a max-shifted softmax.  Priors are
-uniform.  Model files round-trip bit-exactly.
+Both estimators pool the in-vocabulary training counts per subject and
+give one linear model: the log scores of a (documents, m) count matrix
+are ``bias + counts @ weights``, one sparse product, and each row is
+normalized with a max-shifted softmax.  Priors are uniform.  Only the
+rule for rows that fall back on the uniform posterior depends on the
+estimator.  Model files round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -24,45 +25,56 @@ from .features import FeatureModel, Vocabulary
 ALPHA_FLOOR = 1e-10
 FORMAT_VERSION = 1
 
+# the classifier kinds; the estimator of each is ``<kind>_train``
+KINDS = ("mnb", "pnb")
+# the name of each kind's table in a model file
+_TABLE_NAMES = {"mnb": "log_params", "pnb": "rates"}
+# the rows each kind cannot score
+_FALLBACKS = {"mnb": "empty feature vector", "pnb": "every subject has zero likelihood"}
+
 
 @dataclass(frozen=True)
-class MnbModel:
+class NbModel:
+    """A trained naive Bayes model of one of ``KINDS``.
+
+    ``table`` is the (S, m) array its estimator fit, as its model file
+    stores it: log feature probabilities for "mnb", per-document expected
+    counts for "pnb".
+    """
+
+    kind: str
     vocab: Vocabulary
     subject_labels: tuple[str, ...]
     alpha: float
-    log_params: np.ndarray  # (S, m) log feature probabilities
-    log_priors: np.ndarray  # (S,)
+    table: np.ndarray
 
     @property
     def n_subjects(self) -> int:
         return len(self.subject_labels)
 
-
-@dataclass(frozen=True)
-class PnbModel:
-    vocab: Vocabulary
-    subject_labels: tuple[str, ...]
-    alpha: float
-    rates: np.ndarray  # (S, m) per-document expected counts
-    log_priors: np.ndarray  # (S,)
+    @property
+    def log_priors(self) -> np.ndarray:
+        return np.full(self.n_subjects, -np.log(self.n_subjects))
 
     @property
-    def n_subjects(self) -> int:
-        return len(self.subject_labels)
+    def linear(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bias (S,), weights (m, S)) of the log scores ``bias + counts @ weights``.
 
-    @cached_property
-    def log_rates(self) -> np.ndarray:
-        """(S, m), -inf where the rate is zero."""
+        Made on each access, not cached: a model is scored once per run, and
+        a cached array would outlive the scoring, e.g. into the next fold's training.
+        """
+        if self.kind == "mnb":
+            return self.log_priors, self.table.T
+        # a zero rate weighs -inf, which only a stored count meets: it costs nothing where a row has no count
         with np.errstate(divide="ignore"):
-            return np.log(self.rates)
-
-    @cached_property
-    def rate_totals(self) -> np.ndarray:
-        return self.rates.sum(axis=1)
+            log_rates = np.log(self.table.T, order="C")
+        return self.log_priors - self.table.sum(axis=1), log_rates
 
 
-def _subject_counts(counts, subjects, n_subjects: int):
+def _pool(counts, subjects, alpha: float, n_subjects: int):
     """Pool training rows per subject: a subject-indicator matrix times the counts."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
     subjects = np.asarray(subjects, dtype=np.int64)
     unknown = subjects[(subjects < 0) | (subjects >= n_subjects)]
     if unknown.size:
@@ -76,7 +88,7 @@ def _subject_counts(counts, subjects, n_subjects: int):
     return (indicator @ counts).toarray(), docs_per_subject
 
 
-def mnb_train(counts, subjects, vocab: Vocabulary, alpha: float, subject_labels: Sequence[str]) -> MnbModel:
+def mnb_train(counts, subjects, vocab: Vocabulary, alpha: float, subject_labels: Sequence[str]) -> NbModel:
     """Fit multinomial feature probabilities with additive smoothing.
 
     ``counts`` is a sparse (documents, m) matrix over the vocabulary and
@@ -84,33 +96,25 @@ def mnb_train(counts, subjects, vocab: Vocabulary, alpha: float, subject_labels:
     1e-10 floor so that log probabilities stay finite; negative alpha is
     rejected.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    a = alpha if alpha > 0 else ALPHA_FLOOR
     labels = tuple(subject_labels)
-    m = len(vocab)
-    pooled, _ = _subject_counts(counts, subjects, len(labels))
-    totals = pooled.sum(axis=1)
-    log_params = np.log(pooled + a) - np.log(totals + a * m)[:, None]
-    log_priors = np.full(len(labels), -np.log(len(labels)))
-    return MnbModel(vocab, labels, alpha, log_params, log_priors)
+    pooled, _ = _pool(counts, subjects, alpha, len(labels))
+    a = alpha if alpha > 0 else ALPHA_FLOOR
+    log_params = np.log(pooled + a) - np.log(pooled.sum(axis=1) + a * len(vocab))[:, None]
+    return NbModel("mnb", vocab, labels, alpha, log_params)
 
 
-def pnb_train(counts, subjects, vocab: Vocabulary, alpha: float, subject_labels: Sequence[str]) -> PnbModel:
+def pnb_train(counts, subjects, vocab: Vocabulary, alpha: float, subject_labels: Sequence[str]) -> NbModel:
     """Fit one Poisson rate per (subject, feature): smoothed count / document count.
 
     alpha=0 is kept as-is here; a zero rate is a legal degenerate Poisson
     and its -inf log is handled at scoring time.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     labels = tuple(subject_labels)
-    pooled, docs_per_subject = _subject_counts(counts, subjects, len(labels))
-    rates = (pooled + alpha) / docs_per_subject[:, None]
-    return PnbModel(vocab, labels, alpha, rates, np.full(len(labels), -np.log(len(labels))))
+    pooled, docs_per_subject = _pool(counts, subjects, alpha, len(labels))
+    return NbModel("pnb", vocab, labels, alpha, (pooled + alpha) / docs_per_subject[:, None])
 
 
-def posterior(model, counts) -> np.ndarray:
+def posterior(model: NbModel, counts) -> np.ndarray:
     """Posterior over subjects, one row per row of a sparse (documents, m) count matrix.
 
     Rows that no subject explains (empty under MNB, of zero likelihood for every
@@ -121,18 +125,15 @@ def posterior(model, counts) -> np.ndarray:
     return posteriors
 
 
-def posterior_rows(model, counts) -> tuple[np.ndarray, np.ndarray]:
+def posterior_rows(model: NbModel, counts) -> tuple[np.ndarray, np.ndarray]:
     """``posterior`` without the warning: the posteriors and the mask of rows that fell back."""
     counts = sparse.csr_array(counts, dtype=np.float64)
-    if isinstance(model, MnbModel):
-        log_scores = model.log_priors + counts @ model.log_params.T
+    bias, weights = model.linear
+    log_scores = bias + counts @ weights
+    if model.kind == "mnb":
         degenerate = counts.sum(axis=1) == 0
-    elif isinstance(model, PnbModel):
-        # only stored counts meet the log rates, so a zero rate costs nothing where a row has no count
-        log_scores = (model.log_priors - model.rate_totals) + counts @ model.log_rates.T
-        degenerate = np.all(np.isneginf(log_scores), axis=1)
     else:
-        raise TypeError(f"not a classifier model: {type(model).__name__}")
+        degenerate = np.all(np.isneginf(log_scores), axis=1)
     log_scores[degenerate] = 0.0
     shifted = np.exp(log_scores - log_scores.max(axis=1, keepdims=True))
     posteriors = shifted / shifted.sum(axis=1, keepdims=True)
@@ -140,16 +141,16 @@ def posterior_rows(model, counts) -> tuple[np.ndarray, np.ndarray]:
     return posteriors, degenerate
 
 
-def warn_fallback(model, n_rows: int) -> None:
+def warn_fallback(model: NbModel, n_rows: int) -> None:
     if n_rows:
-        what = "empty feature vector" if isinstance(model, MnbModel) else "every subject has zero likelihood"
-        warnings.warn(f"{what} in {n_rows} row(s), returning uniform posterior", DegenerateInputWarning)
+        message = f"{_FALLBACKS[model.kind]} in {n_rows} row(s), returning uniform posterior"
+        warnings.warn(message, DegenerateInputWarning)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
-def save_model(model, path: str | Path) -> None:
+def save_model(model: NbModel, path: str | Path) -> None:
     """Write a model as .npz; floats survive the round trip bit-exactly."""
     header = {
         "format_version": FORMAT_VERSION,
@@ -158,43 +159,40 @@ def save_model(model, path: str | Path) -> None:
         "feature_orders": list(model.vocab.model.orders),
         "feature_element": model.vocab.model.element,
         "profile_size": model.vocab.profile_size,
+        "kind": model.kind,
     }
-    arrays = {
-        "subject_labels": np.array(model.subject_labels, dtype=np.str_),
-        "features": np.array(model.vocab.features, dtype=np.str_),
-        "log_priors": model.log_priors,
-    }
-    if isinstance(model, MnbModel):
-        header["kind"] = "mnb"
-        arrays["log_params"] = model.log_params
-    elif isinstance(model, PnbModel):
-        header["kind"] = "pnb"
-        arrays["rates"] = model.rates
-    else:
-        raise TypeError(f"not a classifier model: {type(model).__name__}")
-    arrays["header"] = np.array(json.dumps(header))
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(
+            fh,
+            subject_labels=np.array(model.subject_labels, dtype=np.str_),
+            features=np.array(model.vocab.features, dtype=np.str_),
+            log_priors=model.log_priors,
+            **{_TABLE_NAMES[model.kind]: model.table},
+            header=np.array(json.dumps(header)),
+        )
 
 
-def load_model(path: str | Path):
+def load_model(path: str | Path) -> NbModel:
+    """Read a model file; one whose arrays do not fit its labels and features is a DataError."""
     path = Path(path)
     try:
         with np.load(path, allow_pickle=False) as data:
             header = json.loads(str(data["header"]))
             if header.get("format_version") != FORMAT_VERSION:
                 raise DataError(f"{path}: unsupported model format {header.get('format_version')!r}")
-            fmodel = FeatureModel(
-                header["feature_family"],
-                tuple(header["feature_orders"]),
-                header["feature_element"],
-            )
+            kind = header["kind"]
+            if kind not in KINDS:
+                raise DataError(f"{path}: unknown model kind {kind!r}")
+            fmodel = FeatureModel(header["feature_family"], tuple(header["feature_orders"]), header["feature_element"])
             vocab = Vocabulary(fmodel, header["profile_size"], tuple(data["features"]))
-            labels = tuple(data["subject_labels"])
-            if header["kind"] == "mnb":
-                return MnbModel(vocab, labels, header["alpha"], data["log_params"], data["log_priors"])
-            if header["kind"] == "pnb":
-                return PnbModel(vocab, labels, header["alpha"], data["rates"], data["log_priors"])
-            raise DataError(f"{path}: unknown model kind {header['kind']!r}")
+            model = NbModel(kind, vocab, tuple(data["subject_labels"]), header["alpha"], data[_TABLE_NAMES[kind]])
+            log_priors = data["log_priors"]
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load model from {path}: {exc}") from exc
+    shape = (model.n_subjects, len(vocab))
+    if model.table.shape != shape or not np.array_equal(log_priors, model.log_priors):
+        raise DataError(
+            f"{path}: {_TABLE_NAMES[kind]} {model.table.shape} and log_priors {log_priors.shape} do not fit "
+            f"{shape[0]} subject labels with uniform priors and {shape[1]} features"
+        )
+    return model

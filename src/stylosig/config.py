@@ -12,15 +12,14 @@ import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .classifiers import KINDS as CLASSIFIERS
 from .errors import ConfigError
+from .features import FAMILIES, SNGRAM_ELEMENTS as ELEMENTS
+from .fusion import OPERATORS as FUSION_OPERATORS
 
 OUTPUT_ENV = "STYLOSIG_OUTPUT_DIR"
 
 PROTOCOLS = ("rolling", "chimeric")
-CLASSIFIERS = ("mnb", "pnb")
-FAMILIES = ("ngram", "sngram")
-ELEMENTS = ("word", "lemma", "upos", "deprel")
-FUSION_OPERATORS = ("average", "product")
 EXTERNAL_KINDS = ("fuzzy", "probability")
 
 

@@ -39,7 +39,7 @@ def fit_stylome(config: ExperimentConfig, features: FeatureMatrix, rows, subject
     """
     train = features.counts[np.asarray(rows, dtype=np.int64)]
     vocab, columns = build_vocabulary(features, train.sum(axis=0), config.profile_size)
-    fit = classifiers.mnb_train if config.classifier == "mnb" else classifiers.pnb_train
+    fit = getattr(classifiers, f"{config.classifier}_train")  # the estimator of a kind in classifiers.KINDS
     return fit(train[:, columns], subjects, vocab, config.alpha, tuple(subject_labels)), columns
 
 

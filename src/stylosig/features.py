@@ -29,6 +29,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 
 NGRAM_FAMILY = "ngram"
 SNGRAM_FAMILY = "sngram"
+FAMILIES = (NGRAM_FAMILY, SNGRAM_FAMILY)
 _NODE_LABELS = {
     "word": lambda token: token.form.lower(),
     "lemma": lambda token: token.lemma.lower(),
@@ -57,7 +58,7 @@ class FeatureModel:
     element: str = "word"
 
     def __post_init__(self):
-        if self.family not in (NGRAM_FAMILY, SNGRAM_FAMILY):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown feature family {self.family!r}")
         if not self.orders or any(k < 1 for k in self.orders):
             raise ValueError("orders must be a non-empty tuple of positive ints")

@@ -99,7 +99,7 @@ def load_svc(root: str | Path, genuine_max: int = GENUINE_PER_WRITER) -> Signatu
     if not root.is_dir():
         raise DataError(f"signature root {root} is not a directory")
     found: dict[int, list[SignatureSample]] = {}
-    for path in sorted(root.iterdir()):
+    for path in sorted(root.iterdir(), key=lambda p: p.name):  # Path order, without Path comparisons
         match = _SVC_NAME.match(path.name)
         if not match:
             continue

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +8,7 @@ import pytest
 from scipy import sparse
 
 from stylosig.classifiers import (
-    MnbModel,
-    PnbModel,
+    NbModel,
     load_model,
     mnb_train,
     pnb_train,
@@ -45,13 +46,13 @@ def pairs_from_rows(rows):
 def test_smoothed_parameter_hand_value():
     # counts [3, 2, 6, 0], alpha=1, 4 features: p_f0 = (3+1)/(11+4) = 4/15
     model = mnb_train(*pairs_from_rows([[3, 2, 6, 0], [1, 1, 1, 1]]), make_vocab(), 1.0, ("s0", "s1"))
-    assert math.isclose(math.exp(model.log_params[0, 0]), 4 / 15, rel_tol=1e-12)
-    assert math.isclose(math.exp(model.log_params[0, 3]), 1 / 15, rel_tol=1e-12)
+    assert math.isclose(math.exp(model.table[0, 0]), 4 / 15, rel_tol=1e-12)
+    assert math.isclose(math.exp(model.table[0, 3]), 1 / 15, rel_tol=1e-12)
 
 
 def test_parameters_sum_to_one_per_subject():
     model = mnb_train(*pairs_from_rows([[3, 0, 1, 2], [5, 5, 0, 0]]), make_vocab(), 0.01, ("a", "b"))
-    sums = np.exp(model.log_params).sum(axis=1)
+    sums = np.exp(model.table).sum(axis=1)
     assert np.allclose(sums, 1.0, atol=1e-12)
 
 
@@ -86,14 +87,14 @@ def test_training_pools_documents_per_subject():
     pooled = docs(([3, 1], 0), ([0, 4], 1))
     a = mnb_train(*split, vocab, 0.5, ("x", "y"))
     b = mnb_train(*pooled, vocab, 0.5, ("x", "y"))
-    assert np.array_equal(a.log_params, b.log_params)
+    assert np.array_equal(a.table, b.table)
 
 
 def test_alpha_zero_uses_floor():
     model = mnb_train(*pairs_from_rows([[4, 0], [1, 1]]), make_vocab(2), 0.0, ("a", "b"))
-    assert np.all(np.isfinite(model.log_params))
+    assert np.all(np.isfinite(model.table))
     # unseen feature gets the floor mass, vastly smaller than a seen one
-    assert model.log_params[0, 1] < model.log_params[0, 0] - 20
+    assert model.table[0, 1] < model.table[0, 0] - 20
 
 
 def test_negative_alpha_rejected():
@@ -149,9 +150,11 @@ def test_poisson_rate_hand_value():
     # subject 0: 4 occurrences over 2 docs, alpha=0 -> rate 2
     train = docs(([3, 0], 0), ([1, 2], 0), ([0, 1], 1))
     model = pnb_train(*train, make_vocab(2), 0.0, ("a", "b"))
-    assert model.rates[0, 0] == 2.0
-    assert model.rates[0, 1] == 1.0
-    assert np.isneginf(model.log_rates[1, 0])
+    assert model.kind == "pnb"
+    assert model.table[0, 0] == 2.0
+    assert model.table[0, 1] == 1.0
+    _, weights = model.linear  # (m, S): feature 0 of subject 1
+    assert np.isneginf(weights[0, 1])
 
 
 def test_poisson_matches_literal_reference():
@@ -189,32 +192,95 @@ def test_poisson_all_impossible_warns_uniform():
 
 # -- persistence ------------------------------------------------------------
 
-def test_mnb_roundtrip_is_bit_exact(tmp_path):
-    vocab = make_vocab(3)
-    model = mnb_train(*pairs_from_rows([[3, 1, 0], [0, 2, 5]]), vocab, 0.01, ("ann", "bob"))
+ROUNDTRIP_CASES = [
+    pytest.param(mnb_train, [[3, 1, 0], [0, 2, 5]], 0.01, ("ann", "bob"), [1, 0, 2], id="mnb"),
+    pytest.param(pnb_train, [[3, 1], [0, 2]], 0.0, ("a", "b"), [0, 2], id="pnb"),
+]
+
+
+@pytest.mark.parametrize("train, rows, alpha, labels, doc", ROUNDTRIP_CASES)
+def test_roundtrip_is_bit_exact(tmp_path, train, rows, alpha, labels, doc):
+    vocab = make_vocab(len(rows[0]))
+    model = train(*pairs_from_rows(rows), vocab, alpha, labels)
     path = tmp_path / "model.npz"
     save_model(model, path)
     loaded = load_model(path)
-    assert isinstance(loaded, MnbModel)
+    assert isinstance(loaded, NbModel)
+    assert loaded.kind == model.kind
     assert loaded.subject_labels == model.subject_labels
     assert loaded.alpha == model.alpha
     assert loaded.vocab.features == vocab.features
     assert loaded.vocab.model == vocab.model
-    assert np.array_equal(loaded.log_params, model.log_params)
-    doc = vec([1, 0, 2])
-    assert np.array_equal(posterior(loaded, doc), posterior(model, doc))
+    assert np.array_equal(loaded.table, model.table)
+    for ours, theirs in zip(loaded.linear, model.linear):
+        assert np.array_equal(ours, theirs)
+    assert np.array_equal(posterior(loaded, vec(doc)), posterior(model, vec(doc)))
 
 
-def test_pnb_roundtrip_is_bit_exact(tmp_path):
-    vocab = make_vocab(2)
-    model = pnb_train(*pairs_from_rows([[3, 1], [0, 2]]), vocab, 0.0, ("a", "b"))
+@pytest.mark.parametrize("train, rows, alpha, labels, doc", ROUNDTRIP_CASES)
+def test_loads_a_v1_archive_written_by_hand(tmp_path, train, rows, alpha, labels, doc):
+    # pins the file format v1 apart from save_model: these arrays, with these names
+    vocab = make_vocab(len(rows[0]))
+    model = train(*pairs_from_rows(rows), vocab, alpha, labels)
+    header = {
+        "format_version": 1,
+        "alpha": alpha,
+        "feature_family": "ngram",
+        "feature_orders": [1],
+        "feature_element": "word",
+        "profile_size": len(vocab),
+        "kind": model.kind,
+    }
+    table_name = {"mnb": "log_params", "pnb": "rates"}[model.kind]
+    path = tmp_path / "model.npz"
+    np.savez(
+        path,
+        header=np.array(json.dumps(header)),
+        subject_labels=np.array(labels),
+        features=np.array(vocab.features),
+        log_priors=np.full(len(labels), -np.log(len(labels))),
+        **{table_name: model.table},
+    )
+    loaded = load_model(path)
+    assert loaded.kind == model.kind
+    assert loaded.subject_labels == labels
+    assert loaded.vocab == vocab
+    assert np.array_equal(posterior(loaded, vec(doc)), posterior(model, vec(doc)))
+
+
+def rewrite_archive(path, **changes):
+    """Rewrite a model file with some of its arrays replaced."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    np.savez(path, **{**arrays, **changes})
+
+
+@pytest.mark.parametrize("train, table_name", [(mnb_train, "log_params"), (pnb_train, "rates")])
+def test_load_rejects_table_that_does_not_fit_features(tmp_path, train, table_name):
+    model = train(*pairs_from_rows([[3, 1, 0], [0, 2, 5]]), make_vocab(3), 0.01, ("a", "b"))
     path = tmp_path / "model.npz"
     save_model(model, path)
-    loaded = load_model(path)
-    assert isinstance(loaded, PnbModel)
-    assert np.array_equal(loaded.rates, model.rates)
-    assert np.array_equal(loaded.log_rates, model.log_rates)
-    assert np.array_equal(loaded.rate_totals, model.rate_totals)
+    rewrite_archive(path, **{table_name: model.table[:, :2]})
+    with pytest.raises(DataError, match=rf"{re.escape(str(path))}: {table_name} \(2, 2\).*3 features"):
+        load_model(path)
+
+
+def test_load_rejects_labels_that_do_not_fit_table(tmp_path):
+    model = mnb_train(*pairs_from_rows([[3, 1], [0, 2], [1, 1]]), make_vocab(2), 0.01, ("a", "b", "c"))
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    rewrite_archive(path, subject_labels=np.array(["a", "b"]))
+    with pytest.raises(DataError, match=rf"{re.escape(str(path))}: log_params \(3, 2\).*2 subject labels"):
+        load_model(path)
+
+
+def test_load_rejects_non_uniform_priors(tmp_path):
+    model = mnb_train(*pairs_from_rows([[3, 1], [0, 2]]), make_vocab(2), 0.01, ("a", "b"))
+    path = tmp_path / "model.npz"
+    save_model(model, path)
+    rewrite_archive(path, log_priors=np.log([0.9, 0.1]))
+    with pytest.raises(DataError, match="uniform priors"):
+        load_model(path)
 
 
 def test_load_rejects_garbage(tmp_path):

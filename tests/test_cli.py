@@ -51,6 +51,30 @@ def test_attribute_missing_model_is_data_error(tmp_path):
     assert main(["attribute", "--model", str(tmp_path / "no.npz"), str(probe)]) == 1
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda arrays: {"log_params": arrays["log_params"][:, :-5]}, id="five-columns-short"),
+        pytest.param(lambda arrays: {"subject_labels": arrays["subject_labels"][:-1]}, id="one-label-short"),
+    ],
+)
+def test_attribute_model_that_does_not_fit_is_data_error(tmp_path, capsys, edit):
+    corpus_dir = disjoint_corpus(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "-O", f"corpus_dir={corpus_dir}", "--output-dir", str(out)]) == 0
+    path = out / "model.npz"
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    np.savez(path, **{**arrays, **edit(arrays)})
+    probe = tmp_path / "probe.txt"
+    probe.write_text("s1w0 s1w1 s1w2 s1w0", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["attribute", "--model", str(path), str(probe)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"data error: {path}: log_params")
+
+
 def test_missing_required_config_is_config_error(tmp_path, capsys):
     assert main(["train"]) == 2
     assert "corpus_dir" in capsys.readouterr().err
