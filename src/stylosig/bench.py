@@ -52,8 +52,13 @@ def synthetic_corpus(
     return Corpus(subjects, tuple(documents))
 
 
-def time_attribution(corpus: Corpus, profile_size: int = DEFAULT_PROFILE_SIZE, alpha: float = DEFAULT_ALPHA) -> float:
-    """Seconds for one end-to-end pass of the eval path: extract, build vocabulary, train, score."""
+def time_attribution(
+    corpus: Corpus, profile_size: int = DEFAULT_PROFILE_SIZE, alpha: float = DEFAULT_ALPHA, stages: dict | None = None
+) -> float:
+    """Seconds for one end-to-end pass of the eval path: extract, build vocabulary, train, score.
+
+    With ``stages``, the pass also records its extract and folds seconds there.
+    """
     config = ExperimentConfig(profile_size=profile_size, alpha=alpha)
     started = time.perf_counter()
     train_docs = []
@@ -66,7 +71,7 @@ def time_attribution(corpus: Corpus, profile_size: int = DEFAULT_PROFILE_SIZE, a
     docs = train_docs + test_docs
     fold = (np.arange(len(train_docs)), np.arange(len(train_docs), len(docs)))
     subjects = np.array([doc.subject for doc in docs])
-    score_folds(config, docs, len(train_docs), [fold], subjects, corpus.subject_labels, {})
+    score_folds(config, docs, len(train_docs), [fold], subjects, corpus.subject_labels, {} if stages is None else stages)
     return time.perf_counter() - started
 
 
@@ -77,6 +82,12 @@ class ScalingReport:
     mean_seconds: tuple[float, ...]
     ratios: tuple[float, ...]  # consecutive mean-time ratios
     loglog_slope: float
+    stage_mean_seconds: dict[str, tuple[float, ...]]  # per stage (extract, folds), one mean per size
+    stage_loglog_slope: dict[str, float]
+
+
+def _loglog_slope(sizes, means) -> float:
+    return float(np.polyfit(np.log(sizes), np.log(means), 1)[0])
 
 
 def run_scaling(
@@ -87,17 +98,28 @@ def run_scaling(
     profile_size: int = DEFAULT_PROFILE_SIZE,
     alpha: float = DEFAULT_ALPHA,
 ) -> ScalingReport:
-    """Time the pipeline at each corpus size and fit a log-log growth slope."""
+    """Time the pipeline at each corpus size and fit a log-log growth slope, in total and per stage."""
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2 or any(s < 2 for s in sizes) or sorted(sizes) != list(sizes):
         raise ValueError("sizes must be >= 2 each, ascending, at least two of them")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     per_size = []
+    per_stage = {"extract": [], "folds": []}
     for size in sizes:
         corpus = synthetic_corpus(n_subjects, size, doc_tokens)
-        per_size.append(tuple(time_attribution(corpus, profile_size, alpha) for _ in range(repeats)))
+        runs = [{} for _ in range(repeats)]
+        per_size.append(tuple(time_attribution(corpus, profile_size, alpha, stages) for stages in runs))
+        for stage, means in per_stage.items():
+            means.append(float(np.mean([stages[stage] for stages in runs])))
     means = tuple(float(np.mean(t)) for t in per_size)
     ratios = tuple(means[i + 1] / means[i] for i in range(len(means) - 1))
-    slope = float(np.polyfit(np.log(sizes), np.log(means), 1)[0])
-    return ScalingReport(sizes, tuple(per_size), means, ratios, slope)
+    return ScalingReport(
+        sizes,
+        tuple(per_size),
+        means,
+        ratios,
+        _loglog_slope(sizes, means),
+        {stage: tuple(m) for stage, m in per_stage.items()},
+        {stage: _loglog_slope(sizes, m) for stage, m in per_stage.items()},
+    )

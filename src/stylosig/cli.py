@@ -10,7 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import bench as benchmod
 from . import classifiers, experiment, metrics
 from .config import ExperimentConfig, build_config, parse_config_file, validate_for
 from .corpus import read_document
@@ -148,6 +147,8 @@ def cmd_eval(args, config: ExperimentConfig) -> int:
 
 
 def cmd_bench(args, config: ExperimentConfig) -> int:
+    from . import bench as benchmod  # only this command needs it
+
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
@@ -164,6 +165,8 @@ def cmd_bench(args, config: ExperimentConfig) -> int:
         "mean_seconds": list(report.mean_seconds),
         "ratios": list(report.ratios),
         "loglog_slope": report.loglog_slope,
+        "stage_mean_seconds": {stage: list(m) for stage, m in report.stage_mean_seconds.items()},
+        "stage_loglog_slope": report.stage_loglog_slope,
     }
     metrics.write_summary_json(payload, out / "bench.json")
     for size, mean in zip(report.sizes, report.mean_seconds):

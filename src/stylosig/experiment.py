@@ -171,22 +171,25 @@ def _ttest_on_correctness(correct: dict[str, np.ndarray], pairs) -> dict:
 # ---------------------------------------------------------------------------
 # chimeric protocol
 
-def _load_external(path: Path, kind: str, n_items: int, labels, expect=None) -> ScoreMatrix:
-    """Load a score matrix for the chimeric plan, whose rows are fused by position.
+def _load_external(path: Path, kind: str, item_ids, labels, file_labels=None) -> ScoreMatrix:
+    """Load a score matrix for the chimeric plan, whose rows must carry ``item_ids`` in plan order.
 
-    ``expect`` is the (item ids, subject labels) the file must carry, if any.
+    With ``file_labels``, the columns must carry those labels; otherwise they
+    are the plan's ``labels`` by position, as a foreign system names its own.
     """
     matrix = load_score_matrix(path)
-    if matrix.scores.shape != (n_items, len(labels)):
+    if matrix.scores.shape != (len(item_ids), len(labels)):
         raise DataError(
-            f"{path}: expected {n_items}x{len(labels)} scores, got "
+            f"{path}: expected {len(item_ids)}x{len(labels)} scores, got "
             f"{matrix.scores.shape[0]}x{matrix.scores.shape[1]}"
         )
-    if expect is not None:
-        for what, got, want in zip(("item id", "subject label"), (matrix.item_ids, matrix.subject_labels), expect):
-            for k, (g, w) in enumerate(zip(got, want)):
-                if g != w:
-                    raise DataError(f"{path}: {what} {k + 1} is {g!r}, expected {w!r}")
+    checks = [("item id", matrix.item_ids, item_ids)]
+    if file_labels is not None:
+        checks.append(("subject label", matrix.subject_labels, file_labels))
+    for what, got, want in checks:
+        for k, (g, w) in enumerate(zip(got, want)):
+            if g != w:
+                raise DataError(f"{path}: {what} {k + 1} is {g!r}, expected {w!r}")
     scores = matrix.scores
     if kind == "probability":
         try:
@@ -240,8 +243,9 @@ def run_chimeric(config: ExperimentConfig) -> dict:
         probes = list(zip(item_ids, [sig for subj in dataset.subjects for sig in subj.test_sigs]))
         if config.signature_matrix is not None:
             # sigscore's ids and labels for the paired writers, in plan order
-            expect = ([sample.item_id for _, sample in probes], [f"w{subj.writer}" for subj in dataset.subjects])
-            signature = _load_external(config.signature_matrix, "fuzzy", len(item_ids), labels, expect)
+            sample_ids = [sample.item_id for _, sample in probes]
+            writers = [f"w{subj.writer}" for subj in dataset.subjects]
+            signature = _load_external(config.signature_matrix, "fuzzy", sample_ids, labels, writers)
         else:
             signature = score_matrix_from_templates(
                 probes, [subj.train_sigs for subj in dataset.subjects], labels, config.delta_alpha
@@ -257,7 +261,7 @@ def run_chimeric(config: ExperimentConfig) -> dict:
     }
     ttest_pairs = [(fused_name, config.classifier), (fused_name, "signature")]
     if config.external_matrix is not None:
-        external = _load_external(config.external_matrix, config.external_kind, len(item_ids), labels)
+        external = _load_external(config.external_matrix, config.external_kind, item_ids, labels)
         matrices["external"] = external
         matrices["external+signature"] = ScoreMatrix(
             item_ids, labels, fuse(external.scores, signature.scores, config.fusion_operator)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special  # the kernels of stats.norm.ppf, t.ppf and t.sf, without scipy.stats' import cost
 
 from .errors import DegenerateInputWarning
 from .signature import ScoreMatrix
@@ -103,7 +103,7 @@ def accuracy(correct=None, *, folds=None, confidence: float = DEFAULT_CONFIDENCE
         if n == 0:
             raise ValueError("no decisions to score")
         p = float(correct.mean())
-        z = float(stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+        z = float(special.ndtri(1.0 - (1.0 - confidence) / 2.0))
         half = z * math.sqrt(p * (1.0 - p) / n)
         return AccuracyReport(p, p - half, p + half, "wald", n, confidence)
     folds = np.asarray(folds, dtype=np.float64)
@@ -112,7 +112,7 @@ def accuracy(correct=None, *, folds=None, confidence: float = DEFAULT_CONFIDENCE
         raise ValueError("need at least 2 folds for a t interval")
     mean = float(folds.mean())
     sd = float(folds.std(ddof=1))
-    t = float(stats.t.ppf(1.0 - (1.0 - confidence) / 2.0, df=n - 1))
+    t = float(special.stdtrit(n - 1, 1.0 - (1.0 - confidence) / 2.0))
     half = t * sd / math.sqrt(n)
     return AccuracyReport(mean, mean - half, mean + half, "student-t", n, confidence)
 
@@ -287,7 +287,7 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
             return TTestResult(0.0, 1.0, df, True)
         return TTestResult(math.copysign(math.inf, mean), 0.0, df, True)
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(stats.t.sf(abs(t), df=df))
+    p = 2.0 * float(special.stdtr(df, -abs(t)))
     return TTestResult(t, p, df, False)
 
 

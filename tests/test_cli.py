@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +208,10 @@ def test_bench_command_writes_report(tmp_path, capsys):
     assert report["sizes"] == [2, 4]
     assert len(report["ratios"]) == 1
     assert "loglog_slope" in report
+    assert sorted(report["stage_mean_seconds"]) == sorted(report["stage_loglog_slope"]) == ["extract", "folds"]
+    for stage, means in report["stage_mean_seconds"].items():
+        assert len(means) == 2 and all(m > 0.0 for m in means)
+        assert isinstance(report["stage_loglog_slope"][stage], float)
     assert "docs/subject" in capsys.readouterr().out
 
 
@@ -258,6 +266,17 @@ def test_bad_external_scores_are_data_errors(tmp_path, capsys, kind, row, messag
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert re.search(message, err)
+
+
+def test_reordered_external_matrix_is_data_error(tmp_path, capsys):
+    path = tmp_path / "external.csv"
+    ids = tuple(f"s{s:02d}i{j:02d}" for s in range(3) for j in range(2))
+    scores = np.eye(3)[[0, 0, 1, 1, 2, 2]]
+    save_score_matrix(ScoreMatrix(ids[::-1], ("a", "b", "c"), scores[::-1]), path)
+    assert main(chimeric_args(tmp_path, "-O", f"external_matrix={path}")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "item id 1 is 's02i01', expected 's00i00'" in err
 
 
 def sigscore_args(sig_dir, out):
@@ -384,3 +403,17 @@ def test_any_config_value_runs_or_fails_cleanly(cli_inputs, command, data):
         code = main(args)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_bench():
+    # scipy.stats alone cost most of a fresh CLI import; bench is for its command only
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import json, sys, stylosig.cli; "
+        "print(json.dumps([stylosig.cli.__file__, 'scipy.stats' in sys.modules, 'stylosig.bench' in sys.modules]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    module, stats_loaded, bench_loaded = json.loads(result.stdout)
+    assert Path(module).parent == src / "stylosig"
+    assert not stats_loaded and not bench_loaded

@@ -307,6 +307,38 @@ def test_paired_ttest_validates():
         paired_ttest([1.0, 0.5], [0.5])
 
 
+# -- parity with scipy.stats ------------------------------------------------
+# metrics calls the scipy.special kernels behind stats.norm.ppf, t.ppf and
+# t.sf; exact equality keeps summary.json and run.json byte-identical.
+
+@pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999])
+def test_intervals_equal_scipy_stats_exactly(confidence):
+    q = 1.0 - (1.0 - confidence) / 2.0
+    report = accuracy(correct=[True] * 7 + [False] * 3, confidence=confidence)
+    half = float(stats.norm.ppf(q)) * math.sqrt(0.7 * 0.3 / 10)
+    assert (report.ci_low, report.ci_high) == (0.7 - half, 0.7 + half)
+    rng = np.random.default_rng(7)
+    for n in range(2, 201):
+        folds = rng.random(n)
+        report = accuracy(folds=folds, confidence=confidence)
+        mean = float(folds.mean())
+        half = float(stats.t.ppf(q, df=n - 1)) * float(folds.std(ddof=1)) / math.sqrt(n)
+        assert (report.ci_low, report.ci_high) == (mean - half, mean + half), n
+
+
+def test_paired_ttest_pvalues_equal_scipy_stats_exactly():
+    rng = np.random.default_rng(11)
+    for k in range(2000):
+        n = int(rng.integers(2, 201))
+        # shifts from normal and Cauchy draws reach |t| from ~0 to far in the tails
+        shift = rng.normal() if k % 2 else rng.standard_cauchy()
+        a = rng.normal(size=n)
+        b = a - shift - 0.1 * rng.normal(size=n)
+        result = paired_ttest(a, b)
+        expected = 2.0 * float(stats.t.sf(abs(result.statistic), df=n - 1))
+        assert result.pvalue == expected, (n, result.statistic)
+
+
 # -- exports ----------------------------------------------------------------
 
 def test_curve_csv_is_deterministic_and_readable(tmp_path):
