@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -178,6 +179,8 @@ def load_model(path: str | Path) -> NbModel:
     try:
         with np.load(path, allow_pickle=False) as data:
             header = json.loads(str(data["header"]))
+            if not isinstance(header, dict):
+                raise ValueError("header is not a JSON object")
             if header.get("format_version") != FORMAT_VERSION:
                 raise DataError(f"{path}: unsupported model format {header.get('format_version')!r}")
             kind = header["kind"]
@@ -187,7 +190,8 @@ def load_model(path: str | Path) -> NbModel:
             vocab = Vocabulary(fmodel, header["profile_size"], tuple(data["features"]))
             model = NbModel(kind, vocab, tuple(data["subject_labels"]), header["alpha"], data[_TABLE_NAMES[kind]])
             log_priors = data["log_priors"]
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    # not an .npz archive, or a header or array of the wrong type
+    except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load model from {path}: {exc}") from exc
     shape = (model.n_subjects, len(vocab))
     if model.table.shape != shape or not np.array_equal(log_priors, model.log_priors):

@@ -93,6 +93,8 @@ def cmd_train(args, config: ExperimentConfig) -> int:
 
 
 def cmd_attribute(args, config: ExperimentConfig) -> int:
+    if args.scores and (Path(args.scores).is_dir() or not Path(args.scores).parent.is_dir()):
+        raise ConfigError([f"--scores {args.scores}: not a file in an existing directory"])
     model = classifiers.load_model(args.model)
     docs = [read_document(Path(name), name, 0) for name in args.texts]
     counts = extract_matrix(model.vocab.model, docs, index=model.vocab.index).counts
@@ -100,7 +102,10 @@ def cmd_attribute(args, config: ExperimentConfig) -> int:
     for name, subject, tie in zip(args.texts, *decide(scores)):
         print(f"{name}\t{model.subject_labels[subject]}{' (tie)' if tie else ''}")
     if args.scores:
-        save_score_matrix(ScoreMatrix(tuple(args.texts), model.subject_labels, scores), args.scores)
+        try:
+            save_score_matrix(ScoreMatrix(tuple(args.texts), model.subject_labels, scores), args.scores)
+        except OSError as exc:
+            raise ConfigError([f"cannot write --scores {args.scores}: {exc}"]) from exc
     return 0
 
 

@@ -136,7 +136,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
     values: dict[str, str] = {}
     problems: list[str] = []

@@ -108,6 +108,6 @@ def read_conllu(path: str | Path) -> tuple[DepSentence, ...]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return parse_conllu(text, source=str(path))

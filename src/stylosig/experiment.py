@@ -269,7 +269,6 @@ def run_chimeric(config: ExperimentConfig) -> dict:
         ttest_pairs.append(("external+signature", "external"))
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summaries, correct = {}, {}
     with _timed(stages, "write"):
         for name, m in matrices.items():
@@ -319,7 +318,6 @@ def run_rolling(config: ExperimentConfig) -> dict:
     truth = subjects[np.concatenate([test for _, test in folds])]
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with _timed(stages, "write"):
         summary, _ = write_bundle(out_dir, config.classifier, matrix, truth, config, n_folds=len(folds))
 

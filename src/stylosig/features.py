@@ -86,18 +86,16 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Feature counts of a document list: row i is document i, column j counts ``features[j]``."""
+    """Feature counts of a document list: row i is document i, column j counts ``features[j]``.
+
+    Extracted without an index, the columns are in string order, the tie order of ``build_vocabulary``.
+    """
 
     model: FeatureModel
     features: tuple[str, ...]
     counts: sparse.csr_array  # (documents, features) int64
     mass: np.ndarray  # per document: every extracted count, features outside the columns included
     tokens: int  # extracted positions: tokens, or tree nodes for sn-grams
-
-    @cached_property
-    def lex_rank(self) -> np.ndarray:
-        """Position of each column's feature in ascending string order."""
-        return np.argsort(sorted(range(len(self.features)), key=self.features.__getitem__))
 
 
 def _positions(model: FeatureModel, docs: Sequence[Document], ids: dict[str, int]):
@@ -135,10 +133,10 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
     """Extract each document once into a sparse count matrix.
 
     Without ``index``, the columns are the features of the first
-    ``n_indexed`` documents (default: all); the others lose the features
-    outside them, which no vocabulary ranked on the indexed documents can
-    hold.  With ``index`` (feature -> column), its columns, and no document
-    adds to it.  ``mass`` counts every extracted feature either way.
+    ``n_indexed`` documents (default: all), in string order; the others lose
+    the features outside them, which no vocabulary ranked on the indexed
+    documents can hold.  With ``index`` (feature -> column), its columns, and
+    no document adds to it.  ``mass`` counts every extracted feature either way.
 
     The order-k code at a position is the dense rank of (the order-(k-1)
     code at its predecessor, its label id): one ``np.unique`` per order for
@@ -169,11 +167,10 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
     rows, gram = np.divmod(keys, stride)
     del keys
     if index is None:  # the columns: every gram of the indexed documents
-        seen = np.zeros(n_grams, dtype=bool)
-        seen[gram[rows < (len(docs) if n_indexed is None else n_indexed)]] = True
+        indexed = gram[rows < (len(docs) if n_indexed is None else n_indexed)]
+        wanted = np.flatnonzero(np.bincount(indexed, minlength=n_grams))
     else:  # every gram of the batch, looked up in the index below
-        seen = np.ones(n_grams, dtype=bool)
-    wanted = np.flatnonzero(seen)
+        wanted = np.arange(n_grams)
     names, strings = np.array(list(ids), dtype=object), []
     for k, lo, hi in blocks:
         codes, parts = wanted[(wanted >= lo) & (wanted < hi)] - lo, []
@@ -182,7 +179,9 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
             codes = prefix[codes]
         strings += map(SEP.join, zip(names[codes], *reversed(parts)))
     if index is None:
-        features, column = tuple(strings), np.where(seen, np.cumsum(seen) - 1, -1)
+        order = sorted(range(len(strings)), key=strings.__getitem__)
+        features, column = tuple(map(strings.__getitem__, order)), np.full(n_grams, -1, dtype=np.int64)
+        column[wanted[order]] = np.arange(len(order))
     else:
         features, column = tuple(index), np.array([index.get(f, -1) for f in strings], dtype=np.int64)
     mass = np.bincount(rows, weights=hits, minlength=len(docs)).astype(np.int64)
@@ -190,12 +189,12 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
     kept = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=len(docs)))])
     counts = sparse.csr_array((hits[kept], cols[kept], indptr), shape=(len(docs), len(features)))
-    counts.sort_indices()  # a given index may number its columns in any order
+    counts.sort_indices()  # columns are not numbered in gram id order
     return FeatureMatrix(model, features, counts, mass, int(lengths.sum()))
 
 
 def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> tuple[Vocabulary, np.ndarray]:
-    """Keep the top m columns with a nonzero training count in ``totals``: most frequent first, ties lexicographic.
+    """Keep the top m columns with a nonzero count in ``totals``: most frequent first, ties in column (string) order.
 
     Returns the vocabulary and its columns in ``matrix``; no such column is a DataError.
     """
@@ -205,7 +204,7 @@ def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> tuple
     if seen.size == 0:
         orders = ",".join(map(str, matrix.model.orders))
         raise DataError(f"empty vocabulary: the training documents have no {matrix.model.family} of order {orders}")
-    ranked = seen[np.lexsort((matrix.lex_rank[seen], -totals[seen]))][:m]
+    ranked = seen[np.argsort(-totals[seen], kind="stable")][:m]
     return Vocabulary(matrix.model, m, tuple(matrix.features[j] for j in ranked)), ranked
 
 

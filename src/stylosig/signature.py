@@ -248,7 +248,7 @@ def load_score_matrix(path: str | Path) -> ScoreMatrix:
                 except ValueError:
                     raise DataError(f"{path}:{lineno}: non-numeric score") from None
                 rows.append(values)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no score rows")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stylosig import config
+from stylosig import cli, config
 from stylosig.cli import main
 from stylosig.errors import DegenerateInputWarning
 from stylosig.signature import ScoreMatrix, load_score_matrix, save_score_matrix
@@ -55,28 +55,99 @@ def test_attribute_missing_model_is_data_error(tmp_path):
     assert main(["attribute", "--model", str(tmp_path / "no.npz"), str(probe)]) == 1
 
 
+def _resave(edit):
+    """Rewrite a model file with some of its arrays replaced by ``edit(arrays)``."""
+    def write(path, arrays):
+        np.savez(path, **{**arrays, **edit(arrays)})
+    return write
+
+
+def _write_npy(path, arrays):
+    with path.open("wb") as fh:
+        np.save(fh, arrays["log_params"])
+
+
+def _header(edit):
+    return _resave(lambda arrays: {"header": np.array(json.dumps(edit(json.loads(str(arrays["header"])))))})
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "write, message",
     [
-        pytest.param(lambda arrays: {"log_params": arrays["log_params"][:, :-5]}, id="five-columns-short"),
-        pytest.param(lambda arrays: {"subject_labels": arrays["subject_labels"][:-1]}, id="one-label-short"),
+        pytest.param(
+            _resave(lambda arrays: {"log_params": arrays["log_params"][:, :-5]}), "{path}: log_params",
+            id="five-columns-short",
+        ),
+        pytest.param(
+            _resave(lambda arrays: {"subject_labels": arrays["subject_labels"][:-1]}), "{path}: log_params",
+            id="one-label-short",
+        ),
+        pytest.param(
+            lambda path, arrays: path.write_bytes(b"PK\x03\x04" + bytes(60)), "cannot load model from {path}",
+            id="bad-zip",
+        ),
+        pytest.param(_write_npy, "cannot load model from {path}", id="npy"),
+        pytest.param(
+            _header(lambda header: {**header, "feature_orders": 3}), "cannot load model from {path}",
+            id="orders-not-a-list",
+        ),
+        pytest.param(_header(lambda header: list(header)), "cannot load model from {path}", id="header-a-list"),
     ],
 )
-def test_attribute_model_that_does_not_fit_is_data_error(tmp_path, capsys, edit):
+def test_attribute_model_that_does_not_fit_is_data_error(tmp_path, capsys, write, message):
     corpus_dir = disjoint_corpus(tmp_path)
     out = tmp_path / "out"
     assert main(["train", "-O", f"corpus_dir={corpus_dir}", "--output-dir", str(out)]) == 0
     path = out / "model.npz"
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
-    np.savez(path, **{**arrays, **edit(arrays)})
+    write(path, arrays)
     probe = tmp_path / "probe.txt"
     probe.write_text("s1w0 s1w1 s1w2 s1w0", encoding="utf-8")
     capsys.readouterr()
     assert main(["attribute", "--model", str(path), str(probe)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"data error: {path}: log_params")
+    assert captured.err.startswith("data error: " + message.format(path=path))
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "scores, message",
+    [
+        pytest.param("missing/x.csv", "--scores {scores}: not a file in an existing directory", id="missing-dir"),
+        pytest.param(".", "--scores {scores}: not a file in an existing directory", id="a-directory"),
+    ],
+)
+def test_attribute_scores_path_that_cannot_be_written_is_config_error(tmp_path, capsys, scores, message):
+    corpus_dir = disjoint_corpus(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "-O", f"corpus_dir={corpus_dir}", "--output-dir", str(out)]) == 0
+    probe = tmp_path / "probe.txt"
+    probe.write_text("s1w0 s1w1 s1w2 s1w0", encoding="utf-8")
+    scores = tmp_path / scores
+    capsys.readouterr()
+    assert main(["attribute", "--model", str(out / "model.npz"), "--scores", str(scores), str(probe)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # checked before any text is attributed
+    assert captured.err == f"config error: {message.format(scores=scores)}\n"
+
+
+def test_attribute_scores_write_failure_is_config_error(tmp_path, capsys, monkeypatch):
+    corpus_dir = disjoint_corpus(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "-O", f"corpus_dir={corpus_dir}", "--output-dir", str(out)]) == 0
+    probe = tmp_path / "probe.txt"
+    probe.write_text("s1w0 s1w1 s1w2 s1w0", encoding="utf-8")
+
+    def denied(matrix, path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "save_score_matrix", denied)
+    scores = tmp_path / "x.csv"
+    capsys.readouterr()
+    assert main(["attribute", "--model", str(out / "model.npz"), "--scores", str(scores), str(probe)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write --scores {scores}: ")
 
 
 def test_missing_required_config_is_config_error(tmp_path, capsys):
@@ -403,6 +474,63 @@ def test_any_config_value_runs_or_fails_cleanly(cli_inputs, command, data):
         code = main(args)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# -- every input file either loads or fails cleanly ---------------------------
+
+@pytest.fixture(scope="module")
+def file_inputs(tmp_path_factory, cli_inputs):
+    """Per input file: its path, and the CLI call that reads it; the call writes below the fixture's root."""
+    root = tmp_path_factory.mktemp("cli-files")
+    sidecar_corpus = disjoint_corpus(root)
+    model_out = root / "model"
+    corpus_arg = cli_inputs["base"][:2]
+    assert main(["train", *corpus_arg, "--output-dir", str(model_out)]) == 0
+    probe = root / "probe.txt"
+    probe.write_text("s1w0 s1w1 s1w2 s1w0", encoding="utf-8")
+    out = ["--output-dir", str(root / "out")]
+    chimeric = ["eval", *cli_inputs["base"], "-O", "protocol=chimeric", *out]
+    config_path, external, signature_scores = root / "exp.conf", root / "external.csv", root / "signature.csv"
+    return {
+        "config": (config_path, ["train", "-c", str(config_path), *corpus_arg, *out]),
+        "conllu": (sidecar_corpus / "subj0" / "doc00.conllu", ["train", "-O", f"corpus_dir={sidecar_corpus}", *out]),
+        "external_matrix": (external, [*chimeric, "-O", f"external_matrix={external}"]),
+        "signature_matrix": (signature_scores, [*chimeric, "-O", f"signature_matrix={signature_scores}"]),
+        "model": (model_out / "model.npz", ["attribute", "--model", str(model_out / "model.npz"), str(probe)]),
+    }
+
+
+def _run_on_file(file_inputs, target, content):
+    """Write ``content`` to the target's file and run the call that reads it: (exit code, stderr)."""
+    path, args = file_inputs[target]
+    path.write_bytes(content)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        code = main(args)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("target", ["config", "conllu", "external_matrix", "signature_matrix"])
+def test_undecodable_input_file_is_clean_error(file_inputs, target):
+    path = file_inputs[target][0]
+    expected = (2, f"config error: cannot read config {path}") if target == "config" else (1, f"data error: cannot read {path}")
+    assert _run_on_file(file_inputs, target, b"item_id\xff\n") == (
+        expected[0],
+        f"{expected[1]}: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n",
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    target=st.sampled_from(["config", "conllu", "external_matrix", "model"]),
+    prefix=st.sampled_from([b"", b"PK\x03\x04", b"\x93NUMPY", b"\xff"]),
+    rest=st.binary(max_size=64),
+)
+def test_any_input_file_content_runs_or_fails_cleanly(file_inputs, target, prefix, rest):
+    code, err = _run_on_file(file_inputs, target, prefix + rest)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_bench():

@@ -1,7 +1,10 @@
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from stylosig import config as config_module
 from stylosig.config import (
     OUTPUT_ENV,
     ExperimentConfig,
@@ -20,6 +23,28 @@ def test_defaults_match_reference_protocol():
     assert config.alpha == 0.01
     assert config.delta_alpha == 25.0
     assert config.ngram_orders == (1, 2)
+
+
+def readme_config_rows():
+    """(key, default) of each row of the README's configuration table."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if re.match(r"\|\s*key\s*\|\s*default\s*\|", line))
+    rows = []
+    for line in lines[start + 2 :]:  # after the header and its rule
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        rows.append((key.strip("`"), default))
+    return rows
+
+
+def test_readme_config_table_matches_defaults():
+    rows = readme_config_rows()
+    assert sorted(key for key, _ in rows) == sorted(f.name for f in fields(ExperimentConfig))
+    defaults = ExperimentConfig()
+    for key, default in rows:
+        value = None if default == "unset" else config_module._PARSERS[key](default.strip("`"))
+        assert value == getattr(defaults, key), key
 
 
 def test_parse_config_file(tmp_path):

@@ -225,7 +225,7 @@ def check_against_oracle(model, docs, n_indexed, index_draw):
     refs = [extract_counts(model, doc) for doc in docs]
     indexed = set().union(*refs[:n_indexed])
     matrix = extract_matrix(model, docs, n_indexed)
-    assert sorted(matrix.features) == sorted(indexed)
+    assert matrix.features == tuple(sorted(indexed))  # columns in string order: the vocabulary's tie order
     assert matrix.counts.dtype == np.int64 and matrix.counts.shape == (len(docs), len(indexed))
     for i, ref in enumerate(refs):
         assert row_counts(matrix, i) == Counter({f: c for f, c in ref.items() if f in indexed})
@@ -300,11 +300,6 @@ def test_extract_matrix_projects_unindexed_documents():
     assert list(matrix.mass) == [2, 3]  # the dropped "c c" still counts
 
 
-def test_lex_rank_orders_feature_strings():
-    matrix = extract_matrix(UNIGRAMS, [Document("d", 0, "b c a b")])
-    assert [matrix.features[j] for j in np.argsort(matrix.lex_rank)] == ["a", "b", "c"]
-
-
 def test_vocabulary_ranks_by_frequency_then_lexicographic():
     vocab = ranked([{"b": 3, "a": 1}, {"c": 3, "a": 2}], 3)
     # totals: a=3, b=3, c=3 -> all tie, lexicographic
@@ -343,20 +338,21 @@ def test_extract_matrix_over_vocabulary_drops_out_of_vocabulary():
 
 
 @given(
-    st.lists(
-        st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 9), min_size=1),
-        min_size=1,
-        max_size=5,
-    ),
-    st.integers(min_value=1, max_value=8),
+    st.lists(st.lists(st.sampled_from(["a", "ab", "b", "é", "éa"]), min_size=1, max_size=8), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=12),
 )
 @settings(max_examples=100, deadline=None)
-def test_vocabulary_size_bounded_and_sorted(dicts, m):
-    vocab = ranked(dicts, m)
+def test_vocabulary_size_bounded_and_sorted(texts, m):
+    # unigrams and bigrams, so a gram can tie with its own prefix: "a", "a\x1fb", "ab"
+    model = FeatureModel("ngram", (1, 2))
+    docs = [Document(f"d{i}", 0, " ".join(words)) for i, words in enumerate(texts)]
+    matrix = extract_matrix(model, docs)
+    vocab, columns = build_vocabulary(matrix, matrix.counts.sum(axis=0), m)
+    assert [matrix.features[j] for j in columns] == list(vocab.features)
     assert len(vocab) <= m
     total = Counter()
-    for d in dicts:
-        total.update(d)
+    for doc in docs:
+        total.update(extract_counts(model, doc))
     ranked_ref = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))
     assert list(vocab.features) == [f for f, _ in ranked_ref[:m]]
 
