@@ -177,7 +177,10 @@ def load_model(path: str | Path) -> NbModel:
     """Read a model file; one whose arrays do not fit its labels and features is a DataError."""
     path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as data:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy array
+            raise ValueError("not an .npz model archive")
+        with data:
             header = json.loads(str(data["header"]))
             if not isinstance(header, dict):
                 raise ValueError("header is not a JSON object")

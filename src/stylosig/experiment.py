@@ -203,7 +203,8 @@ def _load_chimeric(config: ExperimentConfig):
     if config.signature_dir is None:
         raise DataError("chimeric run needs signature_dir (raw capture files)")
     text = load_text_corpus(config.corpus_dir)
-    return build_chimeric(text, load_svc(config.signature_dir), config.train_docs, config.test_docs)
+    signatures = load_svc(config.signature_dir)
+    return build_chimeric(text, signatures, config.train_docs, config.test_docs), signatures
 
 
 def _chimeric_counts(dataset) -> dict:
@@ -216,12 +217,21 @@ def _chimeric_counts(dataset) -> dict:
     }
 
 
+def _signature_counts(signatures) -> dict:
+    samples = [sample for samples in signatures.by_writer.values() for sample in samples]
+    return {
+        "samples": len(samples),
+        "points": sum(len(sample.points) for sample in samples),
+        "checked_parse_files": signatures.checked_parse_files,
+    }
+
+
 def run_chimeric(config: ExperimentConfig) -> dict:
     """Full bimodal run: stylome route, signature route, and their fusion."""
     started = time.perf_counter()
     stages: dict[str, float] = {}
     with _timed(stages, "load"):
-        dataset = _load_chimeric(config)
+        dataset, signatures = _load_chimeric(config)
     labels = dataset.subject_labels
 
     item_ids = tuple(
@@ -281,6 +291,7 @@ def run_chimeric(config: ExperimentConfig) -> dict:
         "systems": sorted(matrices),
         "counts": _chimeric_counts(dataset),
         "features": feature_stats,
+        "signature": _signature_counts(signatures),
         "ttests": _ttest_on_correctness(correct, ttest_pairs),
         "stage_seconds": stages,
         "elapsed_seconds": time.perf_counter() - started,
@@ -373,7 +384,7 @@ def signature_matrix_from_dir(config: ExperimentConfig) -> ScoreMatrix:
 
 def chimeric_manifest(config: ExperimentConfig) -> dict:
     """The pairing plan as plain data, for inspection or downstream tooling."""
-    dataset = _load_chimeric(config)
+    dataset, _ = _load_chimeric(config)
     return {
         "train_n": dataset.train_n,
         "test_n": dataset.test_n,

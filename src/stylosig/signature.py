@@ -11,6 +11,7 @@ construction.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 import warnings
@@ -42,16 +43,59 @@ class SignatureSample:
 class SignatureCorpus:
     writers: tuple[int, ...]
     by_writer: dict[int, tuple[SignatureSample, ...]]
+    checked_parse_files: int  # files that needed the line-by-line parse
 
     def __len__(self):
         return sum(len(v) for v in self.by_writer.values())
 
 
-def _parse_sample(path: Path, writer: int, index: int) -> SignatureSample:
+# A header line and point lines made only of digits, signs, spaces and tabs,
+# with \n line ends (read_text turns \r\n and \r into \n).  numpy's reader
+# splits these lines and values as splitlines() and int() do; other text,
+# such as # (a comment there) or \x0b, \x0c, \x1c-\x1e (a line end for
+# splitlines but a space for numpy), goes through the line-by-line parse.
+_PLAIN_TEXT = re.compile(r"([0-9 \t+-]*)\n([0-9 \t\n+-]*)")
+
+
+def _parse_sample(path: Path, writer: int, index: int) -> tuple[SignatureSample, bool]:
+    """One capture file's sample, and whether it needed the line-by-line parse."""
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    points = _read_plain(text)
+    checked = points is None
+    if checked:
+        points = _parse_lines(path, text.splitlines())
+    return SignatureSample(writer, index, points), checked
+
+
+def _read_plain(text: str) -> np.ndarray | None:
+    """The points of a plain capture text read by numpy's C reader, or None to parse it line by line.
+
+    None unless the text is plain (see _PLAIN_TEXT) and gives at least one
+    point, 4 or 7 values per point, and the declared number of points;
+    everything else, errors included, is left to _parse_lines.
+    """
+    match = _PLAIN_TEXT.fullmatch(text)
+    if match is None:
+        return None
+    header, body = match.groups()
+    fields = header.split()
+    if not fields or not body.strip():  # no point lines, on which loadtxt would warn
+        return None
+    try:
+        declared = int(fields[0])
+        points = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if points.shape[1] not in (4, 7) or len(points) != declared:
+        return None
+    return points
+
+
+def _parse_lines(path: Path, lines: list[str]) -> np.ndarray:
+    """The points of a capture file's lines, or the DataError naming what is wrong."""
     if not lines:
         raise DataError(f"{path}: empty file")
     try:
@@ -69,7 +113,7 @@ def _parse_sample(path: Path, writer: int, index: int) -> SignatureSample:
         raise DataError(f"{path}: declared {declared} points but found {len(rows)}")
     if not rows:
         raise DataError(f"{path}: no points")
-    return SignatureSample(writer, index, points)
+    return points
 
 
 def _bad_line(path: Path, lines: list[str]) -> DataError:
@@ -99,6 +143,7 @@ def load_svc(root: str | Path, genuine_max: int = GENUINE_PER_WRITER) -> Signatu
     if not root.is_dir():
         raise DataError(f"signature root {root} is not a directory")
     found: dict[int, list[SignatureSample]] = {}
+    checked_parse_files = 0
     for path in sorted(root.iterdir(), key=lambda p: p.name):  # Path order, without Path comparisons
         match = _SVC_NAME.match(path.name)
         if not match:
@@ -106,30 +151,63 @@ def load_svc(root: str | Path, genuine_max: int = GENUINE_PER_WRITER) -> Signatu
         writer, index = int(match.group(1)), int(match.group(2))
         if index > genuine_max:
             continue
-        found.setdefault(writer, []).append(_parse_sample(path, writer, index))
+        sample, checked = _parse_sample(path, writer, index)
+        found.setdefault(writer, []).append(sample)
+        checked_parse_files += checked
     if not found:
         raise DataError(f"no signature files named like U1S1.txt under {root}")
     writers = tuple(sorted(found))
     by_writer = {w: tuple(sorted(found[w], key=lambda s: s.index)) for w in writers}
-    return SignatureCorpus(writers, by_writer)
+    return SignatureCorpus(writers, by_writer, checked_parse_files)
 
 
 # ---------------------------------------------------------------------------
 # direction histograms
 
-def stroke_angles(points: np.ndarray) -> np.ndarray:
-    """Directions (degrees in [0, 360)) of pen-down steps with real motion."""
+def _stroke_angles(points: np.ndarray, sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directions of the pen-down steps with real motion inside one sample, and each one's sample.
+
+    ``sample`` gives each point's sample; a step from one sample into the
+    next is no stroke.
+    """
     pen = points[:, 3]
     dx = np.diff(points[:, 0].astype(np.float64))
     dy = np.diff(points[:, 1].astype(np.float64))
-    keep = (pen[:-1] == 1) & (pen[1:] == 1) & ((dx != 0) | (dy != 0))
-    return np.degrees(np.arctan2(dy[keep], dx[keep])) % 360.0
+    keep = (pen[:-1] == 1) & (pen[1:] == 1) & ((dx != 0) | (dy != 0)) & (sample[:-1] == sample[1:])
+    return np.degrees(np.arctan2(dy[keep], dx[keep])) % 360.0, sample[1:][keep]
+
+
+def stroke_angles(points: np.ndarray) -> np.ndarray:
+    """Directions (degrees in [0, 360)) of pen-down steps with real motion."""
+    return _stroke_angles(points, np.zeros(len(points), dtype=np.intp))[0]
 
 
 def _n_bins(delta_alpha: float) -> int:
     if not 0.0 < delta_alpha <= 360.0:
         raise ValueError("delta_alpha must be in (0, 360]")
     return math.ceil(360.0 / delta_alpha)
+
+
+def _histograms(samples, delta_alpha: float) -> np.ndarray:
+    """The (n, B) direction histograms of ``samples``, one row each, built in one pass.
+
+    Soft binning as in ``direction_histogram``.  One bincount adds every
+    lower-bin share, then every upper-bin share, so each bin sums its
+    shares in the order a per-sample np.add.at would.
+    """
+    n_bins = _n_bins(delta_alpha)
+    lengths = [len(s.points) for s in samples]
+    points = np.concatenate([s.points[:, :4] for s in samples])
+    angles, sample = _stroke_angles(points, np.repeat(np.arange(len(samples)), lengths))
+    offset = angles / delta_alpha
+    lower = np.floor(offset).astype(np.int64) % n_bins
+    frac = offset - np.floor(offset)
+    first = sample * n_bins
+    bins = np.concatenate([first + lower, first + (lower + 1) % n_bins])
+    sums = np.bincount(bins, np.concatenate([1.0 - frac, frac]), len(samples) * n_bins)
+    counts = np.bincount(sample, minlength=len(samples))[:, None]
+    hists = np.zeros((len(samples), n_bins))
+    return np.divide(sums.reshape(hists.shape), counts, out=hists, where=counts > 0)
 
 
 def direction_histogram(sample: SignatureSample, delta_alpha: float = DEFAULT_DELTA_ALPHA) -> np.ndarray:
@@ -140,16 +218,7 @@ def direction_histogram(sample: SignatureSample, delta_alpha: float = DEFAULT_DE
     the histogram is normalized by the number of angles.  A sample with no
     pen-down motion gives the all-zero histogram.
     """
-    weights = np.zeros(_n_bins(delta_alpha), dtype=np.float64)
-    angles = stroke_angles(sample.points)
-    if angles.size:
-        offset = angles / delta_alpha
-        lower = np.floor(offset).astype(np.int64) % weights.size
-        frac = offset - np.floor(offset)
-        np.add.at(weights, lower, 1.0 - frac)
-        np.add.at(weights, (lower + 1) % weights.size, frac)
-        weights /= angles.size
-    return weights
+    return _histograms([sample], delta_alpha)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +246,9 @@ def score_matrix_from_templates(probes, template_sets, subject_labels, delta_alp
 
     ``probes`` is a list of (item_id, sample).  A probe's score for a
     subject is its best histogram intersection (sum of bin-wise minima)
-    with any of the subject's templates.  Each sample's histogram is
-    computed once, so the matrix costs time linear in probes x templates.
+    with any of the subject's templates.  All histograms are computed in
+    one pass, each sample's once, so the matrix costs time linear in
+    probes x templates.
 
     Degenerate inputs: an empty template set, or a template set count
     that differs from the label count, is a ValueError.  A histogram
@@ -192,9 +262,9 @@ def score_matrix_from_templates(probes, template_sets, subject_labels, delta_alp
     if not all(template_sets):
         raise ValueError("need at least one template signature per subject")
     item_ids = tuple(item_id for item_id, _ in probes)
-    stacked = np.array([direction_histogram(sample, delta_alpha) for _, sample in probes])
-    stacked = stacked.reshape(len(item_ids), _n_bins(delta_alpha))
-    template_hists = [np.array([direction_histogram(t, delta_alpha) for t in ts]) for ts in template_sets]
+    hists = _histograms([sample for _, sample in probes] + [t for ts in template_sets for t in ts], delta_alpha)
+    stacked = hists[: len(item_ids)]
+    template_hists = np.split(hists[len(item_ids) :], np.cumsum([len(ts) for ts in template_sets])[:-1])
     _warn_still("probe(s) have no pen-down motion", ~stacked.any(axis=1), item_ids)
     still_subjects = np.array([not h.any() for h in template_hists], dtype=bool)
     _warn_still("subject(s) have no template with pen-down motion", still_subjects, subject_labels)

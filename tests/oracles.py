@@ -282,3 +282,68 @@ def direction_histogram_reference(points, delta_alpha):
     if count:
         hist = [h / count for h in hist]
     return np.array(hist), count
+
+
+def direction_histogram_per_sample(points, delta_alpha):
+    """One sample's histogram with np.add.at, the per-sample numpy route that the batched pass replaced.
+
+    Its additions per bin come in the batched pass's order, so the two agree
+    bit for bit; the per-angle loop above agrees only within rounding.
+    """
+    n_bins = math.ceil(360.0 / delta_alpha)
+    pen = points[:, 3]
+    dx = np.diff(points[:, 0].astype(np.float64))
+    dy = np.diff(points[:, 1].astype(np.float64))
+    keep = (pen[:-1] == 1) & (pen[1:] == 1) & ((dx != 0) | (dy != 0))
+    angles = np.degrees(np.arctan2(dy[keep], dx[keep])) % 360.0
+    weights = np.zeros(n_bins, dtype=np.float64)
+    if angles.size:
+        offset = angles / delta_alpha
+        lower = np.floor(offset).astype(np.int64) % n_bins
+        frac = offset - np.floor(offset)
+        np.add.at(weights, lower, 1.0 - frac)
+        np.add.at(weights, (lower + 1) % n_bins, frac)
+        weights /= angles.size
+    return weights
+
+
+def parse_capture_reference(path):
+    """A capture file's (P, 4) or (P, 7) int64 points, parsed one line and one value at a time.
+
+    Values are parsed by int(); the DataError names the first malformed
+    line, or the count that does not match, in the library's words.
+    """
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    try:
+        declared = int(lines[0].split()[0])
+    except (ValueError, IndexError):
+        raise DataError(f"{path}:1: expected the point count") from None
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        width = len(rows[0]) if rows else len(parts)
+        if width not in (4, 7) or len(parts) != width:
+            expected = width if width in (4, 7) else "4 or 7"
+            raise DataError(f"{path}:{lineno}: expected {expected} columns, got {len(parts)}")
+        row = []
+        for part in parts:
+            try:
+                value = int(part)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-integer value") from None
+            if not -(2**63) <= value < 2**63:
+                raise DataError(f"{path}:{lineno}: value outside the 64-bit integer range")
+            row.append(value)
+        rows.append(row)
+    if len(rows) != declared:
+        raise DataError(f"{path}: declared {declared} points but found {len(rows)}")
+    if not rows:
+        raise DataError(f"{path}: no points")
+    return np.array(rows, dtype=np.int64)

@@ -86,7 +86,7 @@ def _header(edit):
             lambda path, arrays: path.write_bytes(b"PK\x03\x04" + bytes(60)), "cannot load model from {path}",
             id="bad-zip",
         ),
-        pytest.param(_write_npy, "cannot load model from {path}", id="npy"),
+        pytest.param(_write_npy, "cannot load model from {path}: not an .npz model archive\n", id="npy"),
         pytest.param(
             _header(lambda header: {**header, "feature_orders": 3}), "cannot load model from {path}",
             id="orders-not-a-list",

@@ -1,7 +1,12 @@
 """Smoke tests: the example scripts run end to end and write their bundles."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
+
+from stylosig.signature import load_svc
 
 from .test_experiment import disjoint_corpus
 
@@ -23,6 +28,21 @@ def test_demo_chimeric_writes_every_bundle(tmp_path, capsys):
         assert (out / system / "summary.json").is_file()
         assert (out / system / "det.csv").is_file()
     assert "mnb+signature" in capsys.readouterr().out
+    corpus = load_svc(out / "data" / "signatures")
+    points = sum(len(s.points) for samples in corpus.by_writer.values() for s in samples)
+    signature = json.loads((out / "run.json").read_text(encoding="utf-8"))["signature"]
+    assert signature == {"samples": 6 * 20, "points": points, "checked_parse_files": 0}
+
+
+def test_demo_signatures_take_the_fast_parse(tmp_path):
+    # a silent fall back to the line-by-line parse would show here, not as a failure
+    root = tmp_path / "sigs"
+    load_script("demo_chimeric").synth_signatures(root, 3, 4, np.random.default_rng(5))
+    corpus = load_svc(root)
+    assert len(corpus) == 12
+    assert corpus.checked_parse_files == 0
+    (root / "U1S5.txt").write_text("2\n1 2 3 1\x0c4 5 6 1\n", encoding="utf-8")
+    assert load_svc(root).checked_parse_files == 1
 
 
 def test_profile_sweep_writes_one_bundle_per_size(tmp_path, capsys):

@@ -1,10 +1,18 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stylosig.errors import DataError, DegenerateInputWarning
 from stylosig.signature import (
     ScoreMatrix,
     SignatureSample,
+    _histograms,
+    _parse_sample,
     baseline_score,
     direction_histogram,
     load_score_matrix,
@@ -15,7 +23,7 @@ from stylosig.signature import (
 )
 
 from .conftest import signature_points, write_svc_dir, write_svc_file
-from .oracles import direction_histogram_reference
+from .oracles import direction_histogram_per_sample, direction_histogram_reference, parse_capture_reference
 
 
 def sample_from(points, writer=1, index=1):
@@ -112,6 +120,107 @@ def test_load_svc_value_beyond_int64_is_data_error(tmp_path, value):
         load_svc(root)
 
 
+def test_load_svc_mixed_widths_and_crlf_take_the_fast_path(tmp_path):
+    root = tmp_path / "svc"
+    root.mkdir()
+    four, seven = signature_points(1, 1), signature_points(1, 2, columns=7)
+    write_svc_file(root / "U1S1.txt", four)
+    write_svc_file(root / "U1S2.txt", seven)
+    crlf = "\r\n".join([str(len(four)), *(" ".join(map(str, row)) for row in four)]) + "\r\n"
+    (root / "U1S3.txt").write_bytes(crlf.encode("utf-8"))
+    corpus = load_svc(root)
+    assert corpus.checked_parse_files == 0
+    got = [s.points for s in corpus.by_writer[1]]
+    for points, want in zip(got, (four, seven, four)):
+        assert points.dtype == np.int64
+        assert np.array_equal(points, want)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("2\n1 2 3 1\n1 2 3 1 # pen down\n", r"U1S1.txt:3: expected 4 columns, got 7"),
+        ("2\n1 2 3 1\n1 2 3 1#\n", r"U1S1.txt:3: non-integer value"),
+        ("1\n# x y t pen\n1 2 3 1\n", r"U1S1.txt:2: expected 4 or 7 columns, got 5"),
+        ("1\n1 2 \x0c3 1\n", r"U1S1.txt:2: expected 4 or 7 columns, got 2"),
+    ],
+)
+def test_load_svc_keeps_messages_where_numpy_reads_otherwise(tmp_path, content, message):
+    # numpy's reader takes # for a comment and \x0c for a space; splitlines() and int() do not
+    root = tmp_path / "svc"
+    root.mkdir()
+    (root / "U1S1.txt").write_text(content, encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_svc(root)
+
+
+# int64 edges; values beyond them come from _ODD_TEXT digits run into a value
+_EDGE_VALUES = [0, 1, -1, 2**63 - 1, -(2**63)]
+# line ends for splitlines() that numpy's reader reads as spaces
+_NUMPY_SPACES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x0c1 2 3 1", "\x1e1 2 3 1 5 6 7"]
+# a comment for numpy's reader, values that int() alone accepts, and values that are no int64
+_ODD_TEXT = [
+    "#", "# c", "1#", "\r", "1_000", "\u0663", "\uff11", "x", "+", "-", "+-1",
+    "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+]
+
+
+@st.composite
+def capture_texts(draw):
+    """Capture text, a third of it without odd text, often with a flaw of its own."""
+    width = draw(st.sampled_from([4, 4, 4, 7, 7, 7, 3, 5, 8]))
+    value = st.one_of(st.integers(-(10**6), 10**6), st.sampled_from(_EDGE_VALUES))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "spaces", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
+        else:
+            n = width if kind == "row" else draw(st.sampled_from([3, 4, 5, 7, 8]))
+            tokens = []
+            for v in draw(st.lists(value, min_size=n, max_size=n)):
+                sign = "-" if v < 0 else draw(st.sampled_from(["", "", "+"]))
+                tokens.append(sign + "0" * draw(st.sampled_from([0, 0, 1, 2])) + str(abs(v)))
+            gap = draw(st.sampled_from([" ", " ", "\t", "  ", " \t"]))
+            pad = st.sampled_from(["", "", " ", "\t"])
+            lines.append(draw(pad) + gap.join(tokens) + draw(pad))
+    rows = sum(1 for line in lines if line.strip())
+    header = draw(st.sampled_from([str(rows)] * 6 + [f"+{rows}", f" {rows} x", str(rows + 1), str(max(rows - 1, 0)), ""]))
+    text = header
+    for line in lines:
+        text += draw(st.sampled_from(["\n", "\r\n", "\r"])) + line
+    text += draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    odd = draw(st.one_of(st.none(), st.sampled_from(_NUMPY_SPACES), st.sampled_from(_ODD_TEXT)))
+    if odd is not None:
+        # next to a space or line end, or anywhere
+        gaps = [0] + [k for k, c in enumerate(text) if c in " \t\r\n"]
+        at = draw(st.one_of(st.sampled_from(gaps), st.integers(0, len(text))))
+        text = text[:at] + odd + text[at:]
+    return text
+
+
+def parsed(parse, path):
+    try:
+        points = parse(path)
+    except DataError as exc:
+        return str(exc)
+    return points.dtype, points.shape, points.tolist()
+
+
+@settings(max_examples=600, deadline=None)
+@given(capture_texts())
+def test_parse_sample_matches_line_by_line_parse(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "U1S1.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on input without data
+            ours = parsed(lambda p: _parse_sample(p, 1, 1)[0].points, path)
+        assert ours == parsed(parse_capture_reference, path)
+
+
 def test_load_svc_missing_dir(tmp_path):
     with pytest.raises(DataError, match="not a directory"):
         load_svc(tmp_path / "nope")
@@ -165,6 +274,27 @@ def test_histogram_matches_loop_reference():
             ref_hist, ref_count = direction_histogram_reference(pts, delta)
             assert stroke_angles(pts).size == ref_count
             assert np.max(np.abs(ours - ref_hist)) < 1e-12
+
+
+def test_histograms_bit_identical_to_per_sample_pass():
+    samples = [sample_from(signature_points(w, i, columns=4 + 3 * (i % 2)), w, i) for w in (1, 2) for i in (1, 2, 3)]
+    # most neighbours below meet pen down at different points: a step that counts unless masked
+    samples += [
+        sample_from([[5, 5, 0, 1]]),  # one point
+        segment([(1, 0)]),
+        segment([(0, 0), (0, 0)]),  # stationary
+        segment([(3, 1), (-2, 4)], pen=[0, 0, 0]),  # all pen up
+        segment([(0, 1), (7, -3)]),
+        sample_from(signature_points(3, 4, columns=7)),
+        sample_from([[9, 9, 0, 1]]),
+    ]
+    for delta in (0.25, 7.0, 25.0, 100.0, 360.0):
+        batched = _histograms(samples, delta)
+        want = np.array([direction_histogram_per_sample(s.points, delta) for s in samples])
+        assert batched.shape == want.shape
+        assert np.array_equal(batched.view(np.int64), want.view(np.int64))
+        for sample, row in zip(samples, want):
+            assert np.array_equal(direction_histogram(sample, delta).view(np.int64), row.view(np.int64))
 
 
 def test_histogram_empty_when_no_motion():
