@@ -115,19 +115,13 @@ def pnb_train(counts, subjects, vocab: Vocabulary, alpha: float, subject_labels:
     return NbModel("pnb", vocab, labels, alpha, (pooled + alpha) / docs_per_subject[:, None])
 
 
-def posterior(model: NbModel, counts) -> np.ndarray:
-    """Posterior over subjects, one row per row of a sparse (documents, m) count matrix.
+def posterior(model: NbModel, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Posteriors over subjects, one row per row of a sparse (documents, m) count matrix, and the fallback mask.
 
     Rows that no subject explains (empty under MNB, of zero likelihood for every
-    subject under PNB) fall back on the uniform posterior, with a warning.
+    subject under PNB) fall back on the uniform posterior and are set in the
+    mask; the caller reports them through ``warn_fallback``.
     """
-    posteriors, fallback = posterior_rows(model, counts)
-    warn_fallback(model, int(fallback.sum()))
-    return posteriors
-
-
-def posterior_rows(model: NbModel, counts) -> tuple[np.ndarray, np.ndarray]:
-    """``posterior`` without the warning: the posteriors and the mask of rows that fell back."""
     counts = sparse.csr_array(counts, dtype=np.float64)
     bias, weights = model.linear
     log_scores = bias + counts @ weights

@@ -98,7 +98,8 @@ def cmd_attribute(args, config: ExperimentConfig) -> int:
     model = classifiers.load_model(args.model)
     docs = [read_document(Path(name), name, 0) for name in args.texts]
     counts = extract_matrix(model.vocab.model, docs, index=model.vocab.index).counts
-    scores = experiment.possibility_rows(model, counts)
+    scores, fallback = experiment.possibility_rows(model, counts)
+    classifiers.warn_fallback(model, int(fallback.sum()))
     for name, subject, tie in zip(args.texts, *decide(scores)):
         print(f"{name}\t{model.subject_labels[subject]}{' (tie)' if tie else ''}")
     if args.scores:

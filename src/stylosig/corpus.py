@@ -193,7 +193,7 @@ class ChimericDataset:
         return tuple(f"{s.author_label}+w{s.writer}" for s in self.subjects)
 
 
-def build_chimeric(text_corpus: Corpus, sig_corpus, train_n: int = 5, test_n: int = 15) -> ChimericDataset:
+def build_chimeric(text_corpus: Corpus, sig_corpus, train_n: int, test_n: int) -> ChimericDataset:
     """Pair text authors with signature writers positionally.
 
     Authors sorted by label meet writers sorted by id; the pairing index is

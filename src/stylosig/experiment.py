@@ -43,9 +43,14 @@ def fit_stylome(config: ExperimentConfig, features: FeatureMatrix, rows, subject
     return fit(train[:, columns], subjects, vocab, config.alpha, tuple(subject_labels)), columns
 
 
-def possibility_rows(model, counts) -> np.ndarray:
-    """Fuzzified posteriors, one row per row of a (documents, m) count matrix over the model's vocabulary."""
-    return to_possibility(classifiers.posterior(model, counts))
+def possibility_rows(model, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Fuzzified posteriors, one row per row of a (documents, m) count matrix over the model's vocabulary.
+
+    The one scoring step of every command.  Also returns the mask of rows that
+    fell back on the uniform posterior, for the caller's one ``classifiers.warn_fallback``.
+    """
+    posteriors, fallback = classifiers.posterior(model, counts)
+    return to_possibility(posteriors), fallback
 
 
 @contextmanager
@@ -71,8 +76,8 @@ def score_folds(config: ExperimentConfig, docs, n_indexed: int, folds, subjects:
         for train, test in folds:
             model, columns = fit_stylome(config, features, train, subjects[train], labels)
             test_counts = features.counts[test][:, columns]
-            posteriors, fallback = classifiers.posterior_rows(model, test_counts)
-            scores.append(to_possibility(posteriors))
+            rows, fallback = possibility_rows(model, test_counts)
+            scores.append(rows)
             fallbacks += int(fallback.sum())
             test_mass += int(features.mass[test].sum())
             in_vocab += int(test_counts.sum())

@@ -12,7 +12,7 @@ from .errors import DegenerateInputWarning
 OPERATORS = ("average", "product")
 
 
-def fuse(a, b, operator: str = "average") -> np.ndarray:
+def fuse(a, b, operator: str) -> np.ndarray:
     """Combine two aligned score vectors (or matrices) elementwise.
 
     Both keep scores on the [0, 1] scale of the inputs, but they can rank
@@ -32,25 +32,18 @@ def fuse(a, b, operator: str = "average") -> np.ndarray:
 
 
 class Decision(NamedTuple):
-    subject: int | np.ndarray
-    tie: bool | np.ndarray
+    subject: np.ndarray
+    tie: np.ndarray
 
 
 def decide(scores) -> Decision:
-    """Pick the best-scoring subject of each row; exact ties go to the lowest id, flagged.
-
-    An (n, S) matrix gives arrays of n subjects and tie flags; a 1-D score
-    vector is one row and gives a single subject and flag.
-    """
+    """Pick the best-scoring subject of each row of an (n, S) matrix; exact ties go to the lowest id, flagged."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim not in (1, 2) or scores.size == 0:
-        raise ValueError("expected a non-empty score vector or (n, S) matrix")
-    rows = scores.reshape(-1, scores.shape[-1])
-    best = rows.argmax(axis=1)
-    ties = np.count_nonzero(rows == rows[np.arange(len(rows)), best][:, None], axis=1) > 1
+    if scores.ndim != 2 or scores.size == 0:
+        raise ValueError("expected a non-empty (n, S) score matrix")
+    best = scores.argmax(axis=1)
+    ties = np.count_nonzero(scores == scores[np.arange(len(scores)), best][:, None], axis=1) > 1
     if ties.any():
         message = f"tied top score in {int(ties.sum())} row(s), keeping the lowest subject id"
         warnings.warn(message, DegenerateInputWarning)
-    if scores.ndim == 1:
-        return Decision(int(best[0]), bool(ties[0]))
     return Decision(best, ties)

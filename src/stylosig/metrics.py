@@ -22,12 +22,8 @@ from scipy import special  # the kernels of stats.norm.ppf, t.ppf and t.sf, with
 from .errors import DegenerateInputWarning
 from .signature import ScoreMatrix
 
-DEFAULT_GRID_POINTS = 101
-DEFAULT_MSH_BINS = 20
-DEFAULT_CONFIDENCE = 0.95
 
-
-def default_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+def default_grid(points: int) -> np.ndarray:
     """Evenly spaced thresholds covering [0, 1] inclusive."""
     if points < 2:
         raise ValueError("grid needs at least 2 points")
@@ -66,12 +62,6 @@ def expand_claims(matrix: ScoreMatrix, truth: Sequence[int]) -> ClaimSet:
     return ClaimSet(scores=matrix.scores.reshape(-1).copy(), genuine=genuine.reshape(-1))
 
 
-def confusion(claims: ClaimSet, threshold: float) -> tuple[int, int, int, int]:
-    """(TP, FP, FN, TN) when accepting scores >= threshold."""
-    tp, fp = (int(c[0]) for c in _accept_counts(claims, np.array([threshold], dtype=np.float64)))
-    return tp, fp, claims.n_genuine - tp, claims.n_imposter - fp
-
-
 # ---------------------------------------------------------------------------
 # accuracy with confidence intervals
 
@@ -85,7 +75,7 @@ class AccuracyReport:
     confidence: float
 
 
-def accuracy(correct=None, *, folds=None, confidence: float = DEFAULT_CONFIDENCE) -> AccuracyReport:
+def accuracy(correct=None, *, folds=None, confidence: float) -> AccuracyReport:
     """Point accuracy with a confidence interval.
 
     Pass ``correct`` (per-item booleans) for a normal-approximation
@@ -146,18 +136,9 @@ def _accept_counts(claims: ClaimSet, grid: np.ndarray) -> tuple[np.ndarray, np.n
     )
 
 
-def fscore(claims: ClaimSet, threshold: float) -> float:
-    """F-measure 2TP / (2TP + FP + FN); empty denominator scores 0 with a warning."""
-    tp, fp, fn, _ = confusion(claims, threshold)
-    denom = 2 * tp + fp + fn
-    if denom == 0:
-        warnings.warn("F-measure undefined (no genuine claims, none accepted)", DegenerateInputWarning)
-        return 0.0
-    return 2.0 * tp / denom
-
-
-def fscore_curve(claims: ClaimSet, grid: np.ndarray | None = None) -> Curve:
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
+def fscore_curve(claims: ClaimSet, grid: np.ndarray) -> Curve:
+    """F-measure 2TP / (2TP + FP + FN) across the sweep; an empty denominator scores 0, with a warning."""
+    grid = np.asarray(grid, dtype=np.float64)
     tp, fp = _accept_counts(claims, grid)
     fn = claims.n_genuine - tp
     denom = 2 * tp + fp + fn
@@ -167,18 +148,18 @@ def fscore_curve(claims: ClaimSet, grid: np.ndarray | None = None) -> Curve:
     return Curve(grid, ys, "threshold", "fscore")
 
 
-def recall_curve(claims: ClaimSet, grid: np.ndarray | None = None) -> Curve:
+def recall_curve(claims: ClaimSet, grid: np.ndarray) -> Curve:
     """Recall (true accept rate over genuine claims) across the threshold sweep."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.float64)
     if claims.n_genuine == 0:
         raise ValueError("recall needs at least one genuine claim")
     tp, _ = _accept_counts(claims, grid)
     return Curve(grid, tp / claims.n_genuine, "threshold", "recall")
 
 
-def det_curve(claims: ClaimSet, grid: np.ndarray | None = None) -> DetCurve:
+def det_curve(claims: ClaimSet, grid: np.ndarray) -> DetCurve:
     """FAR/FRR tradeoff over the sweep, with trapezoid area under FRR(FAR)."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.float64)
     if claims.n_genuine == 0 or claims.n_imposter == 0:
         raise ValueError("DET needs both genuine and imposter claims")
     tp, fp = _accept_counts(claims, grid)
@@ -230,7 +211,7 @@ def _bin_indices(scores: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(edges) - 2)
 
 
-def msh(claims: ClaimSet, bins: int = DEFAULT_MSH_BINS) -> MatchScoreHistogram:
+def msh(claims: ClaimSet, bins: int) -> MatchScoreHistogram:
     """Genuine and imposter score histograms over [0, 1] plus their overlap.
 
     Overlap is the summed bin-wise minimum of the two normalized

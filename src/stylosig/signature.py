@@ -11,7 +11,6 @@ construction.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 import warnings
@@ -22,7 +21,6 @@ import numpy as np
 
 from .errors import DataError, DegenerateInputWarning
 
-DEFAULT_DELTA_ALPHA = 25.0
 GENUINE_PER_WRITER = 20
 
 _SVC_NAME = re.compile(r"^U(\d+)S(\d+)\.txt$", re.IGNORECASE)
@@ -49,49 +47,30 @@ class SignatureCorpus:
         return sum(len(v) for v in self.by_writer.values())
 
 
-# A header line and point lines made only of digits, signs, spaces and tabs,
-# with \n line ends (read_text turns \r\n and \r into \n).  numpy's reader
-# splits these lines and values as splitlines() and int() do; other text,
-# such as # (a comment there) or \x0b, \x0c, \x1c-\x1e (a line end for
-# splitlines but a space for numpy), goes through the line-by-line parse.
-_PLAIN_TEXT = re.compile(r"([0-9 \t+-]*)\n([0-9 \t\n+-]*)")
-
-
 def _parse_sample(path: Path, writer: int, index: int) -> tuple[SignatureSample, bool]:
-    """One capture file's sample, and whether it needed the line-by-line parse."""
+    """One capture file's sample, and whether it needed the line-by-line parse.
+
+    numpy's C reader takes the point lines of an ASCII file first.  On ASCII
+    text it splits each line on the whitespace str.split does and reads a
+    strict subset of what int() reads, so whatever it refuses, errors
+    included, goes to _parse_lines, as do values such as 1_000 that int()
+    alone reads.  Other text goes there too: numpy reads some letters as
+    digits, e.g. U+01FE as 462.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        lines = data.decode("utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    points = _read_plain(text)
-    checked = points is None
-    if checked:
-        points = _parse_lines(path, text.splitlines())
-    return SignatureSample(writer, index, points), checked
-
-
-def _read_plain(text: str) -> np.ndarray | None:
-    """The points of a plain capture text read by numpy's C reader, or None to parse it line by line.
-
-    None unless the text is plain (see _PLAIN_TEXT) and gives at least one
-    point, 4 or 7 values per point, and the declared number of points;
-    everything else, errors included, is left to _parse_lines.
-    """
-    match = _PLAIN_TEXT.fullmatch(text)
-    if match is None:
-        return None
-    header, body = match.groups()
-    fields = header.split()
-    if not fields or not body.strip():  # no point lines, on which loadtxt would warn
-        return None
     try:
-        declared = int(fields[0])
-        points = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:
-        return None
-    if points.shape[1] not in (4, 7) or len(points) != declared:
-        return None
-    return points
+        declared = int(lines[0].split()[0])
+        if data.isascii() and any(map(str.strip, lines[1:])):  # loadtxt warns on lines without a point
+            points = np.loadtxt(lines[1:], dtype=np.int64, ndmin=2, comments=None)
+            if points.shape[1] in (4, 7) and len(points) == declared:
+                return SignatureSample(writer, index, points), False
+    except (ValueError, IndexError):
+        pass
+    return SignatureSample(writer, index, _parse_lines(path, lines)), True
 
 
 def _parse_lines(path: Path, lines: list[str]) -> np.ndarray:
@@ -133,11 +112,11 @@ def _bad_line(path: Path, lines: list[str]) -> DataError:
     return DataError(f"{path}: malformed point lines")
 
 
-def load_svc(root: str | Path, genuine_max: int = GENUINE_PER_WRITER) -> SignatureCorpus:
+def load_svc(root: str | Path) -> SignatureCorpus:
     """Load U{writer}S{sample}.txt capture files under ``root``.
 
-    Samples numbered above ``genuine_max`` are skilled forgeries in this
-    naming scheme and are skipped; only genuine samples are returned.
+    Samples numbered above ``GENUINE_PER_WRITER`` are skilled forgeries in
+    this naming scheme and are skipped; only genuine samples are returned.
     """
     root = Path(root)
     if not root.is_dir():
@@ -149,7 +128,7 @@ def load_svc(root: str | Path, genuine_max: int = GENUINE_PER_WRITER) -> Signatu
         if not match:
             continue
         writer, index = int(match.group(1)), int(match.group(2))
-        if index > genuine_max:
+        if index > GENUINE_PER_WRITER:
             continue
         sample, checked = _parse_sample(path, writer, index)
         found.setdefault(writer, []).append(sample)
@@ -164,41 +143,35 @@ def load_svc(root: str | Path, genuine_max: int = GENUINE_PER_WRITER) -> Signatu
 # ---------------------------------------------------------------------------
 # direction histograms
 
-def _stroke_angles(points: np.ndarray, sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Directions of the pen-down steps with real motion inside one sample, and each one's sample.
-
-    ``sample`` gives each point's sample; a step from one sample into the
-    next is no stroke.
-    """
-    pen = points[:, 3]
-    dx = np.diff(points[:, 0].astype(np.float64))
-    dy = np.diff(points[:, 1].astype(np.float64))
-    keep = (pen[:-1] == 1) & (pen[1:] == 1) & ((dx != 0) | (dy != 0)) & (sample[:-1] == sample[1:])
-    return np.degrees(np.arctan2(dy[keep], dx[keep])) % 360.0, sample[1:][keep]
-
-
-def stroke_angles(points: np.ndarray) -> np.ndarray:
-    """Directions (degrees in [0, 360)) of pen-down steps with real motion."""
-    return _stroke_angles(points, np.zeros(len(points), dtype=np.intp))[0]
-
-
 def _n_bins(delta_alpha: float) -> int:
     if not 0.0 < delta_alpha <= 360.0:
         raise ValueError("delta_alpha must be in (0, 360]")
     return math.ceil(360.0 / delta_alpha)
 
 
-def _histograms(samples, delta_alpha: float) -> np.ndarray:
-    """The (n, B) direction histograms of ``samples``, one row each, built in one pass.
+def direction_histograms(samples, delta_alpha: float) -> np.ndarray:
+    """Soft-binned histograms of stroke directions, an (n, B) array with one row per sample.
 
-    Soft binning as in ``direction_histogram``.  One bincount adds every
-    lower-bin share, then every upper-bin share, so each bin sums its
-    shares in the order a per-sample np.add.at would.
+    The directions are those of the pen-down steps with real motion inside a
+    sample.  Bin centers sit at multiples of delta_alpha; each angle splits
+    unit mass linearly between its two nearest centers (wrapping at 360), and
+    a row is normalized by its sample's number of angles.  A sample with no
+    pen-down motion gives the all-zero row.
+
+    One bincount adds every lower-bin share, then every upper-bin share, so
+    each bin sums its shares in the order a per-sample np.add.at would.
     """
     n_bins = _n_bins(delta_alpha)
     lengths = [len(s.points) for s in samples]
     points = np.concatenate([s.points[:, :4] for s in samples])
-    angles, sample = _stroke_angles(points, np.repeat(np.arange(len(samples)), lengths))
+    sample = np.repeat(np.arange(len(samples)), lengths)  # each point's sample
+    pen = points[:, 3]
+    dx = np.diff(points[:, 0].astype(np.float64))
+    dy = np.diff(points[:, 1].astype(np.float64))
+    # a step from one sample into the next is no stroke
+    keep = (pen[:-1] == 1) & (pen[1:] == 1) & ((dx != 0) | (dy != 0)) & (sample[:-1] == sample[1:])
+    angles = np.degrees(np.arctan2(dy[keep], dx[keep])) % 360.0
+    sample = sample[1:][keep]  # each angle's sample
     offset = angles / delta_alpha
     lower = np.floor(offset).astype(np.int64) % n_bins
     frac = offset - np.floor(offset)
@@ -208,17 +181,6 @@ def _histograms(samples, delta_alpha: float) -> np.ndarray:
     counts = np.bincount(sample, minlength=len(samples))[:, None]
     hists = np.zeros((len(samples), n_bins))
     return np.divide(sums.reshape(hists.shape), counts, out=hists, where=counts > 0)
-
-
-def direction_histogram(sample: SignatureSample, delta_alpha: float = DEFAULT_DELTA_ALPHA) -> np.ndarray:
-    """Soft-binned histogram of stroke directions, a (B,) weight array.
-
-    Bin centers sit at multiples of delta_alpha; each angle splits unit
-    mass linearly between its two nearest centers (wrapping at 360), and
-    the histogram is normalized by the number of angles.  A sample with no
-    pen-down motion gives the all-zero histogram.
-    """
-    return _histograms([sample], delta_alpha)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +203,7 @@ def _warn_still(what: str, still: np.ndarray, names) -> None:
         warnings.warn(f"{int(still.sum())} {what} and score 0 (first: {first})", DegenerateInputWarning)
 
 
-def score_matrix_from_templates(probes, template_sets, subject_labels, delta_alpha=DEFAULT_DELTA_ALPHA) -> ScoreMatrix:
+def score_matrix_from_templates(probes, template_sets, subject_labels, delta_alpha: float) -> ScoreMatrix:
     """Score every probe against every subject's template set.
 
     ``probes`` is a list of (item_id, sample).  A probe's score for a
@@ -262,7 +224,8 @@ def score_matrix_from_templates(probes, template_sets, subject_labels, delta_alp
     if not all(template_sets):
         raise ValueError("need at least one template signature per subject")
     item_ids = tuple(item_id for item_id, _ in probes)
-    hists = _histograms([sample for _, sample in probes] + [t for ts in template_sets for t in ts], delta_alpha)
+    samples = [sample for _, sample in probes] + [t for templates in template_sets for t in templates]
+    hists = direction_histograms(samples, delta_alpha)
     stacked = hists[: len(item_ids)]
     template_hists = np.split(hists[len(item_ids) :], np.cumsum([len(ts) for ts in template_sets])[:-1])
     _warn_still("probe(s) have no pen-down motion", ~stacked.any(axis=1), item_ids)
@@ -273,16 +236,6 @@ def score_matrix_from_templates(probes, template_sets, subject_labels, delta_alp
         # (probes, templates, B) for one subject at a time bounds the memory
         rows[:, j] = np.minimum(stacked[:, None, :], hists[None, :, :]).sum(axis=2).max(axis=1)
     return ScoreMatrix(item_ids, tuple(subject_labels), rows)
-
-
-def baseline_score(templates, probe: SignatureSample, delta_alpha: float = DEFAULT_DELTA_ALPHA) -> float:
-    """Best histogram intersection between the probe and any template.
-
-    The one-probe, one-subject case of ``score_matrix_from_templates``,
-    with the same rules for empty template sets and motionless samples.
-    """
-    matrix = score_matrix_from_templates([(probe.item_id, probe)], [templates], ("templates",), delta_alpha)
-    return float(matrix.scores[0, 0])
 
 
 def save_score_matrix(matrix: ScoreMatrix, path: str | Path) -> None:

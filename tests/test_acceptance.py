@@ -19,13 +19,13 @@ from scipy import sparse
 
 from stylosig import classifiers, metrics
 from stylosig.bench import run_scaling, synthetic_corpus, time_attribution
-from stylosig.config import build_config
+from stylosig.config import ExperimentConfig, build_config
 from stylosig.corpus import build_chimeric, load_text_corpus
 from stylosig.experiment import build_feature_model, fit_stylome, possibility_rows, run_rolling
 from stylosig.features import FeatureModel, Vocabulary, extract_matrix
 from stylosig.fusion import decide, fuse
 from stylosig.possibility import to_possibility
-from stylosig.signature import ScoreMatrix, baseline_score, load_svc
+from stylosig.signature import ScoreMatrix, load_svc, score_matrix_from_templates
 
 from .conftest import write_svc_dir, write_text_corpus
 from .oracles import (
@@ -104,7 +104,7 @@ def test_criterion_02_mnb_matches_literal_posterior_within_1e9():
             for alpha in (0.01, 1.0):
                 model = classifiers.mnb_train(train, subjects, vocab, alpha, labels)
                 # every document of the grid is scored in one batched call
-                posteriors = classifiers.posterior(model, doc_counts)
+                posteriors = classifiers.posterior(model, doc_counts)[0]
                 for doc, ours in zip(docs, posteriors):
                     ref = mnb_posterior_reference([list(r) for r in rows], alpha, list(doc))
                     worst = max(worst, float(np.max(np.abs(ours - ref))))
@@ -137,7 +137,7 @@ def test_criterion_03_posteriors_sum_to_one_within_1e9():
                 continue
             mnb = classifiers.mnb_train(train, subjects, vocab, alpha, labels)
             pnb = classifiers.pnb_train(train, subjects, vocab, alpha, labels)
-            for posterior in (classifiers.posterior(mnb, doc), classifiers.posterior(pnb, doc)):
+            for posterior in (classifiers.posterior(mnb, doc)[0], classifiers.posterior(pnb, doc)[0]):
                 worst = max(worst, abs(float(posterior.sum()) - 1.0))
     assert worst <= 1e-9
     print(f"PASS posterior normalization: alpha in {{0.01, 1}}, max |sum-1| {worst:.3e} <= 1e-9")
@@ -186,9 +186,9 @@ def test_criterion_05_fusion_dominance_gives_perfect_identification():
     route_b[rows, truth] = rng.uniform(0.8, 1.0, size=n_items)
 
     fused = fuse(route_a, route_b, "average")
-    decisions = np.array([decide(row).subject for row in fused])
+    decisions = decide(fused).subject
     assert np.array_equal(decisions, truth)
-    report = metrics.accuracy(correct=decisions == truth)
+    report = metrics.accuracy(correct=decisions == truth, confidence=ExperimentConfig().confidence)
     assert report.accuracy == 1.0
 
     matrix = ScoreMatrix(tuple(f"i{k}" for k in range(n_items)), tuple(f"s{k}" for k in range(n_subjects)), fused)
@@ -213,8 +213,8 @@ def test_criterion_06_metrics_match_brute_force_recount():
     fc = metrics.fscore_curve(claims, grid)
     for k, t in enumerate(grid):
         tp, fp, fn, tn = confusion_reference(claims.scores, claims.genuine, t)
-        assert metrics.confusion(claims, t) == (tp, fp, fn, tn)
-        assert metrics.fscore(claims, t) == fscore_reference(claims.scores, claims.genuine, t)
+        recount = (rec.ys[k] * claims.n_genuine, det.far[k] * claims.n_imposter, det.frr[k] * claims.n_genuine)
+        assert tuple(round(c) for c in recount) == (tp, fp, fn) and fp + tn == claims.n_imposter
         assert fc.ys[k] == fscore_reference(claims.scores, claims.genuine, t)
         far, frr = far_frr_reference(claims.scores, claims.genuine, t)
         assert det.far[k] == far and det.frr[k] == frr
@@ -297,19 +297,29 @@ def test_criterion_09_signature_selfmatch_and_invariance(reference_scale_data):
     corpus = load_svc(sig_dir)
     samples = [s for w in corpus.writers for s in corpus.by_writer[w]]
     assert len(samples) == 800
-    worst = 0.0
-    for sample in samples:
-        worst = max(worst, abs(baseline_score([sample], sample) - 1.0))
+    delta_alpha = ExperimentConfig().delta_alpha
+
+    def own_template_scores(probes, templates):
+        # probe k against the template set [templates[k]]: the diagonal of one batched matrix
+        labels = [t.item_id for t in templates]
+        matrix = score_matrix_from_templates(probes, [[t] for t in templates], labels, delta_alpha)
+        return np.diag(matrix.scores)
+
+    self_scores = own_template_scores([(s.item_id, s) for s in samples], samples)
+    assert self_scores.size == 800
+    worst = float(np.max(np.abs(self_scores - 1.0)))
     assert worst <= 1e-9
 
-    worst_shift = 0.0
+    probes = []
     for sample in samples[:100]:
         moved = sample.points.copy()
         moved[:, 0] += 7919
         moved[:, 1] -= 104729
         moved[:, 2] += 1_000_000
-        probe = type(sample)(sample.writer, sample.index, moved)
-        worst_shift = max(worst_shift, abs(baseline_score([sample], probe) - 1.0))
+        probes.append((sample.item_id, type(sample)(sample.writer, sample.index, moved)))
+    shift_scores = own_template_scores(probes, samples[:100])
+    assert shift_scores.size == 100
+    worst_shift = float(np.max(np.abs(shift_scores - 1.0)))
     assert worst_shift <= 1e-9
     print(
         f"PASS signature matcher: 800 self-matches within {worst:.1e} of 1, "
@@ -356,7 +366,7 @@ def test_criterion_10_ccat50_accuracy_if_available():
     train = np.arange(len(train_corpus.documents))
     subjects = [doc.subject for doc in train_corpus.documents]
     model, columns = fit_stylome(config, features, train, subjects, train_corpus.subject_labels)
-    rows = possibility_rows(model, features.counts[len(train) :][:, columns])
+    rows, _ = possibility_rows(model, features.counts[len(train) :][:, columns])
     truth = np.array([doc.subject for doc in test_corpus.documents])
     accuracy = float((rows.argmax(axis=1) == truth).mean())
     assert accuracy >= 10 * (1.0 / len(train_corpus.subjects))

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from stylosig.classifiers import (
     pnb_train,
     posterior,
     save_model,
+    warn_fallback,
 )
 from stylosig.errors import DataError, DegenerateInputWarning
 from stylosig.features import FeatureModel, Vocabulary
 from stylosig.fusion import decide
 
+from .conftest import write_text_corpus
 from .oracles import mnb_posterior_reference, pnb_posterior_reference
 
 
@@ -66,7 +69,7 @@ def test_posterior_matches_literal_reference():
             if sum(doc) == 0:
                 continue
             model = mnb_train(*pairs_from_rows(rows), vocab, alpha, ("a", "b", "c"))
-            ours = posterior(model, vec(doc))[0]
+            (ours,), _ = posterior(model, vec(doc))
             ref = mnb_posterior_reference(rows, alpha, doc)
             assert np.max(np.abs(ours - ref)) < 1e-9
 
@@ -78,7 +81,7 @@ def test_posterior_sums_to_one():
         rows = rng.integers(0, 9, size=(4, 5)).tolist()
         model = mnb_train(*pairs_from_rows(rows), vocab, alpha, tuple("abcd"))
         doc = vec(rng.integers(0, 6, size=5).tolist())
-        assert abs(posterior(model, doc).sum() - 1.0) < 1e-9
+        assert abs(posterior(model, doc)[0].sum() - 1.0) < 1e-9
 
 
 def test_training_pools_documents_per_subject():
@@ -114,31 +117,32 @@ def test_unknown_subject_rejected():
 
 def test_empty_document_gives_uniform_with_warning():
     model = mnb_train(*pairs_from_rows([[2, 1], [1, 2]]), make_vocab(2), 0.1, ("a", "b"))
-    with pytest.warns(DegenerateInputWarning):
-        post = posterior(model, vec([0, 0]))
-    assert np.array_equal(post, [[0.5, 0.5]])
+    post, fallback = posterior(model, vec([0, 0]))
+    assert np.array_equal(post, [[0.5, 0.5]]) and fallback.tolist() == [True]
+    with pytest.warns(DegenerateInputWarning, match=r"^empty feature vector in 1 row\(s\)"):
+        warn_fallback(model, int(fallback.sum()))
 
 
 def test_attribute_breaks_ties_toward_lowest_id():
     # identical training counts make every posterior uniform
     model = mnb_train(*pairs_from_rows([[2, 2], [2, 2]]), make_vocab(2), 1.0, ("a", "b"))
     with pytest.warns(DegenerateInputWarning):
-        assert decide(posterior(model, vec([3, 1]))).subject[0] == 0
+        assert decide(posterior(model, vec([3, 1]))[0]).subject[0] == 0
 
 
 def test_attribute_picks_the_right_subject():
     model = mnb_train(*pairs_from_rows([[9, 1], [1, 9]]), make_vocab(2), 0.01, ("a", "b"))
-    assert decide(posterior(model, vec([5, 0]))).subject[0] == 0
-    assert decide(posterior(model, vec([0, 5]))).subject[0] == 1
+    assert decide(posterior(model, vec([5, 0]))[0]).subject[0] == 0
+    assert decide(posterior(model, vec([0, 5]))[0]).subject[0] == 1
     # one call decides every row of a matrix
-    assert list(decide(posterior(model, sparse.vstack([vec([5, 0]), vec([0, 5])]))).subject) == [0, 1]
+    assert list(decide(posterior(model, sparse.vstack([vec([5, 0]), vec([0, 5])]))[0]).subject) == [0, 1]
 
 
 def test_extreme_counts_stay_finite():
     # log-space scoring must survive counts that would underflow linearly
     vocab = make_vocab(3)
     model = mnb_train(*pairs_from_rows([[900, 5, 5], [5, 900, 5]]), vocab, 0.01, ("a", "b"))
-    post = posterior(model, vec([500, 0, 300]))[0]
+    (post,), _ = posterior(model, vec([500, 0, 300]))
     assert np.all(np.isfinite(post))
     assert abs(post.sum() - 1.0) < 1e-9
     assert post[0] > 0.99
@@ -166,28 +170,30 @@ def test_poisson_matches_literal_reference():
             doc = rng.integers(0, 4, size=3).tolist()
             model = pnb_train(*pairs_from_rows(rows), vocab, alpha, ("a", "b", "c"))
             ref = pnb_posterior_reference(rows, [1, 1, 1], alpha, doc)
-            assert np.max(np.abs(posterior(model, vec(doc))[0] - ref)) < 1e-9
+            (ours,), _ = posterior(model, vec(doc))
+            assert np.max(np.abs(ours - ref)) < 1e-9
 
 
 def test_poisson_zero_rate_kills_subject():
     # alpha=0: subject b never produced f0, so a doc containing f0 rules b out
     model = pnb_train(*pairs_from_rows([[2, 2], [0, 4]]), make_vocab(2), 0.0, ("a", "b"))
-    post = posterior(model, vec([1, 1]))[0]
+    (post,), _ = posterior(model, vec([1, 1]))
     assert post[1] == 0.0
     assert post[0] == 1.0
 
 
 def test_poisson_identical_subjects_are_uniform():
     model = pnb_train(*pairs_from_rows([[2, 1], [2, 1]]), make_vocab(2), 0.5, ("a", "b"))
-    assert np.allclose(posterior(model, vec([4, 2])), [[0.5, 0.5]], atol=1e-12)
+    assert np.allclose(posterior(model, vec([4, 2]))[0], [[0.5, 0.5]], atol=1e-12)
 
 
 def test_poisson_all_impossible_warns_uniform():
     # both subjects have zero rates everywhere the doc has counts
     model = pnb_train(*pairs_from_rows([[0, 2], [0, 3]]), make_vocab(2), 0.0, ("a", "b"))
-    with pytest.warns(DegenerateInputWarning):
-        post = posterior(model, vec([2, 0]))
-    assert np.array_equal(post, [[0.5, 0.5]])
+    post, fallback = posterior(model, vec([2, 0]))
+    assert np.array_equal(post, [[0.5, 0.5]]) and fallback.tolist() == [True]
+    with pytest.warns(DegenerateInputWarning, match=r"^every subject has zero likelihood in 1 row\(s\)"):
+        warn_fallback(model, int(fallback.sum()))
 
 
 # -- persistence ------------------------------------------------------------
@@ -214,7 +220,7 @@ def test_roundtrip_is_bit_exact(tmp_path, train, rows, alpha, labels, doc):
     assert np.array_equal(loaded.table, model.table)
     for ours, theirs in zip(loaded.linear, model.linear):
         assert np.array_equal(ours, theirs)
-    assert np.array_equal(posterior(loaded, vec(doc)), posterior(model, vec(doc)))
+    assert np.array_equal(posterior(loaded, vec(doc))[0], posterior(model, vec(doc))[0])
 
 
 @pytest.mark.parametrize("train, rows, alpha, labels, doc", ROUNDTRIP_CASES)
@@ -245,7 +251,7 @@ def test_loads_a_v1_archive_written_by_hand(tmp_path, train, rows, alpha, labels
     assert loaded.kind == model.kind
     assert loaded.subject_labels == labels
     assert loaded.vocab == vocab
-    assert np.array_equal(posterior(loaded, vec(doc)), posterior(model, vec(doc)))
+    assert np.array_equal(posterior(loaded, vec(doc))[0], posterior(model, vec(doc))[0])
 
 
 def rewrite_archive(path, **changes):
@@ -288,3 +294,16 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"not an archive")
     with pytest.raises(DataError):
         load_model(path)
+
+
+def test_readme_library_use_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    # three subjects with private words; the block's probe is the last document, of subj2
+    subjects = {f"subj{s}": [" ".join(f"s{s}w{(d + i) % 5}" for i in range(20)) for d in range(3)] for s in range(3)}
+    write_text_corpus(tmp_path / "corpus", subjects)
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(block, names)
+    assert names["scores"].shape == (1, 3) and names["fallback"].tolist() == [False]
+    assert names["subject"].tolist() == [2] and names["tie"].tolist() == [False]

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import stylosig
-from stylosig import experiment
+from stylosig import classifiers, experiment
+from stylosig.cli import main
 from stylosig.config import ExperimentConfig, build_config
 from stylosig.corpus import load_text_corpus
 from stylosig.errors import DegenerateInputWarning
@@ -207,6 +208,84 @@ def test_each_system_is_decided_once(tmp_path, monkeypatch):
         )
     )
     assert calls == [(12, 3)]
+
+
+@pytest.fixture
+def scoring_calls(monkeypatch):
+    """The rows of each experiment.possibility_rows call, and the count of classifiers.posterior calls."""
+    calls = {"rows": [], "posterior": 0}
+    possibility_rows, posterior = experiment.possibility_rows, classifiers.posterior
+
+    def counting_rows(model, counts):
+        calls["rows"].append(counts.shape[0])
+        return possibility_rows(model, counts)
+
+    def counting_posterior(model, counts):
+        calls["posterior"] += 1
+        return posterior(model, counts)
+
+    monkeypatch.setattr(experiment, "possibility_rows", counting_rows)
+    monkeypatch.setattr(classifiers, "posterior", counting_posterior)
+    return calls
+
+
+def train_model(tmp_path, corpus_dir):
+    assert main(["train", "-O", f"corpus_dir={corpus_dir}", "--output-dir", str(tmp_path / "model")]) == 0
+    return str(tmp_path / "model" / "model.npz")
+
+
+def test_every_command_scores_through_one_possibility_rows(tmp_path, scoring_calls):
+    # 13 documents per subject and the default 8 + 5 windows: 13 folds of 3 x 5 test rows
+    corpus_dir = disjoint_corpus(tmp_path / "rolling", docs=13)
+    run_rolling(build_config({"corpus_dir": str(corpus_dir), "output_dir": str(tmp_path / "rolling-out")}))
+    assert scoring_calls == {"rows": [15] * 13, "posterior": 13}
+
+    scoring_calls.update(rows=[], posterior=0)
+    run_chimeric(chimeric_setup(tmp_path / "chimeric"))
+    assert scoring_calls == {"rows": [6], "posterior": 1}
+
+    model = train_model(tmp_path, corpus_dir)
+    probe = tmp_path / "probe.txt"
+    probe.write_text("s1w0 s1w1 s1w2", encoding="utf-8")
+    scoring_calls.update(rows=[], posterior=0)
+    assert main(["attribute", "--model", model, str(probe), str(probe)]) == 0
+    assert main(["attribute", "--model", model, str(probe)]) == 0
+    assert scoring_calls == {"rows": [2, 1], "posterior": 2}
+
+
+def fallback_warnings(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    messages = [str(w.message) for w in caught if issubclass(w.category, DegenerateInputWarning)]
+    return [message for message in messages if "uniform posterior" in message]
+
+
+def test_uniform_fallbacks_warn_once_with_their_count(tmp_path, scoring_calls):
+    model = train_model(tmp_path, disjoint_corpus(tmp_path))
+    empty, probe = tmp_path / "empty.txt", tmp_path / "probe.txt"
+    empty.write_text("... !!!\n", encoding="utf-8")  # no token
+    probe.write_text("s1w0 s1w1 s1w2", encoding="utf-8")
+    messages = fallback_warnings(lambda: main(["attribute", "--model", model, str(empty), str(probe), str(empty)]))
+    assert messages == ["empty feature vector in 2 row(s), returning uniform posterior"]
+    assert scoring_calls == {"rows": [3], "posterior": 1}
+
+    scoring_calls.update(rows=[], posterior=0)
+    out = tmp_path / "out"
+    config = build_config(
+        {
+            "corpus_dir": str(degenerate_corpus(tmp_path / "rolling")),
+            "train_window": "3",
+            "test_window": "1",
+            "classifier": "pnb",
+            "alpha": "0",
+            "output_dir": str(out),
+        }
+    )
+    messages = fallback_warnings(lambda: run_rolling(config))
+    assert json.loads((out / "run.json").read_text())["features"]["uniform_fallback_rows"] == 2
+    assert messages == ["every subject has zero likelihood in 2 row(s), returning uniform posterior"]
+    assert scoring_calls == {"rows": [3] * 4, "posterior": 4}
 
 
 def test_run_chimeric_with_external_matrix(tmp_path):

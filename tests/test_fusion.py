@@ -8,7 +8,7 @@ from stylosig.fusion import Decision, decide, fuse
 
 
 def test_average_hand_value():
-    fused = fuse([1.0, 0.2], [0.5, 0.4])
+    fused = fuse([1.0, 0.2], [0.5, 0.4], "average")
     assert np.allclose(fused, [0.75, 0.3])
 
 
@@ -36,14 +36,14 @@ def test_average_stays_in_unit_interval():
 def test_fuse_matrices_elementwise():
     a = np.arange(6, dtype=float).reshape(2, 3) / 10
     b = np.full((2, 3), 0.5)
-    assert np.allclose(fuse(a, b), (a + 0.5) / 2)
+    assert np.allclose(fuse(a, b, "average"), (a + 0.5) / 2)
 
 
 def test_fuse_validates():
     with pytest.raises(ValueError, match="shapes"):
-        fuse([0.1], [0.1, 0.2])
+        fuse([0.1], [0.1, 0.2], "average")
     with pytest.raises(ValueError, match="finite"):
-        fuse([np.nan], [0.1])
+        fuse([np.nan], [0.1], "average")
     with pytest.raises(ValueError, match="operator"):
         fuse([0.1], [0.2], "median")
 
@@ -60,28 +60,33 @@ def test_fusion_is_commutative(xs, ys, op):
     assert np.array_equal(fuse(a, b, op), fuse(b, a, op))
 
 
+def unpacked(decision: Decision):
+    return decision.subject.tolist(), decision.tie.tolist()
+
+
 def test_decide_picks_argmax():
-    assert decide([0.2, 0.9, 0.1]) == Decision(1, False)
+    assert unpacked(decide([[0.2, 0.9, 0.1]])) == ([1], [False])
 
 
 def test_decide_tie_goes_to_lowest_id_and_flags():
     with pytest.warns(DegenerateInputWarning):
-        decision = decide([0.3, 0.7, 0.7])
-    assert decision == Decision(1, True)
+        decision = decide([[0.3, 0.7, 0.7]])
+    assert unpacked(decision) == ([1], [True])
     with pytest.warns(DegenerateInputWarning):
-        assert decide([0.5, 0.5]) == Decision(0, True)
+        assert unpacked(decide([[0.5, 0.5]])) == ([0], [True])
 
 
 def test_decide_rows_of_a_matrix():
     with pytest.warns(DegenerateInputWarning, match="1 row"):
         decision = decide([[0.2, 0.9, 0.1], [0.3, 0.7, 0.7], [0.5, 0.1, 0.4]])
-    assert decision.subject.tolist() == [1, 1, 0]
-    assert decision.tie.tolist() == [False, True, False]
+    assert unpacked(decision) == ([1, 1, 0], [False, True, False])
 
 
 def test_decide_validates():
     with pytest.raises(ValueError):
         decide([])
+    with pytest.raises(ValueError):  # one score vector is the (1, S) matrix
+        decide([0.2, 0.9])
     with pytest.raises(ValueError):
         decide([[[0.1, 0.2]]])
     with pytest.raises(ValueError):

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from stylosig.config import ExperimentConfig
 from stylosig.errors import DegenerateInputWarning
 from stylosig.metrics import (
     ClaimSet,
     accuracy,
     cmc_curve,
-    confusion,
     default_grid,
     det_curve,
     expand_claims,
-    fscore,
     fscore_curve,
     genuine_ranks,
     msh,
@@ -46,8 +45,19 @@ def random_claims(n_items=6, n_subjects=4, seed=0):
     return matrix, truth
 
 
+GRID = default_grid(ExperimentConfig().grid_points)
+CONFIDENCE = ExperimentConfig().confidence
+
+
+def confusion_at(claims, grid):
+    """(TP, FP, FN, TN) at each threshold, recounted from the recall and DET curves."""
+    tp = np.rint(recall_curve(claims, grid).ys * claims.n_genuine).astype(int).tolist()
+    fp = np.rint(det_curve(claims, grid).far * claims.n_imposter).astype(int).tolist()
+    return [(a, b, claims.n_genuine - a, claims.n_imposter - b) for a, b in zip(tp, fp)]
+
+
 def test_default_grid_is_hundredths():
-    grid = default_grid()
+    grid = GRID
     assert len(grid) == 101
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert np.array_equal(grid, np.arange(101) / 100)
@@ -84,30 +94,30 @@ def test_confusion_hand_case():
     matrix = ScoreMatrix(("a", "b"), ("x", "y"), np.array([[0.9, 0.2], [0.4, 0.6]]))
     claims = expand_claims(matrix, [0, 1])
     # at 0.5: accepts 0.9 (genuine) and 0.6 (genuine)
-    assert confusion(claims, 0.5) == (2, 0, 0, 2)
     # at 0.3: also accepts 0.4 (imposter)
-    assert confusion(claims, 0.3) == (2, 1, 0, 1)
+    assert confusion_at(claims, [0.5, 0.3]) == [(2, 0, 0, 2), (2, 1, 0, 1)]
 
 
 def test_confusion_threshold_is_inclusive():
     matrix = ScoreMatrix(("a",), ("x", "y"), np.array([[0.5, 0.1]]))
     claims = expand_claims(matrix, [0])
-    tp, fp, fn, tn = confusion(claims, 0.5)
+    [(tp, fp, fn, tn)] = confusion_at(claims, [0.5])
     assert (tp, fn) == (1, 0)
 
 
 def test_counts_match_loop_reference():
     matrix, truth = random_claims(8, 5, seed=3)
     claims = expand_claims(matrix, truth)
-    for t in default_grid(21):
-        assert confusion(claims, t) == confusion_reference(claims.scores, claims.genuine, t)
-        assert fscore(claims, t) == fscore_reference(claims.scores, claims.genuine, t)
+    grid = default_grid(21)
+    assert confusion_at(claims, grid) == [confusion_reference(claims.scores, claims.genuine, t) for t in grid]
+    fscores = [fscore_reference(claims.scores, claims.genuine, t) for t in grid]
+    assert fscore_curve(claims, grid).ys.tolist() == fscores
 
 
 # -- accuracy ---------------------------------------------------------------
 
 def test_item_accuracy_hand_value():
-    report = accuracy(correct=[True] * 8 + [False] * 2)
+    report = accuracy(correct=[True] * 8 + [False] * 2, confidence=CONFIDENCE)
     z = 1.9599639845400545
     half = z * math.sqrt(0.8 * 0.2 / 10)
     assert report.accuracy == 0.8
@@ -117,7 +127,7 @@ def test_item_accuracy_hand_value():
 
 
 def test_fold_accuracy_t_interval_unclamped():
-    report = accuracy(folds=[1.0, 0.9])
+    report = accuracy(folds=[1.0, 0.9], confidence=CONFIDENCE)
     sd = np.std([1.0, 0.9], ddof=1)
     half = 12.706204736174698 * sd / math.sqrt(2)
     assert math.isclose(report.accuracy, 0.95, rel_tol=1e-12)
@@ -127,19 +137,19 @@ def test_fold_accuracy_t_interval_unclamped():
 
 
 def test_fold_accuracy_zero_variance_collapses():
-    report = accuracy(folds=[0.75, 0.75, 0.75])
+    report = accuracy(folds=[0.75, 0.75, 0.75], confidence=CONFIDENCE)
     assert report.ci_low == report.ci_high == 0.75
 
 
 def test_accuracy_argument_validation():
     with pytest.raises(ValueError):
-        accuracy()
+        accuracy(confidence=CONFIDENCE)
     with pytest.raises(ValueError):
-        accuracy(correct=[True], folds=[0.5, 0.6])
+        accuracy(correct=[True], folds=[0.5, 0.6], confidence=CONFIDENCE)
     with pytest.raises(ValueError):
-        accuracy(correct=[])
+        accuracy(correct=[], confidence=CONFIDENCE)
     with pytest.raises(ValueError):
-        accuracy(folds=[0.5])
+        accuracy(folds=[0.5], confidence=CONFIDENCE)
     with pytest.raises(ValueError):
         accuracy(correct=[True], confidence=1.0)
 
@@ -149,7 +159,7 @@ def test_accuracy_argument_validation():
 def test_recall_curve_endpoints_and_monotonicity():
     matrix, truth = random_claims(10, 4, seed=5)
     claims = expand_claims(matrix, truth)
-    curve = recall_curve(claims)
+    curve = recall_curve(claims, GRID)
     assert curve.ys[0] == 1.0  # threshold 0 accepts everything
     assert np.all(np.diff(curve.ys) <= 0)
 
@@ -159,13 +169,13 @@ def test_recall_needs_genuine_claims():
     claims = expand_claims(matrix, [0, 0, 0])
     only_imposters = ClaimSet(claims.scores[~claims.genuine], claims.genuine[~claims.genuine])
     with pytest.raises(ValueError):
-        recall_curve(only_imposters)
+        recall_curve(only_imposters, GRID)
 
 
 def test_det_curve_endpoints_and_reference():
     matrix, truth = random_claims(10, 5, seed=8)
     claims = expand_claims(matrix, truth)
-    det = det_curve(claims)
+    det = det_curve(claims, GRID)
     assert det.far[0] == 1.0 and det.frr[0] == 0.0
     for k in (0, 25, 50, 75, 100):
         far, frr = far_frr_reference(claims.scores, claims.genuine, det.thresholds[k])
@@ -176,15 +186,15 @@ def test_det_curve_endpoints_and_reference():
 def test_det_area_zero_for_perfect_separation():
     matrix = ScoreMatrix(("a", "b"), ("x", "y"), np.array([[1.0, 0.0], [0.0, 1.0]]))
     claims = expand_claims(matrix, [0, 1])
-    assert det_curve(claims).area == 0.0
+    assert det_curve(claims, GRID).area == 0.0
 
 
 def test_fscore_curve_peaks_at_separating_threshold():
     matrix = ScoreMatrix(("a", "b"), ("x", "y"), np.array([[0.9, 0.1], [0.2, 0.8]]))
     claims = expand_claims(matrix, [0, 1])
-    curve = fscore_curve(claims)
+    curve = fscore_curve(claims, GRID)
     assert curve.ys.max() == 1.0
-    assert fscore(claims, 0.5) == 1.0
+    assert curve.ys[50] == 1.0  # threshold 0.5
 
 
 def test_fscore_undefined_scores_zero_with_warning():
@@ -192,7 +202,7 @@ def test_fscore_undefined_scores_zero_with_warning():
     claims = expand_claims(matrix, [0])
     no_genuine = ClaimSet(claims.scores[~claims.genuine], claims.genuine[~claims.genuine])
     with pytest.warns(DegenerateInputWarning):
-        assert fscore(no_genuine, 0.9) == 0.0
+        assert fscore_curve(no_genuine, [0.9]).ys.tolist() == [0.0]
 
 
 # -- identification ---------------------------------------------------------

@@ -41,7 +41,9 @@ def test_demo_signatures_take_the_fast_parse(tmp_path):
     corpus = load_svc(root)
     assert len(corpus) == 12
     assert corpus.checked_parse_files == 0
-    (root / "U1S5.txt").write_text("2\n1 2 3 1\x0c4 5 6 1\n", encoding="utf-8")
+    (root / "U1S5.txt").write_text("2\n1 2 3 1\x0c4 5 6 1\n", encoding="utf-8")  # a line end for splitlines()
+    assert load_svc(root).checked_parse_files == 0
+    (root / "U1S6.txt").write_text("2\n1 2 3 1\n1_000 5 6 1\n", encoding="utf-8")  # int() alone reads 1_000
     assert load_svc(root).checked_parse_files == 1
 
 

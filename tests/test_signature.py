@@ -11,19 +11,19 @@ from stylosig.errors import DataError, DegenerateInputWarning
 from stylosig.signature import (
     ScoreMatrix,
     SignatureSample,
-    _histograms,
     _parse_sample,
-    baseline_score,
-    direction_histogram,
+    direction_histograms,
     load_score_matrix,
     load_svc,
     save_score_matrix,
     score_matrix_from_templates,
-    stroke_angles,
 )
 
 from .conftest import signature_points, write_svc_dir, write_svc_file
 from .oracles import direction_histogram_per_sample, direction_histogram_reference, parse_capture_reference
+
+
+DELTA_ALPHA = 25.0
 
 
 def sample_from(points, writer=1, index=1):
@@ -42,6 +42,12 @@ def segment(deltas, pen=None):
     return sample_from(list(zip(xs, ys, t, pen)))
 
 
+def match(templates, probe):
+    """The probe's score against one template set: a one-cell score matrix."""
+    matrix = score_matrix_from_templates([(probe.item_id, probe)], [templates], ("t",), DELTA_ALPHA)
+    return float(matrix.scores[0, 0])
+
+
 # -- file loading -----------------------------------------------------------
 
 def test_load_svc_filters_and_orders(tmp_path):
@@ -49,7 +55,7 @@ def test_load_svc_filters_and_orders(tmp_path):
     # decoys: a forgery-range sample and an unrelated file
     write_svc_file(root / "U1S25.txt", signature_points(1, 25))
     (root / "README.md").write_text("notes", encoding="utf-8")
-    corpus = load_svc(root, genuine_max=20)
+    corpus = load_svc(root)
     assert corpus.writers == (1, 2)
     assert [s.index for s in corpus.by_writer[1]] == [1, 2, 3]
     assert len(corpus) == 6
@@ -143,10 +149,12 @@ def test_load_svc_mixed_widths_and_crlf_take_the_fast_path(tmp_path):
         ("2\n1 2 3 1\n1 2 3 1#\n", r"U1S1.txt:3: non-integer value"),
         ("1\n# x y t pen\n1 2 3 1\n", r"U1S1.txt:2: expected 4 or 7 columns, got 5"),
         ("1\n1 2 \x0c3 1\n", r"U1S1.txt:2: expected 4 or 7 columns, got 2"),
+        ("2\n1 2 3 1\n1 2 3 1\u01fe\n", r"U1S1.txt:3: non-integer value"),
     ],
 )
 def test_load_svc_keeps_messages_where_numpy_reads_otherwise(tmp_path, content, message):
-    # numpy's reader takes # for a comment and \x0c for a space; splitlines() and int() do not
+    # numpy's reader alone would take # for a comment, \x0c for a space and U+01FE for the
+    # digits 462; it gets the lines of splitlines(), no comment character and ASCII text only
     root = tmp_path / "svc"
     root.mkdir()
     (root / "U1S1.txt").write_text(content, encoding="utf-8")
@@ -158,9 +166,10 @@ def test_load_svc_keeps_messages_where_numpy_reads_otherwise(tmp_path, content, 
 _EDGE_VALUES = [0, 1, -1, 2**63 - 1, -(2**63)]
 # line ends for splitlines() that numpy's reader reads as spaces
 _NUMPY_SPACES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x0c1 2 3 1", "\x1e1 2 3 1 5 6 7"]
-# a comment for numpy's reader, values that int() alone accepts, and values that are no int64
+# a comment for numpy's reader, values that int() alone accepts, a letter numpy reads as
+# digits, and values that are no int64
 _ODD_TEXT = [
-    "#", "# c", "1#", "\r", "1_000", "\u0663", "\uff11", "x", "+", "-", "+-1",
+    "#", "# c", "1#", "\r", "1_000", "\u0663", "\uff11", "\u01fe", "x", "+", "-", "+-1",
     "9223372036854775808", "-9223372036854775809", "99999999999999999999",
 ]
 
@@ -226,27 +235,26 @@ def test_load_svc_missing_dir(tmp_path):
         load_svc(tmp_path / "nope")
 
 
-# -- stroke angles ----------------------------------------------------------
+# -- stroke angles, seen through 90-degree bins centered on the axes ---------
 
 def test_angles_skip_pen_up_and_stationary():
-    s = segment([(1, 0), (0, 0), (1, 1), (2, 0)], pen=[1, 1, 1, 0, 1])
-    # steps: (1,0) kept; (0,0) stationary; (1,1) ends pen-up; (2,0) starts pen-up
-    angles = stroke_angles(s.points)
-    assert np.allclose(angles, [0.0])
+    s = segment([(1, 0), (0, 0), (0, 1), (1, 1), (-1, 0)], pen=[1, 1, 1, 1, 0, 1])
+    # steps: (1,0) and (0,1) kept; (0,0) stationary; (1,1) ends pen-up; (-1,0) starts pen-up
+    assert direction_histograms([s], 90.0)[0].tolist() == [0.5, 0.5, 0.0, 0.0]
 
 
 def test_angle_quadrants():
-    s = segment([(1, 0), (0, 1), (-1, 0), (0, -1)])
-    assert np.allclose(stroke_angles(s.points), [0.0, 90.0, 180.0, 270.0])
+    steps = [segment([step]) for step in [(1, 0), (0, 1), (-1, 0), (0, -1)]]
+    # 0, 90, 180 and 270 degrees, one sample each
+    assert np.array_equal(direction_histograms(steps, 90.0), np.eye(4))
 
 
 # -- direction histograms ---------------------------------------------------
 
 def test_histogram_mass_and_normalization():
     s = segment([(1, 0), (0, 1)])
-    hist = direction_histogram(s, 25.0)
+    hist = direction_histograms([s], 25.0)[0]
     assert hist.shape == (15,)
-    assert stroke_angles(s.points).size == 2
     assert abs(hist.sum() - 1.0) < 1e-12
     # 0 degrees sits exactly on bin 0; 90 degrees splits between bins 3 and 4
     assert hist[0] == 0.5
@@ -258,7 +266,7 @@ def test_histogram_wraparound_seam():
     # ~354.9 degrees with 25-degree bins: offset 14.19, so the neighbor
     # share must wrap from the last bin into bin 0
     s = segment([(100, -9)])
-    hist = direction_histogram(s, 25.0)
+    hist = direction_histograms([s], 25.0)[0]
     assert hist[14] > 0.5
     assert hist[0] > 0
     assert np.isclose(hist.sum(), 1.0)
@@ -266,13 +274,10 @@ def test_histogram_wraparound_seam():
 
 def test_histogram_matches_loop_reference():
     rng = np.random.default_rng(21)
-    for _ in range(30):
-        pts = signature_points(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-        sample = sample_from(pts)
-        for delta in (25.0, 30.0, 45.0):
-            ours = direction_histogram(sample, delta)
-            ref_hist, ref_count = direction_histogram_reference(pts, delta)
-            assert stroke_angles(pts).size == ref_count
+    samples = [sample_from(signature_points(int(rng.integers(1, 9)), int(rng.integers(1, 9)))) for _ in range(30)]
+    for delta in (25.0, 30.0, 45.0):
+        for sample, ours in zip(samples, direction_histograms(samples, delta)):
+            ref_hist, _ = direction_histogram_reference(sample.points, delta)
             assert np.max(np.abs(ours - ref_hist)) < 1e-12
 
 
@@ -289,18 +294,17 @@ def test_histograms_bit_identical_to_per_sample_pass():
         sample_from([[9, 9, 0, 1]]),
     ]
     for delta in (0.25, 7.0, 25.0, 100.0, 360.0):
-        batched = _histograms(samples, delta)
+        batched = direction_histograms(samples, delta)
         want = np.array([direction_histogram_per_sample(s.points, delta) for s in samples])
         assert batched.shape == want.shape
         assert np.array_equal(batched.view(np.int64), want.view(np.int64))
         for sample, row in zip(samples, want):
-            assert np.array_equal(direction_histogram(sample, delta).view(np.int64), row.view(np.int64))
+            assert np.array_equal(direction_histograms([sample], delta)[0].view(np.int64), row.view(np.int64))
 
 
 def test_histogram_empty_when_no_motion():
     s = segment([(0, 0), (0, 0)])
-    hist = direction_histogram(s, 25.0)
-    assert stroke_angles(s.points).size == 0
+    hist = direction_histograms([s], 25.0)[0]
     assert hist.shape == (15,)
     assert np.all(hist == 0)
 
@@ -308,26 +312,26 @@ def test_histogram_empty_when_no_motion():
 def test_histogram_rejects_bad_width():
     s = segment([(1, 0)])
     with pytest.raises(ValueError):
-        direction_histogram(s, 0.0)
+        direction_histograms([s], 0.0)
     with pytest.raises(ValueError):
-        direction_histogram(s, 400.0)
+        direction_histograms([s], 400.0)
 
 
 # -- matching ---------------------------------------------------------------
 
 def test_self_match_is_one():
     s = sample_from(signature_points(4, 2))
-    assert abs(baseline_score([s], s) - 1.0) < 1e-12
+    assert abs(match([s], s) - 1.0) < 1e-12
 
 
 def test_perpendicular_strokes_do_not_match():
     horizontal = segment([(5, 0), (7, 0), (3, 0)])
     vertical = segment([(0, 5), (0, 7), (0, 3)])
-    assert baseline_score([horizontal], vertical) == 0.0
+    assert match([horizontal], vertical) == 0.0
     # and regardless of drawing direction
     reversed_h = segment([(-5, 0), (-7, 0)])
     reversed_v = segment([(0, -5), (0, -7)])
-    assert baseline_score([reversed_h], reversed_v) == 0.0
+    assert match([reversed_h], reversed_v) == 0.0
 
 
 def test_translation_invariance():
@@ -335,7 +339,7 @@ def test_translation_invariance():
     shifted = pts.copy()
     shifted[:, 0] += 10_000
     shifted[:, 1] -= 4_321
-    score = baseline_score([sample_from(pts)], sample_from(shifted))
+    score = match([sample_from(pts)], sample_from(shifted))
     assert abs(score - 1.0) < 1e-9
 
 
@@ -343,39 +347,39 @@ def test_time_shift_invariance():
     pts = signature_points(6, 4)
     shifted = pts.copy()
     shifted[:, 2] += 999_999
-    assert abs(baseline_score([sample_from(pts)], sample_from(shifted)) - 1.0) < 1e-9
+    assert abs(match([sample_from(pts)], sample_from(shifted)) - 1.0) < 1e-9
 
 
 def test_best_template_wins():
     probe = segment([(1, 0), (1, 0)])
     same = segment([(2, 0)])
     other = segment([(0, 2)])
-    assert baseline_score([other, same], probe) == 1.0
+    assert match([other, same], probe) == 1.0
 
 
 def test_score_is_symmetric_for_single_templates():
     a = sample_from(signature_points(1, 1))
     b = sample_from(signature_points(2, 2))
-    assert np.isclose(baseline_score([a], b), baseline_score([b], a))
+    assert np.isclose(match([a], b), match([b], a))
 
 
 def test_motionless_probe_scores_zero_with_warning():
     template = segment([(1, 0)])
     probe = segment([(0, 0)])
     with pytest.warns(DegenerateInputWarning, match="1 probe"):
-        assert baseline_score([template], probe) == 0.0
+        assert match([template], probe) == 0.0
 
 
 def test_motionless_templates_score_zero_with_warning():
     template = segment([(0, 0)])
     probe = segment([(1, 0)])
     with pytest.warns(DegenerateInputWarning, match="1 subject"):
-        assert baseline_score([template], probe) == 0.0
+        assert match([template], probe) == 0.0
 
 
 def test_no_templates_rejected():
     with pytest.raises(ValueError):
-        baseline_score([], segment([(1, 0)]))
+        match([], segment([(1, 0)]))
 
 
 def test_scores_bounded():
@@ -383,7 +387,7 @@ def test_scores_bounded():
     for _ in range(20):
         t = sample_from(signature_points(int(rng.integers(1, 20)), 1))
         p = sample_from(signature_points(int(rng.integers(1, 20)), 2))
-        assert 0.0 <= baseline_score([t], p) <= 1.0 + 1e-12
+        assert 0.0 <= match([t], p) <= 1.0 + 1e-12
 
 
 # -- score matrices ---------------------------------------------------------
@@ -392,7 +396,7 @@ def test_score_matrix_from_templates(tmp_path):
     corpus = load_svc(write_svc_dir(tmp_path / "svc", n_writers=3, n_samples=4))
     templates = [corpus.by_writer[w][:2] for w in corpus.writers]
     probes = [(s.item_id, s) for w in corpus.writers for s in corpus.by_writer[w][2:]]
-    matrix = score_matrix_from_templates(probes, templates, [f"w{w}" for w in corpus.writers])
+    matrix = score_matrix_from_templates(probes, templates, [f"w{w}" for w in corpus.writers], DELTA_ALPHA)
     assert matrix.scores.shape == (6, 3)
     assert matrix.scores.min() >= 0.0 and matrix.scores.max() <= 1.0
 
@@ -433,9 +437,9 @@ def test_score_matrix_rejects_bad_template_sets_before_histograms():
     # the probe is not a sample: any histogram computed before the check would fail otherwise
     probes = [("x", None)]
     with pytest.raises(ValueError, match="one template set per subject"):
-        score_matrix_from_templates(probes, [[segment([(1, 0)])]], ("a", "b"))
+        score_matrix_from_templates(probes, [[segment([(1, 0)])]], ("a", "b"), DELTA_ALPHA)
     with pytest.raises(ValueError, match="at least one template"):
-        score_matrix_from_templates(probes, [[segment([(1, 0)])], []], ("a", "b"))
+        score_matrix_from_templates(probes, [[segment([(1, 0)])], []], ("a", "b"), DELTA_ALPHA)
 
 
 def test_score_matrix_roundtrip_bit_exact(tmp_path):
