@@ -20,8 +20,6 @@ from .experiment import score_folds
 DEFAULT_SUBJECTS = 10
 DEFAULT_DOC_TOKENS = 400
 DEFAULT_VOCAB_WORDS = 2000
-DEFAULT_PROFILE_SIZE = 500
-DEFAULT_ALPHA = 0.01
 
 
 def synthetic_corpus(
@@ -52,14 +50,11 @@ def synthetic_corpus(
     return Corpus(subjects, tuple(documents))
 
 
-def time_attribution(
-    corpus: Corpus, profile_size: int = DEFAULT_PROFILE_SIZE, alpha: float = DEFAULT_ALPHA, stages: dict | None = None
-) -> float:
-    """Seconds for one end-to-end pass of the eval path: extract, build vocabulary, train, score.
+def time_attribution(corpus: Corpus, config: ExperimentConfig, stages: dict | None = None) -> float:
+    """Seconds for one end-to-end pass of the eval path under ``config``: extract, build vocabulary, train, score.
 
     With ``stages``, the pass also records its extract and folds seconds there.
     """
-    config = ExperimentConfig(profile_size=profile_size, alpha=alpha)
     started = time.perf_counter()
     train_docs = []
     test_docs = []
@@ -92,13 +87,12 @@ def _loglog_slope(sizes, means) -> float:
 
 def run_scaling(
     sizes,
+    config: ExperimentConfig,
     repeats: int = 5,
     n_subjects: int = DEFAULT_SUBJECTS,
     doc_tokens: int = DEFAULT_DOC_TOKENS,
-    profile_size: int = DEFAULT_PROFILE_SIZE,
-    alpha: float = DEFAULT_ALPHA,
 ) -> ScalingReport:
-    """Time the pipeline at each corpus size and fit a log-log growth slope, in total and per stage."""
+    """Time the pipeline under ``config`` at each corpus size and fit a log-log growth slope, in total and per stage."""
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2 or any(s < 2 for s in sizes) or sorted(sizes) != list(sizes):
         raise ValueError("sizes must be >= 2 each, ascending, at least two of them")
@@ -109,7 +103,7 @@ def run_scaling(
     for size in sizes:
         corpus = synthetic_corpus(n_subjects, size, doc_tokens)
         runs = [{} for _ in range(repeats)]
-        per_size.append(tuple(time_attribution(corpus, profile_size, alpha, stages) for stages in runs))
+        per_size.append(tuple(time_attribution(corpus, config, stages) for stages in runs))
         for stage, means in per_stage.items():
             means.append(float(np.mean([stages[stage] for stages in runs])))
     means = tuple(float(np.mean(t)) for t in per_size)

@@ -160,12 +160,13 @@ def cmd_bench(args, config: ExperimentConfig) -> int:
     except ValueError:
         raise ConfigError([f"--sizes {args.sizes!r} is not a comma-separated int list"]) from None
     try:
-        report = benchmod.run_scaling(sizes, repeats=args.repeats)
+        report = benchmod.run_scaling(sizes, config, repeats=args.repeats)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
+        "config": config.to_json(),
         "sizes": list(report.sizes),
         "seconds": [list(t) for t in report.seconds],
         "mean_seconds": list(report.mean_seconds),

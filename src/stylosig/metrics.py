@@ -2,8 +2,10 @@
 
 Verification metrics run over claims: every (test item, claimed subject)
 pair, genuine when the claim names the item's true subject.  A claim is
-accepted at threshold t when its score is >= t.  Identification metrics
-(accuracy, CMC) run over the per-item score rows directly.
+accepted at threshold t when its score is >= t.  Each claim class is sorted
+once, so F-measure, recall, DET and the match-score histograms all count
+the claims at or above a threshold by binary search.  Identification
+metrics (accuracy, CMC) run over the per-item score rows directly.
 """
 
 from __future__ import annotations
@@ -35,31 +37,36 @@ def default_grid(points: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClaimSet:
-    scores: np.ndarray  # (N,) float64, row-major over (item, claimed subject)
-    genuine: np.ndarray  # (N,) bool
+    genuine: np.ndarray  # (n_genuine,) float64 scores of the genuine claims, ascending
+    imposter: np.ndarray  # (n_imposter,) float64 scores of the imposter claims, ascending
 
     @property
     def n_genuine(self) -> int:
-        return int(self.genuine.sum())
+        return self.genuine.size
 
     @property
     def n_imposter(self) -> int:
-        return int((~self.genuine).sum())
+        return self.imposter.size
 
     def __len__(self):
-        return len(self.scores)
+        return self.genuine.size + self.imposter.size
 
 
-def expand_claims(matrix: ScoreMatrix, truth: Sequence[int]) -> ClaimSet:
-    """Expand a score matrix into one claim per (item, subject) pair, item by item."""
-    n_items, n_subjects = matrix.scores.shape
+def _checked_truth(matrix: ScoreMatrix, truth: Sequence[int]) -> np.ndarray:
     truth = np.asarray(truth, dtype=np.int64)
+    n_items, n_subjects = matrix.scores.shape
     if truth.shape != (n_items,):
         raise ValueError("need one true subject per matrix row")
     if truth.min() < 0 or truth.max() >= n_subjects:
         raise ValueError("true subject out of range")
-    genuine = np.arange(n_subjects)[None, :] == truth[:, None]
-    return ClaimSet(scores=matrix.scores.reshape(-1).copy(), genuine=genuine.reshape(-1))
+    return truth
+
+
+def expand_claims(matrix: ScoreMatrix, truth: Sequence[int]) -> ClaimSet:
+    """One claim per (item, subject) pair, genuine when the subject is the item's true one; each class sorted once."""
+    truth = _checked_truth(matrix, truth)
+    genuine = np.arange(matrix.scores.shape[1]) == truth[:, None]
+    return ClaimSet(np.sort(matrix.scores[genuine]), np.sort(matrix.scores[~genuine]))
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +133,12 @@ class DetCurve:
     area: float
 
 
-def _accept_counts(claims: ClaimSet, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (G,) true accepts and false accepts per threshold: each class's scores
-    # are sorted once, and the first index holding a score >= t splits it
-    genuine, imposter = np.sort(claims.scores[claims.genuine]), np.sort(claims.scores[~claims.genuine])
+def _accept_counts(claims: ClaimSet, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # genuine and imposter claims scoring >= each threshold: in a sorted
+    # class, the first index holding a score >= t splits it
     return (
-        genuine.size - np.searchsorted(genuine, grid, side="left"),
-        imposter.size - np.searchsorted(imposter, grid, side="left"),
+        claims.n_genuine - np.searchsorted(claims.genuine, thresholds, side="left"),
+        claims.n_imposter - np.searchsorted(claims.imposter, thresholds, side="left"),
     )
 
 
@@ -174,13 +180,8 @@ def det_curve(claims: ClaimSet, grid: np.ndarray) -> DetCurve:
 
 def genuine_ranks(matrix: ScoreMatrix, truth: Sequence[int]) -> np.ndarray:
     """Pessimistic rank of each item's true subject (ties count as worse)."""
-    truth = np.asarray(truth, dtype=np.int64)
-    n_items, n_subjects = matrix.scores.shape
-    if truth.shape != (n_items,):
-        raise ValueError("need one true subject per matrix row")
-    if truth.min() < 0 or truth.max() >= n_subjects:
-        raise ValueError("true subject out of range")
-    own = matrix.scores[np.arange(n_items), truth]
+    truth = _checked_truth(matrix, truth)
+    own = matrix.scores[np.arange(truth.size), truth]
     return (matrix.scores >= own[:, None]).sum(axis=1)
 
 
@@ -205,33 +206,30 @@ class MatchScoreHistogram:
     overlap: float
 
 
-def _bin_indices(scores: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    # right-open bins except the last, which also takes scores == 1.0
-    idx = np.searchsorted(edges, scores, side="right") - 1
-    return np.clip(idx, 0, len(edges) - 2)
-
-
 def msh(claims: ClaimSet, bins: int) -> MatchScoreHistogram:
     """Genuine and imposter score histograms over [0, 1] plus their overlap.
 
-    Overlap is the summed bin-wise minimum of the two normalized
-    histograms: 0 for perfectly separated classes, 1 for identical ones.
+    Bins are right-open except the last, which also takes 1.0: a bin's
+    count is the claims scoring at or above its low edge less those at or
+    above the next edge.  Overlap is the summed bin-wise minimum of the two
+    normalized histograms: 0 for perfectly separated classes, 1 for
+    identical ones.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    if np.any(claims.scores < 0.0) or np.any(claims.scores > 1.0):
+    if any(c.size and (c[0] < 0.0 or c[-1] > 1.0) for c in (claims.genuine, claims.imposter)):
         raise ValueError("match scores must lie in [0, 1]")
     edges = np.arange(bins + 1) / bins
-    gen_scores = claims.scores[claims.genuine]
-    imp_scores = claims.scores[~claims.genuine]
-    gen_counts = np.bincount(_bin_indices(gen_scores, edges), minlength=bins).astype(np.float64)
-    imp_counts = np.bincount(_bin_indices(imp_scores, edges), minlength=bins).astype(np.float64)
-    if gen_scores.size == 0 or imp_scores.size == 0:
+    if claims.n_genuine == 0 or claims.n_imposter == 0:
         warnings.warn("one claim class is empty, overlap is trivially 0", DegenerateInputWarning)
-    genuine = gen_counts / gen_scores.size if gen_scores.size else gen_counts
-    imposter = imp_counts / imp_scores.size if imp_scores.size else imp_counts
+    freqs = []
+    for at_least, n in zip(_accept_counts(claims, edges), (claims.n_genuine, claims.n_imposter)):
+        at_least[-1] = 0  # the last bin also keeps the scores of 1.0
+        counts = (at_least[:-1] - at_least[1:]).astype(np.float64)  # differences in integers, so no -0.0
+        freqs.append(counts / n if n else counts)
+    genuine, imposter = freqs
     overlap = float(np.minimum(genuine, imposter).sum())
-    return MatchScoreHistogram(edges, genuine, imposter, gen_scores.size, imp_scores.size, overlap)
+    return MatchScoreHistogram(edges, genuine, imposter, claims.n_genuine, claims.n_imposter, overlap)
 
 
 # ---------------------------------------------------------------------------

@@ -74,42 +74,32 @@ def _parse_sample(path: Path, writer: int, index: int) -> tuple[SignatureSample,
 
 
 def _parse_lines(path: Path, lines: list[str]) -> np.ndarray:
-    """The points of a capture file's lines, or the DataError naming what is wrong."""
+    """The points of a capture file's lines, parsed one line at a time, or the DataError naming what is wrong."""
     if not lines:
         raise DataError(f"{path}: empty file")
     try:
         declared = int(lines[0].split()[0])
     except (ValueError, IndexError):
         raise DataError(f"{path}:1: expected the point count") from None
-    rows = [parts for parts in map(str.split, lines[1:]) if parts]
-    try:
-        points = np.array(rows, dtype=np.int64)  # parses each value as int() does
-    except (ValueError, OverflowError):  # ragged rows, or a value that is no int64
-        points = None
-    if rows and (points is None or points.shape[1] not in (4, 7)):
-        raise _bad_line(path, lines)
+    rows = []
+    for lineno, parts in enumerate(map(str.split, lines[1:]), start=2):
+        if not parts:
+            continue
+        width = len(rows[0]) if rows else len(parts)
+        if width not in (4, 7) or len(parts) != width:
+            expected = width if width in (4, 7) else "4 or 7"
+            raise DataError(f"{path}:{lineno}: expected {expected} columns, got {len(parts)}")
+        try:
+            rows.append(np.array(parts, dtype=np.int64))  # parses each value as int() does
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer value") from None
+        except OverflowError:
+            raise DataError(f"{path}:{lineno}: value outside the 64-bit integer range") from None
     if len(rows) != declared:
         raise DataError(f"{path}: declared {declared} points but found {len(rows)}")
     if not rows:
         raise DataError(f"{path}: no points")
-    return points
-
-
-def _bad_line(path: Path, lines: list[str]) -> DataError:
-    """The error naming the first malformed point line, found one line at a time."""
-    numbered = [(lineno, parts) for lineno, parts in enumerate(map(str.split, lines[1:]), start=2) if parts]
-    width = len(numbered[0][1])
-    for lineno, parts in numbered:
-        if width not in (4, 7) or len(parts) != width:
-            expected = width if width in (4, 7) else "4 or 7"
-            return DataError(f"{path}:{lineno}: expected {expected} columns, got {len(parts)}")
-        try:
-            np.array(parts, dtype=np.int64)
-        except ValueError:
-            return DataError(f"{path}:{lineno}: non-integer value")
-        except OverflowError:
-            return DataError(f"{path}:{lineno}: value outside the 64-bit integer range")
-    return DataError(f"{path}: malformed point lines")
+    return np.array(rows)
 
 
 def load_svc(root: str | Path) -> SignatureCorpus:
@@ -117,11 +107,14 @@ def load_svc(root: str | Path) -> SignatureCorpus:
 
     Samples numbered above ``GENUINE_PER_WRITER`` are skilled forgeries in
     this naming scheme and are skipped; only genuine samples are returned.
+    Two files naming the same sample, such as U1S1.txt and u01s01.TXT, are
+    a DataError.
     """
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"signature root {root} is not a directory")
     found: dict[int, list[SignatureSample]] = {}
+    names: dict[tuple[int, int], str] = {}  # the file of each (writer, sample)
     checked_parse_files = 0
     for path in sorted(root.iterdir(), key=lambda p: p.name):  # Path order, without Path comparisons
         match = _SVC_NAME.match(path.name)
@@ -130,6 +123,9 @@ def load_svc(root: str | Path) -> SignatureCorpus:
         writer, index = int(match.group(1)), int(match.group(2))
         if index > GENUINE_PER_WRITER:
             continue
+        first = names.setdefault((writer, index), path.name)
+        if first != path.name:
+            raise DataError(f"{root}: {first} and {path.name} both hold sample U{writer}S{index}")
         sample, checked = _parse_sample(path, writer, index)
         found.setdefault(writer, []).append(sample)
         checked_parse_files += checked

@@ -197,6 +197,16 @@ def rolling_plan_reference(n_docs, train_window, test_window):
     return plans
 
 
+def flat_claims_reference(score_rows, truth):
+    """Every (item, subject) claim's score, and whether the subject is the item's true one, item by item."""
+    scores, genuine = [], []
+    for row, own in zip(score_rows, truth):
+        for subject, score in enumerate(row):
+            scores.append(score)
+            genuine.append(subject == own)
+    return np.array(scores, dtype=np.float64), np.array(genuine, dtype=bool)
+
+
 def confusion_reference(scores, genuine, threshold):
     tp = fp = fn = tn = 0
     for s, g in zip(scores, genuine):

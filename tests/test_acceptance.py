@@ -32,6 +32,7 @@ from .oracles import (
     cmc_reference,
     confusion_reference,
     far_frr_reference,
+    flat_claims_reference,
     fscore_reference,
     mnb_posterior_reference,
     msh_reference,
@@ -206,17 +207,18 @@ def test_criterion_06_metrics_match_brute_force_recount():
     matrix = ScoreMatrix(tuple(f"i{k}" for k in range(10)), tuple(f"s{k}" for k in range(10)), scores)
     claims = metrics.expand_claims(matrix, truth)
     assert len(claims) == 100
+    flat_scores, flat_genuine = flat_claims_reference(scores, truth)
 
     grid = metrics.default_grid(101)
     det = metrics.det_curve(claims, grid)
     rec = metrics.recall_curve(claims, grid)
     fc = metrics.fscore_curve(claims, grid)
     for k, t in enumerate(grid):
-        tp, fp, fn, tn = confusion_reference(claims.scores, claims.genuine, t)
+        tp, fp, fn, tn = confusion_reference(flat_scores, flat_genuine, t)
         recount = (rec.ys[k] * claims.n_genuine, det.far[k] * claims.n_imposter, det.frr[k] * claims.n_genuine)
         assert tuple(round(c) for c in recount) == (tp, fp, fn) and fp + tn == claims.n_imposter
-        assert fc.ys[k] == fscore_reference(claims.scores, claims.genuine, t)
-        far, frr = far_frr_reference(claims.scores, claims.genuine, t)
+        assert fc.ys[k] == fscore_reference(flat_scores, flat_genuine, t)
+        far, frr = far_frr_reference(flat_scores, flat_genuine, t)
         assert det.far[k] == far and det.frr[k] == frr
         assert rec.ys[k] == tp / claims.n_genuine
 
@@ -229,7 +231,7 @@ def test_criterion_06_metrics_match_brute_force_recount():
     assert cmc.ys[-1] == 1.0
 
     hist = metrics.msh(claims, bins=20)
-    gen, imp, overlap = msh_reference(claims.scores, claims.genuine, 20)
+    gen, imp, overlap = msh_reference(flat_scores, flat_genuine, 20)
     assert np.array_equal(hist.genuine, gen)
     assert np.array_equal(hist.imposter, imp)
     assert abs(hist.overlap - overlap) <= 1e-12
@@ -275,11 +277,12 @@ def test_criterion_07_separable_corpus_end_to_end(tmp_path):
 
 def test_criterion_08_pipeline_scales_linearly():
     # calibrate the base size so the smallest measured point costs >= 1s
+    config = ExperimentConfig(profile_size=500)
     size = 8
-    while time_attribution(synthetic_corpus(10, size)) < 1.0:
+    while time_attribution(synthetic_corpus(10, size), config) < 1.0:
         size *= 2
         assert size <= 2**15, "calibration ran away"
-    report = run_scaling([size, 2 * size, 4 * size], repeats=5)
+    report = run_scaling([size, 2 * size, 4 * size], config, repeats=5)
     assert all(r <= 2.5 for r in report.ratios), report
     assert 0.8 <= report.loglog_slope <= 1.3, report
     print(

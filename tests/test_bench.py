@@ -1,6 +1,7 @@
 import pytest
 
 from stylosig.bench import run_scaling, synthetic_corpus, time_attribution
+from stylosig.config import ExperimentConfig
 from stylosig.features import tokenize
 
 
@@ -31,11 +32,11 @@ def test_synthetic_corpus_validates():
 
 def test_time_attribution_returns_positive_seconds():
     corpus = synthetic_corpus(3, 5, doc_tokens=50)
-    assert time_attribution(corpus, profile_size=50) > 0.0
+    assert time_attribution(corpus, ExperimentConfig(profile_size=50)) > 0.0
 
 
 def test_run_scaling_structure():
-    report = run_scaling([2, 4], repeats=2, n_subjects=2, doc_tokens=50, profile_size=50)
+    report = run_scaling([2, 4], ExperimentConfig(profile_size=50), repeats=2, n_subjects=2, doc_tokens=50)
     assert report.sizes == (2, 4)
     assert len(report.seconds) == 2 and all(len(t) == 2 for t in report.seconds)
     assert len(report.ratios) == 1
@@ -44,8 +45,8 @@ def test_run_scaling_structure():
 
 def test_run_scaling_validates():
     with pytest.raises(ValueError):
-        run_scaling([4], repeats=2)
+        run_scaling([4], ExperimentConfig(), repeats=2)
     with pytest.raises(ValueError):
-        run_scaling([4, 2], repeats=2)
+        run_scaling([4, 2], ExperimentConfig(), repeats=2)
     with pytest.raises(ValueError):
-        run_scaling([2, 4], repeats=0)
+        run_scaling([2, 4], ExperimentConfig(), repeats=0)

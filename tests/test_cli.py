@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stylosig import cli, config
+from stylosig import classifiers, cli, config
 from stylosig.cli import main
 from stylosig.errors import DegenerateInputWarning
 from stylosig.signature import ScoreMatrix, load_score_matrix, save_score_matrix
@@ -286,6 +286,19 @@ def test_bench_command_writes_report(tmp_path, capsys):
     assert "docs/subject" in capsys.readouterr().out
 
 
+def test_bench_runs_under_the_resolved_config(tmp_path, monkeypatch):
+    trained = []
+    pnb_train = classifiers.pnb_train
+    monkeypatch.setattr(classifiers, "pnb_train", lambda *args: trained.append(args) or pnb_train(*args))
+    out = tmp_path / "out"
+    args = ["bench", "--sizes", "2,4", "--repeats", "1", "-O", "classifier=pnb", "-O", "profile_size=50"]
+    assert main([*args, "--output-dir", str(out)]) == 0
+    assert len(trained) == 2  # one pass at each size
+    assert [len(vocab) for _, _, vocab, _, _ in trained] == [50, 50]
+    report = json.loads((out / "bench.json").read_text())
+    assert (report["config"]["classifier"], report["config"]["profile_size"]) == ("pnb", 50)
+
+
 def test_bench_bad_sizes_is_config_error(tmp_path, capsys):
     assert main(["bench", "--sizes", "two,four", "--output-dir", str(tmp_path)]) == 2
 
@@ -460,12 +473,14 @@ def _config_values(inputs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(command=st.sampled_from(["eval", "train", "sigscore", "chimeric"]), data=st.data())
+@given(command=st.sampled_from(["eval", "train", "sigscore", "chimeric", "bench"]), data=st.data())
 def test_any_config_value_runs_or_fails_cleanly(cli_inputs, command, data):
     values = _config_values(cli_inputs)
     assert set(values) == {f.name for f in fields(config.ExperimentConfig)}
     keys = data.draw(st.lists(st.sampled_from(sorted(values)), unique=True, min_size=1, max_size=5))
     args = [command, *cli_inputs["base"]]
+    if command == "bench":
+        args += ["--sizes", "2,4", "--repeats", "1"]
     for key in keys:
         args += ["-O", f"{key}={data.draw(values[key], label=key)}"]
     err = io.StringIO()

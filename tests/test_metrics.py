@@ -1,7 +1,10 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from stylosig.config import ExperimentConfig
@@ -28,6 +31,7 @@ from .oracles import (
     cmc_reference,
     confusion_reference,
     far_frr_reference,
+    flat_claims_reference,
     fscore_reference,
     msh_reference,
     trapezoid_reference,
@@ -76,10 +80,9 @@ def test_expand_claims_layout():
     assert len(claims) == 6
     assert claims.n_genuine == 3
     assert claims.n_imposter == 3
-    # row-major expansion: item 0's claims come first, claim k is (item k // 2, subject k % 2)
-    assert np.array_equal(claims.scores[:2], matrix.scores[0])
-    assert np.array_equal(claims.scores, [matrix.scores[k // 2, k % 2] for k in range(6)])
-    assert np.array_equal(claims.genuine, [k % 2 == truth[k // 2] for k in range(6)])
+    # each class holds its claims' scores in ascending order
+    assert claims.genuine.tolist() == sorted(matrix.scores[k, truth[k]] for k in range(3))
+    assert claims.imposter.tolist() == sorted(matrix.scores[k, 1 - truth[k]] for k in range(3))
 
 
 def test_expand_claims_validates_truth():
@@ -108,9 +111,10 @@ def test_confusion_threshold_is_inclusive():
 def test_counts_match_loop_reference():
     matrix, truth = random_claims(8, 5, seed=3)
     claims = expand_claims(matrix, truth)
+    scores, genuine = flat_claims_reference(matrix.scores, truth)
     grid = default_grid(21)
-    assert confusion_at(claims, grid) == [confusion_reference(claims.scores, claims.genuine, t) for t in grid]
-    fscores = [fscore_reference(claims.scores, claims.genuine, t) for t in grid]
+    assert confusion_at(claims, grid) == [confusion_reference(scores, genuine, t) for t in grid]
+    fscores = [fscore_reference(scores, genuine, t) for t in grid]
     assert fscore_curve(claims, grid).ys.tolist() == fscores
 
 
@@ -167,7 +171,7 @@ def test_recall_curve_endpoints_and_monotonicity():
 def test_recall_needs_genuine_claims():
     matrix, _ = random_claims(3, 3)
     claims = expand_claims(matrix, [0, 0, 0])
-    only_imposters = ClaimSet(claims.scores[~claims.genuine], claims.genuine[~claims.genuine])
+    only_imposters = ClaimSet(claims.genuine[:0], claims.imposter)
     with pytest.raises(ValueError):
         recall_curve(only_imposters, GRID)
 
@@ -175,10 +179,11 @@ def test_recall_needs_genuine_claims():
 def test_det_curve_endpoints_and_reference():
     matrix, truth = random_claims(10, 5, seed=8)
     claims = expand_claims(matrix, truth)
+    scores, genuine = flat_claims_reference(matrix.scores, truth)
     det = det_curve(claims, GRID)
     assert det.far[0] == 1.0 and det.frr[0] == 0.0
     for k in (0, 25, 50, 75, 100):
-        far, frr = far_frr_reference(claims.scores, claims.genuine, det.thresholds[k])
+        far, frr = far_frr_reference(scores, genuine, det.thresholds[k])
         assert det.far[k] == far and det.frr[k] == frr
     assert math.isclose(det.area, abs(trapezoid_reference(det.frr, det.far)), rel_tol=1e-12)
 
@@ -200,7 +205,7 @@ def test_fscore_curve_peaks_at_separating_threshold():
 def test_fscore_undefined_scores_zero_with_warning():
     matrix = ScoreMatrix(("a",), ("x", "y"), np.array([[0.2, 0.3]]))
     claims = expand_claims(matrix, [0])
-    no_genuine = ClaimSet(claims.scores[~claims.genuine], claims.genuine[~claims.genuine])
+    no_genuine = ClaimSet(claims.genuine[:0], claims.imposter)
     with pytest.warns(DegenerateInputWarning):
         assert fscore_curve(no_genuine, [0.9]).ys.tolist() == [0.0]
 
@@ -252,9 +257,10 @@ def test_msh_last_bin_takes_score_one():
 def test_msh_matches_loop_reference():
     matrix, truth = random_claims(15, 4, seed=23)
     claims = expand_claims(matrix, truth)
+    scores, genuine = flat_claims_reference(matrix.scores, truth)
     for bins in (2, 7, 20):
         hist = msh(claims, bins=bins)
-        gen, imp, overlap = msh_reference(claims.scores, claims.genuine, bins)
+        gen, imp, overlap = msh_reference(scores, genuine, bins)
         assert np.array_equal(hist.genuine, gen)
         assert np.array_equal(hist.imposter, imp)
         # bin frequencies are identical; the overlap sum may differ in the
@@ -263,9 +269,8 @@ def test_msh_matches_loop_reference():
 
 
 def test_msh_identical_distributions_overlap_one():
-    scores = np.array([0.1, 0.5, 0.9, 0.1, 0.5, 0.9])
-    genuine = np.array([True, True, True, False, False, False])
-    claims = ClaimSet(scores, genuine)
+    scores = np.array([0.1, 0.5, 0.9])
+    claims = ClaimSet(scores, scores.copy())
     assert abs(msh(claims, bins=10).overlap - 1.0) < 1e-12
 
 
@@ -274,6 +279,62 @@ def test_msh_validates():
     claims = expand_claims(matrix, truth)
     with pytest.raises(ValueError):
         msh(claims, bins=0)
+
+
+@st.composite
+def claim_cases(draw):
+    """A score matrix and its truth, a threshold grid and a bin count, and which claim class to drop, if any.
+
+    Scores are drawn from 0, 1, every bin edge, every grid point and
+    anywhere in [0, 1], so ties and scores on a threshold are common.
+    """
+    bins = draw(st.integers(1, 12))
+    grid = default_grid(draw(st.integers(2, 30)))
+    n_items, n_subjects = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    value = st.one_of(st.sampled_from([0.0, 1.0, *(np.arange(bins + 1) / bins), *grid]), st.floats(0.0, 1.0))
+    scores = np.array(draw(st.lists(value, min_size=n_items * n_subjects, max_size=n_items * n_subjects)))
+    truth = draw(st.lists(st.integers(0, n_subjects - 1), min_size=n_items, max_size=n_items))
+    matrix = ScoreMatrix(
+        tuple(f"i{k}" for k in range(n_items)),
+        tuple(f"s{k}" for k in range(n_subjects)),
+        scores.reshape(n_items, n_subjects),
+    )
+    return matrix, truth, grid, bins, draw(st.sampled_from([None, None, "genuine", "imposter"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(claim_cases())
+def test_threshold_statistics_equal_loop_references(case):
+    matrix, truth, grid, bins, dropped = case
+    claims = expand_claims(matrix, truth)
+    scores, genuine = flat_claims_reference(matrix.scores, truth)
+    if dropped is not None:  # a claim set with one class empty
+        claims = replace(claims, **{dropped: getattr(claims, dropped)[:0]})
+        keep = ~genuine if dropped == "genuine" else genuine
+        scores, genuine = scores[keep], genuine[keep]
+    references = [confusion_reference(scores, genuine, t) for t in grid]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        assert fscore_curve(claims, grid).ys.tolist() == [fscore_reference(scores, genuine, t) for t in grid]
+        hist = msh(claims, bins)
+    gen, imp, overlap = msh_reference(scores, genuine, bins)
+    assert (hist.n_genuine, hist.n_imposter) == (genuine.sum(), (~genuine).sum())
+    # repr tells -0.0 from 0.0, as msh.csv does
+    freqs = [*hist.genuine.tolist(), *hist.imposter.tolist()]
+    assert list(map(repr, freqs)) == list(map(repr, [*gen.tolist(), *imp.tolist()]))
+    assert abs(hist.overlap - overlap) < 1e-12  # the two sums add in different orders
+    if not genuine.any():
+        with pytest.raises(ValueError):
+            recall_curve(claims, grid)
+    else:
+        assert recall_curve(claims, grid).ys.tolist() == [tp / (tp + fn) for tp, _, fn, _ in references]
+    if genuine.all() or not genuine.any():
+        with pytest.raises(ValueError):
+            det_curve(claims, grid)
+    else:
+        det = det_curve(claims, grid)
+        far_frr = [far_frr_reference(scores, genuine, t) for t in grid]
+        assert list(zip(det.far.tolist(), det.frr.tolist())) == far_frr
 
 
 # -- paired t-test ----------------------------------------------------------

@@ -86,6 +86,15 @@ def test_load_svc_errors(tmp_path):
         load_svc(root)
 
 
+@pytest.mark.parametrize("duplicate", ["U01S01.txt", "u1s1.TXT"])
+def test_load_svc_rejects_two_files_of_one_sample(tmp_path, duplicate):
+    root = write_svc_dir(tmp_path / "svc", n_writers=1, n_samples=3)
+    write_svc_file(root / duplicate, signature_points(1, 2))
+    with pytest.raises(DataError, match="both hold sample U1S1") as err:
+        load_svc(root)
+    assert "U1S1.txt" in str(err.value) and duplicate in str(err.value)
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -172,26 +181,34 @@ _ODD_TEXT = [
     "#", "# c", "1#", "\r", "1_000", "\u0663", "\uff11", "\u01fe", "x", "+", "-", "+-1",
     "9223372036854775808", "-9223372036854775809", "99999999999999999999",
 ]
+# non-ASCII letters and digits as whole values: int() reads U+0663 and U+FF11 and
+# refuses U+01FE, which numpy's reader would take for the digits 462
+_NON_ASCII_VALUES = ["\u01fe", "1\u01fe", "\u0663", "\uff11"]
 
 
 @st.composite
 def capture_texts(draw):
-    """Capture text, a third of it without odd text, often with a flaw of its own."""
+    """Capture text, a third of it without odd text, often with a flaw of its own.
+
+    A point line may hold a non-ASCII letter or digit as one of its values.
+    """
     width = draw(st.sampled_from([4, 4, 4, 7, 7, 7, 3, 5, 8]))
     value = st.one_of(st.integers(-(10**6), 10**6), st.sampled_from(_EDGE_VALUES))
     lines = []
     for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "spaces", "ragged"]))
+        kind = draw(st.sampled_from(["row"] * 8 + ["non-ascii"] * 2 + ["blank", "spaces", "ragged"]))
         if kind == "blank":
             lines.append("")
         elif kind == "spaces":
             lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
         else:
-            n = width if kind == "row" else draw(st.sampled_from([3, 4, 5, 7, 8]))
+            n = draw(st.sampled_from([3, 4, 5, 7, 8])) if kind == "ragged" else width
             tokens = []
             for v in draw(st.lists(value, min_size=n, max_size=n)):
                 sign = "-" if v < 0 else draw(st.sampled_from(["", "", "+"]))
                 tokens.append(sign + "0" * draw(st.sampled_from([0, 0, 1, 2])) + str(abs(v)))
+            if kind == "non-ascii":
+                tokens[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_NON_ASCII_VALUES))
             gap = draw(st.sampled_from([" ", " ", "\t", "  ", " \t"]))
             pad = st.sampled_from(["", "", " ", "\t"])
             lines.append(draw(pad) + gap.join(tokens) + draw(pad))
