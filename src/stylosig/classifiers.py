@@ -44,7 +44,6 @@ class NbModel:
     """
 
     kind: str
-    vocab: Vocabulary
     subject_labels: tuple[str, ...]
     alpha: float
     table: np.ndarray
@@ -89,22 +88,22 @@ def _pool(counts, subjects, alpha: float, n_subjects: int):
     return (indicator @ counts).toarray(), docs_per_subject
 
 
-def mnb_train(counts, subjects, vocab: Vocabulary, alpha: float, subject_labels: Sequence[str]) -> NbModel:
+def mnb_train(counts, subjects, alpha: float, subject_labels: Sequence[str]) -> NbModel:
     """Fit multinomial feature probabilities with additive smoothing.
 
-    ``counts`` is a sparse (documents, m) matrix over the vocabulary and
-    ``subjects`` the subject id of each row.  alpha=0 is replaced by a
+    ``counts`` is a sparse (documents, m) matrix over the m profile features
+    and ``subjects`` the subject id of each row.  alpha=0 is replaced by a
     1e-10 floor so that log probabilities stay finite; negative alpha is
     rejected.
     """
     labels = tuple(subject_labels)
     pooled, _ = _pool(counts, subjects, alpha, len(labels))
     a = alpha if alpha > 0 else ALPHA_FLOOR
-    log_params = np.log(pooled + a) - np.log(pooled.sum(axis=1) + a * len(vocab))[:, None]
-    return NbModel("mnb", vocab, labels, alpha, log_params)
+    log_params = np.log(pooled + a) - np.log(pooled.sum(axis=1) + a * pooled.shape[1])[:, None]
+    return NbModel("mnb", labels, alpha, log_params)
 
 
-def pnb_train(counts, subjects, vocab: Vocabulary, alpha: float, subject_labels: Sequence[str]) -> NbModel:
+def pnb_train(counts, subjects, alpha: float, subject_labels: Sequence[str]) -> NbModel:
     """Fit one Poisson rate per (subject, feature): smoothed count / document count.
 
     alpha=0 is kept as-is here; a zero rate is a legal degenerate Poisson
@@ -112,7 +111,7 @@ def pnb_train(counts, subjects, vocab: Vocabulary, alpha: float, subject_labels:
     """
     labels = tuple(subject_labels)
     pooled, docs_per_subject = _pool(counts, subjects, alpha, len(labels))
-    return NbModel("pnb", vocab, labels, alpha, (pooled + alpha) / docs_per_subject[:, None])
+    return NbModel("pnb", labels, alpha, (pooled + alpha) / docs_per_subject[:, None])
 
 
 def posterior(model: NbModel, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -145,30 +144,30 @@ def warn_fallback(model: NbModel, n_rows: int) -> None:
 # ---------------------------------------------------------------------------
 # persistence
 
-def save_model(model: NbModel, path: str | Path) -> None:
-    """Write a model as .npz; floats survive the round trip bit-exactly."""
+def save_model(model: NbModel, path: str | Path, vocab: Vocabulary) -> None:
+    """Write a model and the vocabulary of its table's columns as .npz; floats survive the round trip bit-exactly."""
     header = {
         "format_version": FORMAT_VERSION,
         "alpha": model.alpha,
-        "feature_family": model.vocab.model.family,
-        "feature_orders": list(model.vocab.model.orders),
-        "feature_element": model.vocab.model.element,
-        "profile_size": model.vocab.profile_size,
+        "feature_family": vocab.model.family,
+        "feature_orders": list(vocab.model.orders),
+        "feature_element": vocab.model.element,
+        "profile_size": vocab.profile_size,
         "kind": model.kind,
     }
     with open(path, "wb") as fh:
         np.savez(
             fh,
             subject_labels=np.array(model.subject_labels, dtype=np.str_),
-            features=np.array(model.vocab.features, dtype=np.str_),
+            features=np.array(vocab.features, dtype=np.str_),
             log_priors=model.log_priors,
             **{_TABLE_NAMES[model.kind]: model.table},
             header=np.array(json.dumps(header)),
         )
 
 
-def load_model(path: str | Path) -> NbModel:
-    """Read a model file; one whose arrays do not fit its labels and features is a DataError."""
+def load_model(path: str | Path) -> tuple[NbModel, Vocabulary]:
+    """Read a model file and its vocabulary; one whose arrays do not fit its labels and features is a DataError."""
     path = Path(path)
     try:
         data = np.load(path, allow_pickle=False)
@@ -185,7 +184,7 @@ def load_model(path: str | Path) -> NbModel:
                 raise DataError(f"{path}: unknown model kind {kind!r}")
             fmodel = FeatureModel(header["feature_family"], tuple(header["feature_orders"]), header["feature_element"])
             vocab = Vocabulary(fmodel, header["profile_size"], tuple(data["features"]))
-            model = NbModel(kind, vocab, tuple(data["subject_labels"]), header["alpha"], data[_TABLE_NAMES[kind]])
+            model = NbModel(kind, tuple(data["subject_labels"]), header["alpha"], data[_TABLE_NAMES[kind]])
             log_priors = data["log_priors"]
     # not an .npz archive, or a header or array of the wrong type
     except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError, TypeError) as exc:
@@ -196,4 +195,4 @@ def load_model(path: str | Path) -> NbModel:
             f"{path}: {_TABLE_NAMES[kind]} {model.table.shape} and log_priors {log_priors.shape} do not fit "
             f"{shape[0]} subject labels with uniform priors and {shape[1]} features"
         )
-    return model
+    return model, vocab

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import classifiers, experiment, metrics
@@ -79,25 +80,22 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def cmd_train(args, config: ExperimentConfig) -> int:
-    model, counts = experiment.train_on_corpus(config)
+    model, vocab, counts = experiment.train_on_corpus(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.npz"
-    classifiers.save_model(model, model_path)
-    write_feature_tsv(zip(model.vocab.features, counts.tolist()), out / "vocabulary.tsv")
-    print(
-        f"trained {config.classifier} on {model.n_subjects} subjects, "
-        f"{len(model.vocab)} features -> {model_path}"
-    )
+    classifiers.save_model(model, model_path, vocab)
+    write_feature_tsv(zip(vocab.features, counts.tolist()), out / "vocabulary.tsv")
+    print(f"trained {config.classifier} on {model.n_subjects} subjects, {len(vocab)} features -> {model_path}")
     return 0
 
 
 def cmd_attribute(args, config: ExperimentConfig) -> int:
     if args.scores and (Path(args.scores).is_dir() or not Path(args.scores).parent.is_dir()):
         raise ConfigError([f"--scores {args.scores}: not a file in an existing directory"])
-    model = classifiers.load_model(args.model)
+    model, vocab = classifiers.load_model(args.model)
     docs = [read_document(Path(name), name, 0) for name in args.texts]
-    counts = extract_matrix(model.vocab.model, docs, index=model.vocab.index).counts
+    counts = extract_matrix(vocab.model, docs, index=vocab.index).counts
     scores, fallback = experiment.possibility_rows(model, counts)
     classifiers.warn_fallback(model, int(fallback.sum()))
     for name, subject, tie in zip(args.texts, *decide(scores)):
@@ -165,17 +163,7 @@ def cmd_bench(args, config: ExperimentConfig) -> int:
         raise ConfigError([str(exc)]) from None
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "config": config.to_json(),
-        "sizes": list(report.sizes),
-        "seconds": [list(t) for t in report.seconds],
-        "mean_seconds": list(report.mean_seconds),
-        "ratios": list(report.ratios),
-        "loglog_slope": report.loglog_slope,
-        "stage_mean_seconds": {stage: list(m) for stage, m in report.stage_mean_seconds.items()},
-        "stage_loglog_slope": report.stage_loglog_slope,
-    }
-    metrics.write_summary_json(payload, out / "bench.json")
+    metrics.write_summary_json({"config": config.to_json(), **asdict(report)}, out / "bench.json")
     for size, mean in zip(report.sizes, report.mean_seconds):
         print(f"{size:6d} docs/subject: {mean:.4f}s")
     print(f"ratios: {', '.join(f'{r:.3f}' for r in report.ratios)}; log-log slope {report.loglog_slope:.3f}")

@@ -9,7 +9,7 @@ reports them all.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .classifiers import KINDS as CLASSIFIERS
@@ -21,37 +21,6 @@ OUTPUT_ENV = "STYLOSIG_OUTPUT_DIR"
 
 PROTOCOLS = ("rolling", "chimeric")
 EXTERNAL_KINDS = ("fuzzy", "probability")
-
-
-@dataclass
-class ExperimentConfig:
-    corpus_dir: Path | None = None
-    protocol: str = "rolling"
-    train_window: int = 8
-    test_window: int = 5
-    train_docs: int = 5
-    test_docs: int = 15
-    feature_family: str = "ngram"
-    ngram_orders: tuple[int, ...] = (1, 2)
-    sngram_element: str = "word"
-    sngram_order: int = 2
-    profile_size: int = 10000
-    classifier: str = "mnb"
-    alpha: float = 0.01
-    fusion_operator: str = "average"
-    signature_dir: Path | None = None
-    signature_matrix: Path | None = None
-    external_matrix: Path | None = None
-    external_kind: str = "fuzzy"
-    delta_alpha: float = 25.0
-    msh_bins: int = 20
-    grid_points: int = 101
-    confidence: float = 0.95
-    output_dir: Path = Path("out")
-
-    def to_json(self) -> dict:
-        """Every key with its resolved value; paths become strings."""
-        return {key: str(v) if isinstance(v, Path) else v for key, v in asdict(self).items()}
 
 
 def _parse_orders(raw: str) -> tuple[int, ...]:
@@ -101,34 +70,43 @@ def _confidence(raw: str) -> float:
     return value
 
 
-_PARSERS = {
-    "corpus_dir": Path,
-    "protocol": _enum(PROTOCOLS),
-    "train_window": _positive_int,
-    "test_window": _positive_int,
-    "train_docs": _positive_int,
-    "test_docs": _positive_int,
-    "feature_family": _enum(FAMILIES),
-    "ngram_orders": _parse_orders,
-    "sngram_element": _enum(ELEMENTS),
-    "sngram_order": _positive_int,
-    "profile_size": _positive_int,
-    "classifier": _enum(CLASSIFIERS),
-    "alpha": _in_range(float, 0.0, 1e100),  # keeps MNB's smoothed denominator, counts + alpha * m, finite
-    "fusion_operator": _enum(FUSION_OPERATORS),
-    "signature_dir": Path,
-    "signature_matrix": Path,
-    "external_matrix": Path,
-    "external_kind": _enum(EXTERNAL_KINDS),
-    "delta_alpha": _in_range(float, 0.25, 360.0),  # at most 1440 bins per direction histogram
-    "msh_bins": _in_range(int, 1, 10_000),  # bins of each MSH histogram
-    "grid_points": _in_range(int, 2, 10_001),  # thresholds of each curve, down to a step of 1e-4
-    "confidence": _confidence,
-    "output_dir": Path,
-}
+def _key(default, parse):
+    """A config key: its default and the parser of its raw string value."""
+    return field(default=default, metadata={"parse": parse})
 
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
-assert set(_PARSERS) == _FIELD_NAMES
+
+@dataclass
+class ExperimentConfig:
+    corpus_dir: Path | None = _key(None, Path)
+    protocol: str = _key("rolling", _enum(PROTOCOLS))
+    train_window: int = _key(8, _positive_int)
+    test_window: int = _key(5, _positive_int)
+    train_docs: int = _key(5, _positive_int)
+    test_docs: int = _key(15, _positive_int)
+    feature_family: str = _key("ngram", _enum(FAMILIES))
+    ngram_orders: tuple[int, ...] = _key((1, 2), _parse_orders)
+    sngram_element: str = _key("word", _enum(ELEMENTS))
+    sngram_order: int = _key(2, _positive_int)
+    profile_size: int = _key(10000, _positive_int)
+    classifier: str = _key("mnb", _enum(CLASSIFIERS))
+    alpha: float = _key(0.01, _in_range(float, 0.0, 1e100))  # keeps MNB's smoothed denominator, counts + alpha * m, finite
+    fusion_operator: str = _key("average", _enum(FUSION_OPERATORS))
+    signature_dir: Path | None = _key(None, Path)
+    signature_matrix: Path | None = _key(None, Path)
+    external_matrix: Path | None = _key(None, Path)
+    external_kind: str = _key("fuzzy", _enum(EXTERNAL_KINDS))
+    delta_alpha: float = _key(25.0, _in_range(float, 0.25, 360.0))  # at most 1440 bins per direction histogram
+    msh_bins: int = _key(20, _in_range(int, 1, 10_000))  # bins of each MSH histogram
+    grid_points: int = _key(101, _in_range(int, 2, 10_001))  # thresholds of each curve, down to a step of 1e-4
+    confidence: float = _key(0.95, _confidence)
+    output_dir: Path = _key(Path("out"), Path)
+
+    def to_json(self) -> dict:
+        """Every key with its resolved value; paths become strings."""
+        return {key: str(v) if isinstance(v, Path) else v for key, v in asdict(self).items()}
+
+
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:

@@ -20,7 +20,7 @@ from . import __version__, classifiers, metrics
 from .config import ExperimentConfig
 from .corpus import build_chimeric, keep_largest, load_text_corpus, rolling_folds
 from .errors import DataError, DegenerateInputWarning
-from .features import FeatureMatrix, FeatureModel, build_vocabulary, extract_matrix
+from .features import FeatureMatrix, FeatureModel, Vocabulary, build_vocabulary, extract_matrix
 from .fusion import decide, fuse
 from .possibility import to_possibility
 from .signature import ScoreMatrix, load_score_matrix, load_svc, score_matrix_from_templates
@@ -38,9 +38,9 @@ def fit_stylome(config: ExperimentConfig, features: FeatureMatrix, rows, subject
     Returns the model and the vocabulary's columns in ``features``.
     """
     train = features.counts[np.asarray(rows, dtype=np.int64)]
-    vocab, columns = build_vocabulary(features, train.sum(axis=0), config.profile_size)
+    columns = build_vocabulary(features, train.sum(axis=0), config.profile_size)
     fit = getattr(classifiers, f"{config.classifier}_train")  # the estimator of a kind in classifiers.KINDS
-    return fit(train[:, columns], subjects, vocab, config.alpha, tuple(subject_labels)), columns
+    return fit(train[:, columns], subjects, config.alpha, tuple(subject_labels)), columns
 
 
 def possibility_rows(model, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -59,6 +59,14 @@ def _timed(seconds: dict[str, float], stage: str):
     started = time.perf_counter()
     yield
     seconds[stage] = time.perf_counter() - started
+
+
+def _write_run_json(out_dir: Path, config: ExperimentConfig, stages: dict, started: float, **facts) -> dict:
+    """Write run.json: the resolved config, the version, the protocol's ``facts`` and the seconds per stage and in all."""
+    run_info = {"config": config.to_json(), "version": __version__, **facts, "stage_seconds": stages}
+    run_info["elapsed_seconds"] = time.perf_counter() - started
+    metrics.write_summary_json(run_info, out_dir / "run.json")
+    return run_info
 
 
 def score_folds(config: ExperimentConfig, docs, n_indexed: int, folds, subjects: np.ndarray, labels, stages: dict):
@@ -176,11 +184,10 @@ def _ttest_on_correctness(correct: dict[str, np.ndarray], pairs) -> dict:
 # ---------------------------------------------------------------------------
 # chimeric protocol
 
-def _load_external(path: Path, kind: str, item_ids, labels, file_labels=None) -> ScoreMatrix:
-    """Load a score matrix for the chimeric plan, whose rows must carry ``item_ids`` in plan order.
+def _load_external(path: Path, kind: str, item_ids, labels) -> ScoreMatrix:
+    """Load a foreign system's score matrix for the chimeric plan, whose rows must carry ``item_ids`` in plan order.
 
-    With ``file_labels``, the columns must carry those labels; otherwise they
-    are the plan's ``labels`` by position, as a foreign system names its own.
+    Its columns are the plan's ``labels`` by position, as a foreign system names its own.
     """
     matrix = load_score_matrix(path)
     if matrix.scores.shape != (len(item_ids), len(labels)):
@@ -188,20 +195,38 @@ def _load_external(path: Path, kind: str, item_ids, labels, file_labels=None) ->
             f"{path}: expected {len(item_ids)}x{len(labels)} scores, got "
             f"{matrix.scores.shape[0]}x{matrix.scores.shape[1]}"
         )
-    checks = [("item id", matrix.item_ids, item_ids)]
-    if file_labels is not None:
-        checks.append(("subject label", matrix.subject_labels, file_labels))
-    for what, got, want in checks:
-        for k, (g, w) in enumerate(zip(got, want)):
-            if g != w:
-                raise DataError(f"{path}: {what} {k + 1} is {g!r}, expected {w!r}")
+    for k, (got, want) in enumerate(zip(matrix.item_ids, item_ids)):
+        if got != want:
+            raise DataError(f"{path}: item id {k + 1} is {got!r}, expected {want!r}")
     scores = matrix.scores
     if kind == "probability":
         try:
             scores = to_possibility(scores)
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from None
-    return ScoreMatrix(matrix.item_ids, tuple(labels), scores)
+    return ScoreMatrix(tuple(item_ids), tuple(labels), scores)
+
+
+def _lookup(path: Path, what: str, names: Sequence[str], wanted: Sequence[str]) -> list[int]:
+    """The position of each ``wanted`` name in ``names``; a missing or repeated one is a DataError."""
+    at = {name: k for k, name in enumerate(names)}
+    if len(at) != len(names):
+        raise DataError(f"{path}: duplicate {what}s")
+    missing = [name for name in wanted if name not in at]
+    if missing:
+        raise DataError(f"{path}: no {what} {missing[0]!r} ({len(missing)} missing)")
+    return [at[name] for name in wanted]
+
+
+def _load_signature_matrix(path: Path, item_ids, labels, subjects) -> ScoreMatrix:
+    """sigscore's scores for the chimeric plan: the paired writers' rows by sample id, their columns by ``w<writer>``.
+
+    The file's other rows and columns, those of unpaired writers, are ignored.
+    """
+    matrix = load_score_matrix(path)
+    rows = _lookup(path, "item id", matrix.item_ids, [sig.item_id for subj in subjects for sig in subj.test_sigs])
+    columns = _lookup(path, "subject label", matrix.subject_labels, [f"w{subj.writer}" for subj in subjects])
+    return ScoreMatrix(tuple(item_ids), tuple(labels), matrix.scores[np.ix_(rows, columns)])
 
 
 def _load_chimeric(config: ExperimentConfig):
@@ -255,13 +280,10 @@ def run_chimeric(config: ExperimentConfig) -> dict:
 
     # signature route
     with _timed(stages, "signature"):
-        probes = list(zip(item_ids, [sig for subj in dataset.subjects for sig in subj.test_sigs]))
         if config.signature_matrix is not None:
-            # sigscore's ids and labels for the paired writers, in plan order
-            sample_ids = [sample.item_id for _, sample in probes]
-            writers = [f"w{subj.writer}" for subj in dataset.subjects]
-            signature = _load_external(config.signature_matrix, "fuzzy", sample_ids, labels, writers)
+            signature = _load_signature_matrix(config.signature_matrix, item_ids, labels, dataset.subjects)
         else:
+            probes = list(zip(item_ids, [sig for subj in dataset.subjects for sig in subj.test_sigs]))
             signature = score_matrix_from_templates(
                 probes, [subj.train_sigs for subj in dataset.subjects], labels, config.delta_alpha
             )
@@ -289,19 +311,11 @@ def run_chimeric(config: ExperimentConfig) -> dict:
         for name, m in matrices.items():
             summaries[name], correct[name] = write_bundle(out_dir, name, m, truth, config)
 
-    run_info = {
-        "config": config.to_json(),
-        "version": __version__,
-        "protocol": "chimeric",
-        "systems": sorted(matrices),
-        "counts": _chimeric_counts(dataset),
-        "features": feature_stats,
-        "signature": _signature_counts(signatures),
-        "ttests": _ttest_on_correctness(correct, ttest_pairs),
-        "stage_seconds": stages,
-        "elapsed_seconds": time.perf_counter() - started,
-    }
-    metrics.write_summary_json(run_info, out_dir / "run.json")
+    run_info = _write_run_json(
+        out_dir, config, stages, started, protocol="chimeric", systems=sorted(matrices),
+        counts=_chimeric_counts(dataset), features=feature_stats, signature=_signature_counts(signatures),
+        ttests=_ttest_on_correctness(correct, ttest_pairs),
+    )
     return {"run": run_info, "summaries": summaries}
 
 
@@ -337,22 +351,10 @@ def run_rolling(config: ExperimentConfig) -> dict:
     with _timed(stages, "write"):
         summary, _ = write_bundle(out_dir, config.classifier, matrix, truth, config, n_folds=len(folds))
 
-    run_info = {
-        "config": config.to_json(),
-        "version": __version__,
-        "protocol": "rolling",
-        "systems": [config.classifier],
-        "counts": {
-            "subjects": len(labels),
-            "folds": len(folds),
-            "test_items": len(pooled_ids),
-            "dropped_subjects": dropped,
-        },
-        "features": feature_stats,
-        "stage_seconds": stages,
-        "elapsed_seconds": time.perf_counter() - started,
-    }
-    metrics.write_summary_json(run_info, out_dir / "run.json")
+    counts = {"subjects": len(labels), "folds": len(folds), "test_items": len(pooled_ids), "dropped_subjects": dropped}
+    run_info = _write_run_json(
+        out_dir, config, stages, started, protocol="rolling", systems=[config.classifier], counts=counts, features=feature_stats
+    )
     return {"run": run_info, "summaries": {config.classifier: summary}}
 
 
@@ -360,12 +362,16 @@ def run_rolling(config: ExperimentConfig) -> dict:
 # standalone fitting / scoring used by the CLI
 
 def train_on_corpus(config: ExperimentConfig):
-    """Fit the configured classifier on every document of a corpus; also returns each vocabulary feature's count."""
+    """Fit the configured classifier on every document of a corpus.
+
+    Returns the model, the vocabulary of its columns and each vocabulary feature's count.
+    """
     corpus = load_text_corpus(config.corpus_dir)
     features = extract_matrix(build_feature_model(config), corpus.documents)
     subjects = [doc.subject for doc in corpus.documents]
     model, columns = fit_stylome(config, features, np.arange(len(corpus)), subjects, corpus.subject_labels)
-    return model, features.counts.sum(axis=0)[columns]
+    vocab = Vocabulary(features.model, config.profile_size, tuple(features.features[j] for j in columns))
+    return model, vocab, features.counts.sum(axis=0)[columns]
 
 
 def signature_matrix_from_dir(config: ExperimentConfig) -> ScoreMatrix:

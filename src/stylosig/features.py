@@ -193,10 +193,11 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
     return FeatureMatrix(model, features, counts, mass, int(lengths.sum()))
 
 
-def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> tuple[Vocabulary, np.ndarray]:
-    """Keep the top m columns with a nonzero count in ``totals``: most frequent first, ties in column (string) order.
+def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> np.ndarray:
+    """The top m columns of ``matrix`` with a nonzero count in ``totals``: most frequent first, ties in column order.
 
-    Returns the vocabulary and its columns in ``matrix``; no such column is a DataError.
+    No such column is a DataError.  Column order is string order, and the
+    columns' features, ``matrix.features[j]``, make a ``Vocabulary`` where one is saved.
     """
     if m < 1:
         raise ValueError("profile size must be >= 1")
@@ -204,8 +205,7 @@ def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> tuple
     if seen.size == 0:
         orders = ",".join(map(str, matrix.model.orders))
         raise DataError(f"empty vocabulary: the training documents have no {matrix.model.family} of order {orders}")
-    ranked = seen[np.argsort(-totals[seen], kind="stable")][:m]
-    return Vocabulary(matrix.model, m, tuple(matrix.features[j] for j in ranked)), ranked
+    return seen[np.argsort(-totals[seen], kind="stable")][:m]
 
 
 def write_feature_tsv(pairs, path: str | Path) -> None:

@@ -277,30 +277,26 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_curve_csv(curve: Curve, path: str | Path) -> None:
+def _write_columns(path: str | Path, header: Sequence[str], *columns) -> None:
+    """A CSV of ``header`` and one row per position of the equal-length ``columns``, every value exact."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([curve.x_name, curve.y_name])
-        for x, y in zip(curve.xs, curve.ys):
-            writer.writerow([_fmt(x), _fmt(y)])
+        writer.writerow(header)
+        writer.writerows(zip(*(map(_fmt, column) for column in columns)))
+
+
+def write_curve_csv(curve: Curve, path: str | Path) -> None:
+    _write_columns(path, [curve.x_name, curve.y_name], curve.xs, curve.ys)
 
 
 def write_det_csv(det: DetCurve, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "far", "frr"])
-        for t, fa, fr in zip(det.thresholds, det.far, det.frr):
-            writer.writerow([_fmt(t), _fmt(fa), _fmt(fr)])
+    _write_columns(path, ["threshold", "far", "frr"], det.thresholds, det.far, det.frr)
 
 
 def write_msh_csv(hist: MatchScoreHistogram, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_low", "bin_high", "genuine", "imposter"])
-        for i in range(len(hist.genuine)):
-            writer.writerow(
-                [_fmt(hist.edges[i]), _fmt(hist.edges[i + 1]), _fmt(hist.genuine[i]), _fmt(hist.imposter[i])]
-            )
+    _write_columns(
+        path, ["bin_low", "bin_high", "genuine", "imposter"], hist.edges[:-1], hist.edges[1:], hist.genuine, hist.imposter
+    )
 
 
 def write_summary_json(summary: dict, path: str | Path) -> None:

@@ -22,7 +22,7 @@ from stylosig.bench import run_scaling, synthetic_corpus, time_attribution
 from stylosig.config import ExperimentConfig, build_config
 from stylosig.corpus import build_chimeric, load_text_corpus
 from stylosig.experiment import build_feature_model, fit_stylome, possibility_rows, run_rolling
-from stylosig.features import FeatureModel, Vocabulary, extract_matrix
+from stylosig.features import extract_matrix
 from stylosig.fusion import decide, fuse
 from stylosig.possibility import to_possibility
 from stylosig.signature import ScoreMatrix, load_svc, score_matrix_from_templates
@@ -88,8 +88,6 @@ def test_criterion_02_mnb_matches_literal_posterior_within_1e9():
         (3, 3, (0, 2), (0, 1, 2)),
     ]
     for n_subjects, n_features, train_values, doc_values in cases:
-        model_stub = FeatureModel("ngram", (1,))
-        vocab = Vocabulary(model_stub, n_features, tuple(f"f{i}" for i in range(n_features)))
         labels = tuple(f"s{i}" for i in range(n_subjects))
         subject_grids = _count_grids(n_features, train_values)
         docs = [d for d in _count_grids(n_features, doc_values) if sum(d)]
@@ -103,7 +101,7 @@ def test_criterion_02_mnb_matches_literal_posterior_within_1e9():
                     subjects.append(s)
             train = sparse.csr_array(np.array(train_rows, dtype=np.int64))
             for alpha in (0.01, 1.0):
-                model = classifiers.mnb_train(train, subjects, vocab, alpha, labels)
+                model = classifiers.mnb_train(train, subjects, alpha, labels)
                 # every document of the grid is scored in one batched call
                 posteriors = classifiers.posterior(model, doc_counts)[0]
                 for doc, ours in zip(docs, posteriors):
@@ -128,7 +126,6 @@ def test_criterion_03_posteriors_sum_to_one_within_1e9():
         for _ in range(200):
             n_subjects = int(rng.integers(2, 7))
             n_features = int(rng.integers(2, 9))
-            vocab = Vocabulary(FeatureModel("ngram", (1,)), n_features, tuple(f"f{i}" for i in range(n_features)))
             labels = tuple(f"s{i}" for i in range(n_subjects))
             # one draw per row, in the order of the original per-vector cases
             train = sparse.csr_array(np.array([rng.integers(0, 21, n_features) for _ in range(n_subjects)]))
@@ -136,8 +133,8 @@ def test_criterion_03_posteriors_sum_to_one_within_1e9():
             doc = sparse.csr_array(rng.integers(0, 13, n_features)[None, :])
             if doc.sum() == 0:
                 continue
-            mnb = classifiers.mnb_train(train, subjects, vocab, alpha, labels)
-            pnb = classifiers.pnb_train(train, subjects, vocab, alpha, labels)
+            mnb = classifiers.mnb_train(train, subjects, alpha, labels)
+            pnb = classifiers.pnb_train(train, subjects, alpha, labels)
             for posterior in (classifiers.posterior(mnb, doc)[0], classifiers.posterior(pnb, doc)[0]):
                 worst = max(worst, abs(float(posterior.sum()) - 1.0))
     assert worst <= 1e-9

@@ -48,27 +48,26 @@ def pairs_from_rows(rows):
 
 def test_smoothed_parameter_hand_value():
     # counts [3, 2, 6, 0], alpha=1, 4 features: p_f0 = (3+1)/(11+4) = 4/15
-    model = mnb_train(*pairs_from_rows([[3, 2, 6, 0], [1, 1, 1, 1]]), make_vocab(), 1.0, ("s0", "s1"))
+    model = mnb_train(*pairs_from_rows([[3, 2, 6, 0], [1, 1, 1, 1]]), 1.0, ("s0", "s1"))
     assert math.isclose(math.exp(model.table[0, 0]), 4 / 15, rel_tol=1e-12)
     assert math.isclose(math.exp(model.table[0, 3]), 1 / 15, rel_tol=1e-12)
 
 
 def test_parameters_sum_to_one_per_subject():
-    model = mnb_train(*pairs_from_rows([[3, 0, 1, 2], [5, 5, 0, 0]]), make_vocab(), 0.01, ("a", "b"))
+    model = mnb_train(*pairs_from_rows([[3, 0, 1, 2], [5, 5, 0, 0]]), 0.01, ("a", "b"))
     sums = np.exp(model.table).sum(axis=1)
     assert np.allclose(sums, 1.0, atol=1e-12)
 
 
 def test_posterior_matches_literal_reference():
     rng = np.random.default_rng(42)
-    vocab = make_vocab(3)
     for alpha in (0.01, 1.0):
         for _ in range(50):
             rows = rng.integers(0, 5, size=(3, 3)).tolist()
             doc = rng.integers(0, 4, size=3).tolist()
             if sum(doc) == 0:
                 continue
-            model = mnb_train(*pairs_from_rows(rows), vocab, alpha, ("a", "b", "c"))
+            model = mnb_train(*pairs_from_rows(rows), alpha, ("a", "b", "c"))
             (ours,), _ = posterior(model, vec(doc))
             ref = mnb_posterior_reference(rows, alpha, doc)
             assert np.max(np.abs(ours - ref)) < 1e-9
@@ -76,25 +75,23 @@ def test_posterior_matches_literal_reference():
 
 def test_posterior_sums_to_one():
     rng = np.random.default_rng(1)
-    vocab = make_vocab(5)
     for alpha in (0.0, 0.01, 1.0):
         rows = rng.integers(0, 9, size=(4, 5)).tolist()
-        model = mnb_train(*pairs_from_rows(rows), vocab, alpha, tuple("abcd"))
+        model = mnb_train(*pairs_from_rows(rows), alpha, tuple("abcd"))
         doc = vec(rng.integers(0, 6, size=5).tolist())
         assert abs(posterior(model, doc)[0].sum() - 1.0) < 1e-9
 
 
 def test_training_pools_documents_per_subject():
-    vocab = make_vocab(2)
     split = docs(([2, 1], 0), ([1, 0], 0), ([0, 4], 1))
     pooled = docs(([3, 1], 0), ([0, 4], 1))
-    a = mnb_train(*split, vocab, 0.5, ("x", "y"))
-    b = mnb_train(*pooled, vocab, 0.5, ("x", "y"))
+    a = mnb_train(*split, 0.5, ("x", "y"))
+    b = mnb_train(*pooled, 0.5, ("x", "y"))
     assert np.array_equal(a.table, b.table)
 
 
 def test_alpha_zero_uses_floor():
-    model = mnb_train(*pairs_from_rows([[4, 0], [1, 1]]), make_vocab(2), 0.0, ("a", "b"))
+    model = mnb_train(*pairs_from_rows([[4, 0], [1, 1]]), 0.0, ("a", "b"))
     assert np.all(np.isfinite(model.table))
     # unseen feature gets the floor mass, vastly smaller than a seen one
     assert model.table[0, 1] < model.table[0, 0] - 20
@@ -102,21 +99,21 @@ def test_alpha_zero_uses_floor():
 
 def test_negative_alpha_rejected():
     with pytest.raises(ValueError):
-        mnb_train(*pairs_from_rows([[1, 1]]), make_vocab(2), -0.1, ("a",))
+        mnb_train(*pairs_from_rows([[1, 1]]), -0.1, ("a",))
 
 
 def test_subject_without_vectors_rejected():
     with pytest.raises(DataError, match="without training vectors"):
-        mnb_train(*docs(([1, 0], 0)), make_vocab(2), 0.1, ("a", "b"))
+        mnb_train(*docs(([1, 0], 0)), 0.1, ("a", "b"))
 
 
 def test_unknown_subject_rejected():
     with pytest.raises(DataError, match="unknown subject"):
-        mnb_train(*docs(([1, 0], 5)), make_vocab(2), 0.1, ("a",))
+        mnb_train(*docs(([1, 0], 5)), 0.1, ("a",))
 
 
 def test_empty_document_gives_uniform_with_warning():
-    model = mnb_train(*pairs_from_rows([[2, 1], [1, 2]]), make_vocab(2), 0.1, ("a", "b"))
+    model = mnb_train(*pairs_from_rows([[2, 1], [1, 2]]), 0.1, ("a", "b"))
     post, fallback = posterior(model, vec([0, 0]))
     assert np.array_equal(post, [[0.5, 0.5]]) and fallback.tolist() == [True]
     with pytest.warns(DegenerateInputWarning, match=r"^empty feature vector in 1 row\(s\)"):
@@ -125,13 +122,13 @@ def test_empty_document_gives_uniform_with_warning():
 
 def test_attribute_breaks_ties_toward_lowest_id():
     # identical training counts make every posterior uniform
-    model = mnb_train(*pairs_from_rows([[2, 2], [2, 2]]), make_vocab(2), 1.0, ("a", "b"))
+    model = mnb_train(*pairs_from_rows([[2, 2], [2, 2]]), 1.0, ("a", "b"))
     with pytest.warns(DegenerateInputWarning):
         assert decide(posterior(model, vec([3, 1]))[0]).subject[0] == 0
 
 
 def test_attribute_picks_the_right_subject():
-    model = mnb_train(*pairs_from_rows([[9, 1], [1, 9]]), make_vocab(2), 0.01, ("a", "b"))
+    model = mnb_train(*pairs_from_rows([[9, 1], [1, 9]]), 0.01, ("a", "b"))
     assert decide(posterior(model, vec([5, 0]))[0]).subject[0] == 0
     assert decide(posterior(model, vec([0, 5]))[0]).subject[0] == 1
     # one call decides every row of a matrix
@@ -140,8 +137,7 @@ def test_attribute_picks_the_right_subject():
 
 def test_extreme_counts_stay_finite():
     # log-space scoring must survive counts that would underflow linearly
-    vocab = make_vocab(3)
-    model = mnb_train(*pairs_from_rows([[900, 5, 5], [5, 900, 5]]), vocab, 0.01, ("a", "b"))
+    model = mnb_train(*pairs_from_rows([[900, 5, 5], [5, 900, 5]]), 0.01, ("a", "b"))
     (post,), _ = posterior(model, vec([500, 0, 300]))
     assert np.all(np.isfinite(post))
     assert abs(post.sum() - 1.0) < 1e-9
@@ -153,7 +149,7 @@ def test_extreme_counts_stay_finite():
 def test_poisson_rate_hand_value():
     # subject 0: 4 occurrences over 2 docs, alpha=0 -> rate 2
     train = docs(([3, 0], 0), ([1, 2], 0), ([0, 1], 1))
-    model = pnb_train(*train, make_vocab(2), 0.0, ("a", "b"))
+    model = pnb_train(*train, 0.0, ("a", "b"))
     assert model.kind == "pnb"
     assert model.table[0, 0] == 2.0
     assert model.table[0, 1] == 1.0
@@ -163,12 +159,11 @@ def test_poisson_rate_hand_value():
 
 def test_poisson_matches_literal_reference():
     rng = np.random.default_rng(9)
-    vocab = make_vocab(3)
     for alpha in (0.01, 1.0):
         for _ in range(50):
             rows = rng.integers(0, 5, size=(3, 3)).tolist()
             doc = rng.integers(0, 4, size=3).tolist()
-            model = pnb_train(*pairs_from_rows(rows), vocab, alpha, ("a", "b", "c"))
+            model = pnb_train(*pairs_from_rows(rows), alpha, ("a", "b", "c"))
             ref = pnb_posterior_reference(rows, [1, 1, 1], alpha, doc)
             (ours,), _ = posterior(model, vec(doc))
             assert np.max(np.abs(ours - ref)) < 1e-9
@@ -176,20 +171,20 @@ def test_poisson_matches_literal_reference():
 
 def test_poisson_zero_rate_kills_subject():
     # alpha=0: subject b never produced f0, so a doc containing f0 rules b out
-    model = pnb_train(*pairs_from_rows([[2, 2], [0, 4]]), make_vocab(2), 0.0, ("a", "b"))
+    model = pnb_train(*pairs_from_rows([[2, 2], [0, 4]]), 0.0, ("a", "b"))
     (post,), _ = posterior(model, vec([1, 1]))
     assert post[1] == 0.0
     assert post[0] == 1.0
 
 
 def test_poisson_identical_subjects_are_uniform():
-    model = pnb_train(*pairs_from_rows([[2, 1], [2, 1]]), make_vocab(2), 0.5, ("a", "b"))
+    model = pnb_train(*pairs_from_rows([[2, 1], [2, 1]]), 0.5, ("a", "b"))
     assert np.allclose(posterior(model, vec([4, 2]))[0], [[0.5, 0.5]], atol=1e-12)
 
 
 def test_poisson_all_impossible_warns_uniform():
     # both subjects have zero rates everywhere the doc has counts
-    model = pnb_train(*pairs_from_rows([[0, 2], [0, 3]]), make_vocab(2), 0.0, ("a", "b"))
+    model = pnb_train(*pairs_from_rows([[0, 2], [0, 3]]), 0.0, ("a", "b"))
     post, fallback = posterior(model, vec([2, 0]))
     assert np.array_equal(post, [[0.5, 0.5]]) and fallback.tolist() == [True]
     with pytest.warns(DegenerateInputWarning, match=r"^every subject has zero likelihood in 1 row\(s\)"):
@@ -207,16 +202,16 @@ ROUNDTRIP_CASES = [
 @pytest.mark.parametrize("train, rows, alpha, labels, doc", ROUNDTRIP_CASES)
 def test_roundtrip_is_bit_exact(tmp_path, train, rows, alpha, labels, doc):
     vocab = make_vocab(len(rows[0]))
-    model = train(*pairs_from_rows(rows), vocab, alpha, labels)
+    model = train(*pairs_from_rows(rows), alpha, labels)
     path = tmp_path / "model.npz"
-    save_model(model, path)
-    loaded = load_model(path)
+    save_model(model, path, vocab)
+    loaded, loaded_vocab = load_model(path)
     assert isinstance(loaded, NbModel)
     assert loaded.kind == model.kind
     assert loaded.subject_labels == model.subject_labels
     assert loaded.alpha == model.alpha
-    assert loaded.vocab.features == vocab.features
-    assert loaded.vocab.model == vocab.model
+    assert loaded_vocab.features == vocab.features
+    assert loaded_vocab.model == vocab.model
     assert np.array_equal(loaded.table, model.table)
     for ours, theirs in zip(loaded.linear, model.linear):
         assert np.array_equal(ours, theirs)
@@ -227,7 +222,7 @@ def test_roundtrip_is_bit_exact(tmp_path, train, rows, alpha, labels, doc):
 def test_loads_a_v1_archive_written_by_hand(tmp_path, train, rows, alpha, labels, doc):
     # pins the file format v1 apart from save_model: these arrays, with these names
     vocab = make_vocab(len(rows[0]))
-    model = train(*pairs_from_rows(rows), vocab, alpha, labels)
+    model = train(*pairs_from_rows(rows), alpha, labels)
     header = {
         "format_version": 1,
         "alpha": alpha,
@@ -247,10 +242,10 @@ def test_loads_a_v1_archive_written_by_hand(tmp_path, train, rows, alpha, labels
         log_priors=np.full(len(labels), -np.log(len(labels))),
         **{table_name: model.table},
     )
-    loaded = load_model(path)
+    loaded, loaded_vocab = load_model(path)
     assert loaded.kind == model.kind
     assert loaded.subject_labels == labels
-    assert loaded.vocab == vocab
+    assert loaded_vocab == vocab
     assert np.array_equal(posterior(loaded, vec(doc))[0], posterior(model, vec(doc))[0])
 
 
@@ -263,27 +258,27 @@ def rewrite_archive(path, **changes):
 
 @pytest.mark.parametrize("train, table_name", [(mnb_train, "log_params"), (pnb_train, "rates")])
 def test_load_rejects_table_that_does_not_fit_features(tmp_path, train, table_name):
-    model = train(*pairs_from_rows([[3, 1, 0], [0, 2, 5]]), make_vocab(3), 0.01, ("a", "b"))
+    model = train(*pairs_from_rows([[3, 1, 0], [0, 2, 5]]), 0.01, ("a", "b"))
     path = tmp_path / "model.npz"
-    save_model(model, path)
+    save_model(model, path, make_vocab(3))
     rewrite_archive(path, **{table_name: model.table[:, :2]})
     with pytest.raises(DataError, match=rf"{re.escape(str(path))}: {table_name} \(2, 2\).*3 features"):
         load_model(path)
 
 
 def test_load_rejects_labels_that_do_not_fit_table(tmp_path):
-    model = mnb_train(*pairs_from_rows([[3, 1], [0, 2], [1, 1]]), make_vocab(2), 0.01, ("a", "b", "c"))
+    model = mnb_train(*pairs_from_rows([[3, 1], [0, 2], [1, 1]]), 0.01, ("a", "b", "c"))
     path = tmp_path / "model.npz"
-    save_model(model, path)
+    save_model(model, path, make_vocab(2))
     rewrite_archive(path, subject_labels=np.array(["a", "b"]))
     with pytest.raises(DataError, match=rf"{re.escape(str(path))}: log_params \(3, 2\).*2 subject labels"):
         load_model(path)
 
 
 def test_load_rejects_non_uniform_priors(tmp_path):
-    model = mnb_train(*pairs_from_rows([[3, 1], [0, 2]]), make_vocab(2), 0.01, ("a", "b"))
+    model = mnb_train(*pairs_from_rows([[3, 1], [0, 2]]), 0.01, ("a", "b"))
     path = tmp_path / "model.npz"
-    save_model(model, path)
+    save_model(model, path, make_vocab(2))
     rewrite_archive(path, log_priors=np.log([0.9, 0.1]))
     with pytest.raises(DataError, match="uniform priors"):
         load_model(path)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stylosig import classifiers, cli, config
+from stylosig import classifiers, cli, config, features
 from stylosig.cli import main
 from stylosig.errors import DegenerateInputWarning
 from stylosig.signature import ScoreMatrix, load_score_matrix, save_score_matrix
@@ -34,6 +34,8 @@ def test_train_then_attribute_roundtrip(tmp_path, capsys):
     vocab_lines = (out / "vocabulary.tsv").read_text().splitlines()
     assert 0 < len(vocab_lines) <= 50
     assert all("\t" in line for line in vocab_lines)
+    _, vocab = classifiers.load_model(out / "model.npz")
+    assert vocab.profile_size == 50 and list(vocab.features) == [line.split("\t")[0] for line in vocab_lines]
 
     probe = tmp_path / "probe.txt"
     probe.write_text("s1w0 s1w1 s1w2 s1w0", encoding="utf-8")
@@ -205,6 +207,19 @@ def test_eval_chimeric_via_cli(tmp_path, capsys):
     assert (out / "mnb+signature" / "det.csv").is_file()
 
 
+def test_eval_builds_no_vocabulary(tmp_path, monkeypatch):
+    # feature strings belong to model files: training and scoring see count matrices only
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval built a Vocabulary")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stylosig") and getattr(module, "Vocabulary", None) is features.Vocabulary:
+            monkeypatch.setattr(module, "Vocabulary", refuse)
+    assert main(chimeric_args(tmp_path)) == 0
+    rolling = ["eval", "-O", f"corpus_dir={tmp_path / 'texts'}", "-O", "train_window=3", "-O", "test_window=1"]
+    assert main([*rolling, "--output-dir", str(tmp_path / "rolling")]) == 0
+
+
 def test_sigscore_writes_matrix(tmp_path):
     sig_dir = write_svc_dir(tmp_path / "sigs", n_writers=2, n_samples=5)
     out = tmp_path / "out"
@@ -294,7 +309,7 @@ def test_bench_runs_under_the_resolved_config(tmp_path, monkeypatch):
     args = ["bench", "--sizes", "2,4", "--repeats", "1", "-O", "classifier=pnb", "-O", "profile_size=50"]
     assert main([*args, "--output-dir", str(out)]) == 0
     assert len(trained) == 2  # one pass at each size
-    assert [len(vocab) for _, _, vocab, _, _ in trained] == [50, 50]
+    assert [counts.shape[1] for counts, *_ in trained] == [50, 50]  # a 50-feature profile
     report = json.loads((out / "bench.json").read_text())
     assert (report["config"]["classifier"], report["config"]["profile_size"]) == ("pnb", 50)
 
@@ -367,13 +382,23 @@ def sigscore_args(sig_dir, out):
     return ["sigscore", "-O", f"signature_dir={sig_dir}", "-O", "train_docs=2", "-O", "test_docs=2", "--output-dir", str(out)]
 
 
-def test_sigscore_matrix_round_trip_matches_signature_dir_run(tmp_path):
+def signature_matrix_run(tmp_path, extra_writers=0, edit=None) -> int:
+    """Run a chimeric eval from signature_dir into direct/, and from sigscore's matrix of that directory into matrix/.
+
+    ``extra_writers`` more writers than the corpus has authors are scored; ``edit``
+    rewrites the matrix's lines first.  Returns the exit code of the matrix run.
+    """
     args = chimeric_args(tmp_path)
-    sig_dir = tmp_path / "sigs"
-    assert main(sigscore_args(sig_dir, tmp_path / "scored")) == 0
+    write_svc_dir(tmp_path / "sigs", n_writers=extra_writers, n_samples=4, start_writer=4)
+    assert main(sigscore_args(tmp_path / "sigs", tmp_path / "scored")) == 0
+    path = tmp_path / "scored" / "signature_scores.csv"
+    if edit is not None:
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n", encoding="utf-8")
     assert main(args + ["--output-dir", str(tmp_path / "direct")]) == 0
-    matrix_arg = f"signature_matrix={tmp_path / 'scored' / 'signature_scores.csv'}"
-    assert main(args + ["-O", matrix_arg, "--output-dir", str(tmp_path / "matrix")]) == 0
+    return main(args + ["-O", f"signature_matrix={path}", "--output-dir", str(tmp_path / "matrix")])
+
+
+def assert_same_signature_bundle(tmp_path):
     names = sorted(p.name for p in (tmp_path / "direct" / "signature").iterdir())
     assert names == ["cmc.csv", "det.csv", "fscore.csv", "msh.csv", "recall.csv", "summary.json"]
     for name in names:
@@ -381,20 +406,39 @@ def test_sigscore_matrix_round_trip_matches_signature_dir_run(tmp_path):
         assert (tmp_path / "matrix" / "signature" / name).read_bytes() == direct
 
 
+def test_sigscore_matrix_round_trip_matches_signature_dir_run(tmp_path):
+    assert signature_matrix_run(tmp_path) == 0
+    assert_same_signature_bundle(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "extra_writers, edit",
+    [
+        pytest.param(2, None, id="extra-writers"),
+        pytest.param(0, lambda lines: [lines[0], *reversed(lines[1:])], id="reversed-rows"),
+    ],
+)
+def test_signature_matrix_is_read_by_id(tmp_path, extra_writers, edit):
+    # rows are taken by sample id and columns by writer label, so neither order nor unpaired writers matter
+    assert signature_matrix_run(tmp_path, extra_writers, edit) == 0
+    assert_same_signature_bundle(tmp_path)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda lines: [lines[0], *reversed(lines[1:])], "item id 1 is 'U3S4', expected 'U1S3'"),
-        (lambda lines: [lines[0].replace("w2", "w9"), *lines[1:]], "subject label 2 is 'w9', expected 'w2'"),
+        pytest.param(
+            lambda lines: [lines[0].replace("w2", "w9"), *lines[1:]], "no subject label 'w2' (1 missing)",
+            id="relabelled-column",
+        ),
+        pytest.param(lambda lines: lines[:-1], "no item id 'U3S4' (1 missing)", id="missing-row"),
+        pytest.param(
+            lambda lines: [lines[0].replace("w2", "w1"), *lines[1:]], "duplicate subject labels", id="repeated-column"
+        ),
     ],
 )
 def test_misaligned_signature_matrix_is_data_error(tmp_path, capsys, edit, message):
-    args = chimeric_args(tmp_path)
-    assert main(sigscore_args(tmp_path / "sigs", tmp_path / "scored")) == 0
-    path = tmp_path / "scored" / "signature_scores.csv"
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(args + ["-O", f"signature_matrix={path}"]) == 1
+    assert signature_matrix_run(tmp_path, edit=edit) == 1
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert message in err

@@ -13,6 +13,7 @@ from stylosig.features import (
     SEP,
     SNGRAM_ELEMENTS,
     FeatureModel,
+    Vocabulary,
     build_vocabulary,
     extract_matrix,
     tokenize,
@@ -275,12 +276,10 @@ def text_of(counts):
 
 
 def ranked(dicts, m):
-    """Vocabulary ranked on documents holding exactly the given unigram counts."""
+    """Features of the profile ranked on documents holding exactly the given unigram counts."""
     docs = [Document(f"d{i}", 0, text_of(d)) for i, d in enumerate(dicts)]
     matrix = extract_matrix(UNIGRAMS, docs)
-    vocab, columns = build_vocabulary(matrix, matrix.counts.sum(axis=0), m)
-    assert [matrix.features[j] for j in columns] == list(vocab.features)
-    return vocab
+    return tuple(matrix.features[j] for j in build_vocabulary(matrix, matrix.counts.sum(axis=0), m))
 
 
 def test_extract_matrix_rows_match_per_document_counts():
@@ -301,26 +300,21 @@ def test_extract_matrix_projects_unindexed_documents():
 
 
 def test_vocabulary_ranks_by_frequency_then_lexicographic():
-    vocab = ranked([{"b": 3, "a": 1}, {"c": 3, "a": 2}], 3)
     # totals: a=3, b=3, c=3 -> all tie, lexicographic
-    assert vocab.features == ("a", "b", "c")
+    assert ranked([{"b": 3, "a": 1}, {"c": 3, "a": 2}], 3) == ("a", "b", "c")
 
 
 def test_vocabulary_truncates_to_m():
-    vocab = ranked([{"a": 5, "b": 4, "c": 3}], 2)
-    assert vocab.features == ("a", "b")
-    assert vocab.profile_size == 2
+    assert ranked([{"a": 5, "b": 4, "c": 3}], 2) == ("a", "b")
 
 
 def test_vocabulary_smaller_than_m_is_fine():
-    vocab = ranked([{"a": 1}], 100)
-    assert len(vocab) == 1
+    assert ranked([{"a": 1}], 100) == ("a",)
 
 
 def test_vocabulary_skips_features_absent_from_training():
     matrix = extract_matrix(UNIGRAMS, [Document("d0", 0, "a"), Document("d1", 0, "b b")])
-    vocab, columns = build_vocabulary(matrix, matrix.counts[[0]].sum(axis=0), 5)
-    assert vocab.features == ("a",) and list(columns) == [0]
+    assert list(build_vocabulary(matrix, matrix.counts[[0]].sum(axis=0), 5)) == [0]  # "a"
 
 
 def test_vocabulary_rejects_bad_size():
@@ -329,7 +323,7 @@ def test_vocabulary_rejects_bad_size():
 
 
 def test_extract_matrix_over_vocabulary_drops_out_of_vocabulary():
-    vocab = ranked([{"a": 2, "b": 1}], 2)
+    vocab = Vocabulary(UNIGRAMS, 2, ranked([{"a": 2, "b": 1}], 2))
     counts = extract_matrix(UNIGRAMS, [Document("q", 0, text_of({"a": 4, "z": 9}))], index=vocab.index).counts
     assert counts.shape == (1, 2) and counts.nnz == 1
     assert counts[0, vocab.index["a"]] == 4
@@ -347,14 +341,13 @@ def test_vocabulary_size_bounded_and_sorted(texts, m):
     model = FeatureModel("ngram", (1, 2))
     docs = [Document(f"d{i}", 0, " ".join(words)) for i, words in enumerate(texts)]
     matrix = extract_matrix(model, docs)
-    vocab, columns = build_vocabulary(matrix, matrix.counts.sum(axis=0), m)
-    assert [matrix.features[j] for j in columns] == list(vocab.features)
-    assert len(vocab) <= m
+    features = [matrix.features[j] for j in build_vocabulary(matrix, matrix.counts.sum(axis=0), m)]
+    assert len(features) <= m
     total = Counter()
     for doc in docs:
         total.update(extract_counts(model, doc))
     ranked_ref = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))
-    assert list(vocab.features) == [f for f, _ in ranked_ref[:m]]
+    assert features == [f for f, _ in ranked_ref[:m]]
 
 
 # -- TSV round trip ---------------------------------------------------------
