@@ -2,17 +2,23 @@
 
 Only the columns needed downstream are kept (FORM, LEMMA, UPOS, HEAD,
 DEPREL).  Multiword-token ranges and empty nodes are skipped; comment
-lines are ignored.  Every sentence must form a single-rooted tree.
+lines are ignored.  Every sentence must form a single-rooted tree.  A
+label column (FORM, LEMMA, UPOS, DEPREL) may hold no character at or below
+U+001F, the feature separator, so no two syntactic n-grams share a name and
+label order gives feature-string order.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
 
 N_COLUMNS = 10
+_LABEL_COLUMNS = {1: "FORM", 2: "LEMMA", 3: "UPOS", 7: "DEPREL"}
+_CONTROL = re.compile("[\x00-\x1f]")
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,9 @@ def parse_conllu(text: str, source: str = "<string>") -> tuple[DepSentence, ...]
             head = int(cols[6])
         except ValueError:
             raise DataError(f"{source}:{lineno}: bad HEAD {cols[6]!r}") from None
+        for at, column in _LABEL_COLUMNS.items():
+            if _CONTROL.search(cols[at]):
+                raise DataError(f"{source}:{lineno}: {column} {cols[at]!r} holds a control character (U+0000-U+001F)")
         if not rows:
             start_line = lineno
         rows.append((token_id, cols[1], cols[2], cols[3], head, cols[7]))

@@ -91,7 +91,7 @@ def score_folds(config: ExperimentConfig, docs, n_indexed: int, folds, subjects:
             in_vocab += int(test_counts.sum())
     classifiers.warn_fallback(model, fallbacks)
     oov_rate = 1.0 - in_vocab / test_mass if test_mass else 0.0
-    stats = {"indexed": len(features.features), "tokens": features.tokens, "test_oov_rate": oov_rate}
+    stats = {"indexed": features.counts.shape[1], "tokens": features.tokens, "test_oov_rate": oov_rate}
     return scores, {**stats, "uniform_fallback_rows": fallbacks}
 
 
@@ -370,7 +370,7 @@ def train_on_corpus(config: ExperimentConfig):
     features = extract_matrix(build_feature_model(config), corpus.documents)
     subjects = [doc.subject for doc in corpus.documents]
     model, columns = fit_stylome(config, features, np.arange(len(corpus)), subjects, corpus.subject_labels)
-    vocab = Vocabulary(features.model, config.profile_size, tuple(features.features[j] for j in columns))
+    vocab = Vocabulary(features.model, config.profile_size, features.decode(columns))
     return model, vocab, features.counts.sum(axis=0)[columns]
 
 

@@ -1,9 +1,10 @@
 """Feature extraction: word n-grams, syntactic n-grams, count matrices, profile vocabularies.
 
-Features are strings; the parts of a gram are joined with the unit
-separator (U+001F) so multi-word features can never collide with each
-other or with single tokens.  Extraction counts integer codes and makes
-strings only for the matrix columns.
+A feature's name is its labels joined with the unit separator (U+001F),
+which no label holds, so multi-word features can never collide with each
+other or with single tokens.  Extraction counts integer codes; label ids are
+numbered in string order, so columns are ordered as their names without
+making them, and names are decoded only where they are written or looked up.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .errors import DataError
 SEP = "\x1f"
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# ASCII bytes to token bytes: A-Z lowered, a-z and 0-9 kept, every other byte a space
+_ASCII_TOKENS = bytes(c | 0x20 if 65 <= c <= 90 else c if 97 <= c <= 122 or 48 <= c <= 57 else 32 for c in range(256))
 
 NGRAM_FAMILY = "ngram"
 SNGRAM_FAMILY = "sngram"
@@ -40,7 +43,12 @@ SNGRAM_ELEMENTS = tuple(_NODE_LABELS)
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on anything that is not a letter or digit."""
+    """Lowercase and split on anything that is not a letter or digit.
+
+    ASCII text goes through a byte table, which gives the regex's tokens.
+    """
+    if text.isascii():
+        return text.encode().translate(_ASCII_TOKENS).decode().split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -86,24 +94,40 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Feature counts of a document list: row i is document i, column j counts ``features[j]``.
+    """Feature counts of a document list: row i is document i, column j counts the gram ``grams[j]``.
 
     Extracted without an index, the columns are in string order, the tie order of ``build_vocabulary``.
     """
 
     model: FeatureModel
-    features: tuple[str, ...]
+    labels: np.ndarray  # the label strings (object), ascending; with an index, its features
+    grams: np.ndarray  # (features, max order) label ids of each column, padded with -1; with an index, (features, 1)
     counts: sparse.csr_array  # (documents, features) int64
     mass: np.ndarray  # per document: every extracted count, features outside the columns included
     tokens: int  # extracted positions: tokens, or tree nodes for sn-grams
 
+    def decode(self, columns) -> tuple[str, ...]:
+        """The feature strings of ``columns``."""
+        return tuple(_join(self.labels, self.grams[np.asarray(columns, dtype=np.int64)]))
 
-def _positions(model: FeatureModel, docs: Sequence[Document], ids: dict[str, int]):
-    """Label id and predecessor of every position, and each document's position count.
+
+def _join(labels: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """Each row of label ids as a feature string (object array), one join per gram order."""
+    strings, width = np.empty(len(grams), dtype=object), (grams >= 0).sum(axis=1)
+    for k in np.unique(width):
+        at = width == k
+        strings[at] = list(map(SEP.join, zip(*labels[grams[at, :k]].T)))
+    return strings
+
+
+def _positions(model: FeatureModel, docs: Sequence[Document]):
+    """The distinct labels, ascending; the label id and predecessor of every position; each document's position count.
 
     The predecessor is the previous token (word n-grams) or the head (syntactic
-    n-grams), -1 for none.  Labels get ids in first-seen order, one document at a time.
+    n-grams), -1 for none.  Labels are interned one document at a time, then
+    numbered in string order.
     """
+    ids: dict[str, int] = {}
     labels, heads = [np.zeros(0, dtype=np.int32)], []
     lengths = np.zeros(len(docs), dtype=np.int64)
     for i, doc in enumerate(docs):
@@ -120,13 +144,30 @@ def _positions(model: FeatureModel, docs: Sequence[Document], ids: dict[str, int
         ids.update(zip(filterfalse(ids.__contains__, dict.fromkeys(tokens)), count(len(ids))))
         labels.append(np.fromiter(map(ids.__getitem__, tokens), dtype=np.int32, count=len(tokens)))
         lengths[i] = len(tokens)
-    label = np.concatenate(labels)
+    names = np.array(sorted(ids), dtype=object)
+    rank = np.empty(len(ids), dtype=np.int32)
+    rank[np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(ids))] = np.arange(len(ids))
+    label = rank[np.concatenate(labels)]
     if model.family == NGRAM_FAMILY:
         pred = np.arange(-1, label.size - 1)
         pred[(np.cumsum(lengths) - lengths)[lengths > 0]] = -1
     else:
         pred = np.array(heads, dtype=np.int64)
-    return label, pred, lengths
+    return names, label, pred, lengths
+
+
+def _label_ids(blocks, tables, wanted: np.ndarray, width: int) -> np.ndarray:
+    """The label ids of each ``wanted`` gram id (ascending), walked back from its last label to its first, padded with -1."""
+    grams = np.full((wanted.size, width), -1, dtype=np.int32)
+    for k, lo, hi in blocks:
+        start, stop = np.searchsorted(wanted, (lo, hi))
+        codes = wanted[start:stop] - lo
+        for j in range(k - 1, 0, -1):
+            prefix, last = tables[j - 1]  # order j + 1
+            grams[start:stop, j] = last[codes]
+            codes = prefix[codes]
+        grams[start:stop, 0] = codes
+    return grams
 
 
 def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None, index=None) -> FeatureMatrix:
@@ -141,10 +182,12 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
     The order-k code at a position is the dense rank of (the order-(k-1)
     code at its predecessor, its label id): one ``np.unique`` per order for
     both families.  Gram ids number the codes of each counted order in turn.
+    Label ids are in string order and every label character sorts above
+    ``SEP``, so the order of codes, and of label-id tuples padded with -1
+    across orders, is the order of the feature strings.
     """
-    ids: dict[str, int] = {}
-    label, pred, lengths = _positions(model, docs, ids)
-    stride = len(ids) + label.size * len(model.orders) + 1  # exceeds every gram id
+    names, label, pred, lengths = _positions(model, docs)
+    stride = names.size + label.size * len(model.orders) + 1  # exceeds every gram id
     row = np.repeat(np.arange(len(docs)) * stride, lengths)
     code, tables, keys, blocks, n_grams = label, [], [np.zeros(0, dtype=np.int64)], [], 0
     for k in range(1, max(model.orders) + 1):
@@ -153,51 +196,45 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
             has[has] = code[pred[has]] >= 0
             if not has.any():
                 break  # no chain reaches order k, so none reaches a higher one
-            table, dense = np.unique(code[pred[has]].astype(np.int64) * len(ids) + label[has], return_inverse=True)
-            tables.append(np.divmod(table, len(ids)))  # (prefix code, last label) of each order-k code
+            table, dense = np.unique(code[pred[has]].astype(np.int64) * names.size + label[has], return_inverse=True)
+            tables.append(np.divmod(table, names.size))  # (prefix code, last label) of each order-k code
             code = np.full(label.size, -1, dtype=np.int32)
             code[has] = dense
         if k in model.orders:
             at = code >= 0
             keys.append(row[at] + n_grams + code[at])  # document * stride + gram id
-            blocks.append((k, n_grams, n_grams + (len(ids) if k == 1 else table.size)))
+            blocks.append((k, n_grams, n_grams + (names.size if k == 1 else table.size)))
             n_grams = blocks[-1][2]
     del label, pred, code, row
     keys, hits = np.unique(np.concatenate(keys), return_counts=True)
     rows, gram = np.divmod(keys, stride)
     del keys
-    if index is None:  # the columns: every gram of the indexed documents
+    column = np.full(n_grams, -1, dtype=np.int64)
+    if index is None:  # the columns: every gram of the indexed documents, in label-id tuple order
         indexed = gram[rows < (len(docs) if n_indexed is None else n_indexed)]
         wanted = np.flatnonzero(np.bincount(indexed, minlength=n_grams))
-    else:  # every gram of the batch, looked up in the index below
-        wanted = np.arange(n_grams)
-    names, strings = np.array(list(ids), dtype=object), []
-    for k, lo, hi in blocks:
-        codes, parts = wanted[(wanted >= lo) & (wanted < hi)] - lo, []
-        for prefix, last in reversed(tables[: k - 1]):  # walk back from the last label to the first
-            parts.append(names[last[codes]])
-            codes = prefix[codes]
-        strings += map(SEP.join, zip(names[codes], *reversed(parts)))
-    if index is None:
-        order = sorted(range(len(strings)), key=strings.__getitem__)
-        features, column = tuple(map(strings.__getitem__, order)), np.full(n_grams, -1, dtype=np.int64)
-        column[wanted[order]] = np.arange(len(order))
-    else:
-        features, column = tuple(index), np.array([index.get(f, -1) for f in strings], dtype=np.int64)
+        grams = _label_ids(blocks, tables, wanted, max(model.orders))
+        order = np.lexsort(grams.T[::-1])
+        grams = grams[order]
+        column[wanted[order]] = np.arange(wanted.size)
+    else:  # every gram of the batch, looked up in the index by its string
+        strings = _join(names, _label_ids(blocks, tables, np.arange(n_grams), max(model.orders)))
+        column[:] = [index.get(f, -1) for f in strings]
+        names, grams = np.array(list(index), dtype=object), np.arange(len(index))[:, None]
     mass = np.bincount(rows, weights=hits, minlength=len(docs)).astype(np.int64)
     cols = column[gram]
     kept = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=len(docs)))])
-    counts = sparse.csr_array((hits[kept], cols[kept], indptr), shape=(len(docs), len(features)))
+    counts = sparse.csr_array((hits[kept], cols[kept], indptr), shape=(len(docs), len(grams)))
     counts.sort_indices()  # columns are not numbered in gram id order
-    return FeatureMatrix(model, features, counts, mass, int(lengths.sum()))
+    return FeatureMatrix(model, names, grams, counts, mass, int(lengths.sum()))
 
 
 def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> np.ndarray:
     """The top m columns of ``matrix`` with a nonzero count in ``totals``: most frequent first, ties in column order.
 
     No such column is a DataError.  Column order is string order, and the
-    columns' features, ``matrix.features[j]``, make a ``Vocabulary`` where one is saved.
+    columns' features, ``matrix.decode(columns)``, make a ``Vocabulary`` where one is saved.
     """
     if m < 1:
         raise ValueError("profile size must be >= 1")

@@ -8,14 +8,20 @@ vectorized shortcuts the library uses.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
 
 from stylosig.errors import DataError
-from stylosig.features import NGRAM_FAMILY, SNGRAM_ELEMENTS, tokenize
+from stylosig.features import NGRAM_FAMILY, SNGRAM_ELEMENTS
 
 SEP = "\x1f"
+
+
+def tokenize_reference(text):
+    """Lowercase, then every maximal run of Unicode letters and digits (``\\w`` less ``_``)."""
+    return re.findall(r"[^\W_]+", text.lower())
 
 
 def possibility_naive(p):
@@ -151,7 +157,7 @@ def extract_counts(model, doc):
     """One document's feature counts under a ``FeatureModel``, one order and one sentence at a time."""
     counts = Counter()
     if model.family == NGRAM_FAMILY:
-        tokens = tokenize(doc.text)
+        tokens = tokenize_reference(doc.text)
         for k in model.orders:
             counts.update(extract_ngrams(tokens, k))
     else:

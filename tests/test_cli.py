@@ -220,6 +220,31 @@ def test_eval_builds_no_vocabulary(tmp_path, monkeypatch):
     assert main([*rolling, "--output-dir", str(tmp_path / "rolling")]) == 0
 
 
+def test_eval_decodes_no_feature_string(tmp_path, monkeypatch):
+    # columns are ordered as their strings without them: only a written profile is decoded
+    def refuse(self, columns):
+        raise AssertionError("eval decoded feature strings")
+
+    monkeypatch.setattr(features.FeatureMatrix, "decode", refuse)
+    assert main(chimeric_args(tmp_path)) == 0
+    rolling = ["eval", "-O", f"corpus_dir={tmp_path / 'texts'}", "-O", "train_window=3", "-O", "test_window=1"]
+    assert main([*rolling, "--output-dir", str(tmp_path / "rolling")]) == 0
+
+
+def test_train_decodes_only_the_profile(tmp_path, monkeypatch):
+    decoded, decode = [], features.FeatureMatrix.decode
+
+    def count(self, columns):
+        decoded.append(len(columns))
+        return decode(self, columns)
+
+    monkeypatch.setattr(features.FeatureMatrix, "decode", count)
+    corpus_dir = disjoint_corpus(tmp_path)  # 36 distinct unigrams and bigrams
+    out = tmp_path / "out"
+    assert main(["train", "-O", f"corpus_dir={corpus_dir}", "-O", "profile_size=20", "--output-dir", str(out)]) == 0
+    assert decoded == [20] and len((out / "vocabulary.tsv").read_text().splitlines()) == 20
+
+
 def test_sigscore_writes_matrix(tmp_path):
     sig_dir = write_svc_dir(tmp_path / "sigs", n_writers=2, n_samples=5)
     out = tmp_path / "out"
@@ -577,6 +602,15 @@ def test_undecodable_input_file_is_clean_error(file_inputs, target):
     assert _run_on_file(file_inputs, target, b"item_id\xff\n") == (
         expected[0],
         f"{expected[1]}: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n",
+    )
+
+
+def test_conllu_label_with_separator_is_data_error(file_inputs):
+    path = file_inputs["conllu"][0]
+    row = "1\ta\x1fb\ta\tX\t_\t_\t0\troot\t_\t_\n"
+    assert _run_on_file(file_inputs, "conllu", row.encode()) == (
+        1,
+        f"data error: {path}:1: FORM 'a\\x1fb' holds a control character (U+0000-U+001F)\n",
     )
 
 

@@ -82,3 +82,19 @@ def test_read_file_roundtrip(tmp_path):
     path = tmp_path / "sample.conllu"
     path.write_text(SAMPLE, encoding="utf-8")
     assert len(read_conllu(path)) == 2
+
+
+@pytest.mark.parametrize("column, at", [("FORM", 1), ("LEMMA", 2), ("UPOS", 3), ("DEPREL", 7)])
+@pytest.mark.parametrize("value", ["a\x1fb", "\x00", "x\x0b"])
+def test_label_with_control_character_is_data_error(column, at, value):
+    # a label holding the separator could join two different grams into one feature
+    cols = "1\tDogs\tdog\tNOUN\t_\t_\t0\troot\t_\t_".split("\t")
+    cols[at] = value
+    with pytest.raises(DataError) as caught:
+        parse_conllu("# sent_id = 1\n" + "\t".join(cols) + "\n", source="doc.conllu")
+    assert str(caught.value) == f"doc.conllu:2: {column} {value!r} holds a control character (U+0000-U+001F)"
+
+
+def test_labels_just_above_the_separator_parse():
+    (sent,) = parse_conllu("1\ta b!\t\x7f\tX\t_\t_\t0\troot\t_\t_\n")
+    assert (sent.tokens[0].form, sent.tokens[0].lemma) == ("a b!", "\x7f")

@@ -1,4 +1,5 @@
 import csv
+import string
 from collections import Counter
 
 import numpy as np
@@ -21,13 +22,14 @@ from stylosig.features import (
 )
 
 from .conftest import make_sentence
-from .oracles import extract_counts, sngrams_recursive
+from .oracles import extract_counts, sngrams_recursive, tokenize_reference
 
 
 def row_counts(matrix, i):
     """Row i of a feature matrix as a Counter over feature strings."""
     row = matrix.counts[[i]].toarray()[0]
-    return Counter({matrix.features[j]: int(c) for j, c in enumerate(row) if c})
+    (columns,) = np.nonzero(row)
+    return Counter(dict(zip(matrix.decode(columns), row[columns].tolist())))
 
 
 def ngrams(text, k):
@@ -59,6 +61,27 @@ def test_tokenize_unicode_letters():
 
 def test_tokenize_empty():
     assert tokenize("...") == []
+
+
+# ASCII punctuation, "_", digits, the separator, DEL, whitespace, other control
+# bytes, and letters whose lower case a byte table cannot give
+TOKEN_ALPHABET = string.ascii_letters + string.digits + string.punctuation + " \x1f\x7f\t\n\r\x0b\x0c\x00\x01\x1b\x1c"
+token_texts = st.one_of(
+    st.text(st.sampled_from(TOKEN_ALPHABET), max_size=40),
+    st.text(st.sampled_from(TOKEN_ALPHABET + "İßÉé٣ǅ\u00a0\u2028"), max_size=40),
+    st.text(max_size=20),
+)
+
+
+def test_tokenize_every_ascii_character_as_the_regex():
+    for c in map(chr, range(128)):
+        assert tokenize(f"Ab{c}9z{c}") == tokenize_reference(f"Ab{c}9z{c}"), repr(c)
+
+
+@given(token_texts)
+@settings(max_examples=500, deadline=None)
+def test_tokenize_equals_regex_reference(text):
+    assert tokenize(text) == tokenize_reference(text)
 
 
 # -- word n-grams -----------------------------------------------------------
@@ -204,10 +227,10 @@ def word_documents(draw):
 
 @st.composite
 def parsed_documents(draw):
-    """Documents of zero to three sentences; a form may hold a space."""
+    """Documents of zero to three sentences; a form may hold a space or "!", just above the separator."""
     docs = []
     for i in range(draw(st.integers(min_value=0, max_value=5))):
-        sentences = draw(st.lists(random_trees(forms=("a", "B", "a b", "é", "日本")), max_size=3))
+        sentences = draw(st.lists(random_trees(forms=("a", "B", "a b", "a!", "a0", "é", "日本")), max_size=3))
         tree = tuple(
             DepSentence(
                 tuple(
@@ -226,7 +249,7 @@ def check_against_oracle(model, docs, n_indexed, index_draw):
     refs = [extract_counts(model, doc) for doc in docs]
     indexed = set().union(*refs[:n_indexed])
     matrix = extract_matrix(model, docs, n_indexed)
-    assert matrix.features == tuple(sorted(indexed))  # columns in string order: the vocabulary's tie order
+    assert matrix.decode(np.arange(len(indexed))) == tuple(sorted(indexed))  # string order: the vocabulary's tie order
     assert matrix.counts.dtype == np.int64 and matrix.counts.shape == (len(docs), len(indexed))
     for i, ref in enumerate(refs):
         assert row_counts(matrix, i) == Counter({f: c for f, c in ref.items() if f in indexed})
@@ -235,7 +258,7 @@ def check_against_oracle(model, docs, n_indexed, index_draw):
     seen = sorted(set().union(*refs))
     index = {f: j for j, f in enumerate(index_draw(seen) + ["never", f"never{SEP}seen"])}
     projected = extract_matrix(model, docs, index=index)
-    assert projected.features == tuple(index) and projected.counts.shape == (len(docs), len(index))
+    assert projected.decode(np.arange(len(index))) == tuple(index) and projected.counts.shape == (len(docs), len(index))
     # scoring sums each row in stored order, so both keep columns ascending whatever the numbering
     assert matrix.counts.has_sorted_indices and projected.counts.has_sorted_indices
     for i, ref in enumerate(refs):
@@ -254,6 +277,16 @@ def test_word_extract_matrix_matches_per_document_oracle(docs, ks, data):
     check_against_oracle(model, docs, n_indexed, lambda seen: data.draw(st.permutations(seen))[: len(seen) // 2])
     tokens = extract_matrix(model, docs).tokens
     assert tokens == sum(len(tokenize(doc.text)) for doc in docs)
+
+
+@given(st.lists(token_texts, max_size=5), orders, st.data())
+@settings(max_examples=200, deadline=None)
+def test_mixed_script_corpus_matches_per_document_oracle(bodies, ks, data):
+    # ASCII documents take the byte table and the others the regex; one matrix holds both
+    docs = [Document(f"d{i}", 0, text) for i, text in enumerate(bodies)]
+    n_indexed = data.draw(st.integers(min_value=0, max_value=len(docs)))
+    model = FeatureModel("ngram", ks)
+    check_against_oracle(model, docs, n_indexed, lambda seen: data.draw(st.permutations(seen))[: len(seen) // 2])
 
 
 @given(parsed_documents(), orders, st.sampled_from(SNGRAM_ELEMENTS), st.data())
@@ -279,7 +312,7 @@ def ranked(dicts, m):
     """Features of the profile ranked on documents holding exactly the given unigram counts."""
     docs = [Document(f"d{i}", 0, text_of(d)) for i, d in enumerate(dicts)]
     matrix = extract_matrix(UNIGRAMS, docs)
-    return tuple(matrix.features[j] for j in build_vocabulary(matrix, matrix.counts.sum(axis=0), m))
+    return matrix.decode(build_vocabulary(matrix, matrix.counts.sum(axis=0), m))
 
 
 def test_extract_matrix_rows_match_per_document_counts():
@@ -294,7 +327,7 @@ def test_extract_matrix_rows_match_per_document_counts():
 def test_extract_matrix_projects_unindexed_documents():
     docs = [Document("d0", 0, "a b"), Document("d1", 1, "a c c")]
     matrix = extract_matrix(UNIGRAMS, docs, n_indexed=1)
-    assert matrix.features == ("a", "b")
+    assert matrix.decode([0, 1]) == ("a", "b")
     assert matrix.counts.toarray().tolist() == [[1, 1], [1, 0]]
     assert list(matrix.mass) == [2, 3]  # the dropped "c c" still counts
 
@@ -341,7 +374,7 @@ def test_vocabulary_size_bounded_and_sorted(texts, m):
     model = FeatureModel("ngram", (1, 2))
     docs = [Document(f"d{i}", 0, " ".join(words)) for i, words in enumerate(texts)]
     matrix = extract_matrix(model, docs)
-    features = [matrix.features[j] for j in build_vocabulary(matrix, matrix.counts.sum(axis=0), m)]
+    features = list(matrix.decode(build_vocabulary(matrix, matrix.counts.sum(axis=0), m)))
     assert len(features) <= m
     total = Counter()
     for doc in docs:
