@@ -97,11 +97,13 @@ class FeatureMatrix:
     """Feature counts of a document list: row i is document i, column j counts the gram ``grams[j]``.
 
     Extracted without an index, the columns are in string order, the tie order of ``build_vocabulary``.
+    Extracted through an index, the columns are the index's, whose features the caller holds:
+    ``labels`` and ``grams`` are None and there is nothing to decode.
     """
 
     model: FeatureModel
-    labels: np.ndarray  # the label strings (object), ascending; with an index, its features
-    grams: np.ndarray  # (features, max order) label ids of each column, padded with -1; with an index, (features, 1)
+    labels: np.ndarray | None  # the label strings (object), ascending
+    grams: np.ndarray | None  # (features, max order) label ids of each column, padded with -1
     counts: sparse.csr_array  # (documents, features) int64
     mass: np.ndarray  # per document: every extracted count, features outside the columns included
     tokens: int  # extracted positions: tokens, or tree nodes for sn-grams
@@ -216,16 +218,18 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
         grams = _label_ids(blocks, tables, wanted, max(model.orders))
         order = np.lexsort(grams.T[::-1])
         grams = grams[order]
-        column[wanted[order]] = np.arange(wanted.size)
+        n_columns = wanted.size
+        column[wanted[order]] = np.arange(n_columns)
     else:  # every gram of the batch, looked up in the index by its string
         strings = _join(names, _label_ids(blocks, tables, np.arange(n_grams), max(model.orders)))
         column[:] = [index.get(f, -1) for f in strings]
-        names, grams = np.array(list(index), dtype=object), np.arange(len(index))[:, None]
+        names = grams = None
+        n_columns = len(index)
     mass = np.bincount(rows, weights=hits, minlength=len(docs)).astype(np.int64)
     cols = column[gram]
     kept = cols >= 0
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=len(docs)))])
-    counts = sparse.csr_array((hits[kept], cols[kept], indptr), shape=(len(docs), len(grams)))
+    counts = sparse.csr_array((hits[kept], cols[kept], indptr), shape=(len(docs), n_columns))
     counts.sort_indices()  # columns are not numbered in gram id order
     return FeatureMatrix(model, names, grams, counts, mass, int(lengths.sum()))
 
