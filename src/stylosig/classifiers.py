@@ -72,7 +72,11 @@ class NbModel:
 
 
 def _pool(counts, subjects, alpha: float, n_subjects: int):
-    """Pool training rows per subject: a subject-indicator matrix times the counts."""
+    """Pool training rows per subject: each (subject, column) cell adds its entries in row order, then stored order.
+
+    That is the order in which a subject-indicator matrix times the counts adds
+    them, so one ``np.bincount`` gives that product's table to the bit.
+    """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     subjects = np.asarray(subjects, dtype=np.int64)
@@ -83,9 +87,14 @@ def _pool(counts, subjects, alpha: float, n_subjects: int):
     missing = [str(s) for s in np.flatnonzero(docs_per_subject == 0)]
     if missing:
         raise DataError("subjects without training vectors: " + ", ".join(missing))
-    n = len(subjects)
-    indicator = sparse.csr_array((np.ones(n), (subjects, np.arange(n))), shape=(n_subjects, n))
-    return (indicator @ counts).toarray(), docs_per_subject
+    counts = sparse.csr_array(counts)
+    n_rows, m = counts.shape
+    if n_rows != len(subjects):
+        raise ValueError(f"{n_rows} training rows for {len(subjects)} subject ids")
+    cells = np.repeat(subjects * m, np.diff(counts.indptr)) + counts.indices
+    pooled = np.bincount(cells, weights=counts.data, minlength=n_subjects * m)
+    # np.bincount returns int64 when there are no entries
+    return pooled.astype(np.float64, copy=False).reshape(n_subjects, m), docs_per_subject
 
 
 def mnb_train(counts, subjects, alpha: float, subject_labels: Sequence[str]) -> NbModel:

@@ -8,6 +8,7 @@ load of the same tree is identical.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -74,22 +75,49 @@ def load_text_corpus(root: str | Path) -> Corpus:
     documents: list[Document] = []
     for subj in subjects:
         subj_dir = root / subj.label
-        txt_paths = sorted(subj_dir.glob("*.txt"))
-        if not txt_paths:
+        entries = _listing(subj_dir)
+        names = sorted(name for name in entries if name.endswith(".txt"))  # pathlib's "*.txt": dot files too
+        if not names:
             raise DataError(f"subject directory {subj_dir} contains no .txt documents")
-        documents.extend(read_document(path, f"{subj.label}/{path.name}", subj.id) for path in txt_paths)
+        for name in names:
+            # Path.with_suffix(".conllu"): a name that is only ".txt" has no suffix to replace
+            sidecar = entries.get(name[:-4] + ".conllu" if len(name) > 4 else ".txt.conllu")
+            text = _read_text(entries[name].path)
+            tree = read_conllu(sidecar.path) if sidecar is not None and _is_file(sidecar) else None
+            documents.append(Document(f"{subj.label}/{name}", subj.id, text, tree))
     return Corpus(subjects, tuple(documents))
+
+
+def _listing(directory: Path) -> dict[str, os.DirEntry]:
+    """The entries of ``directory`` by name; one that cannot be listed has none, as for ``Path.glob``."""
+    try:
+        with os.scandir(directory) as listing:
+            return {entry.name: entry for entry in listing}
+    except PermissionError:
+        return {}
+
+
+def _is_file(entry: os.DirEntry) -> bool:
+    """``Path.is_file`` of a listed entry, which needs no stat unless it is a symlink."""
+    try:
+        return entry.is_file()
+    except OSError:  # a target that cannot be stat'ed, e.g. a symlink loop: pathlib's rules decide
+        return Path(entry.path).is_file()
+
+
+def _read_text(path: str | Path) -> str:
+    """``Path.read_text`` in UTF-8 with universal newlines; a failure is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def read_document(path: Path, doc_id: str, subject: int) -> Document:
     """Read one ``.txt`` document and its optional ``.conllu`` sidecar."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     sidecar = path.with_suffix(".conllu")
-    tree = read_conllu(sidecar) if sidecar.is_file() else None
-    return Document(doc_id, subject, text, tree)
+    return Document(doc_id, subject, _read_text(path), read_conllu(sidecar) if sidecar.is_file() else None)
 
 
 def keep_largest(corpus: Corpus, n: int) -> Corpus:

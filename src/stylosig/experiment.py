@@ -72,27 +72,42 @@ def _write_run_json(out_dir: Path, config: ExperimentConfig, stages: dict, start
 def score_folds(config: ExperimentConfig, docs, n_indexed: int, folds, subjects: np.ndarray, labels, stages: dict):
     """Extract ``docs`` once, then train on and fuzzify each fold's (train rows, test rows).
 
-    Returns each fold's possibility rows and the feature statistics, and
-    adds the extract and folds seconds to ``stages``.  Uniform posterior
-    fallbacks get one warning with their total row count.
+    Returns each fold's possibility rows, the feature statistics and one
+    record per fold for run.json, and adds the extract and folds seconds to
+    ``stages``.  Uniform posterior fallbacks get one warning with their total
+    row count.
     """
     with _timed(stages, "extract"):
         features = extract_matrix(build_feature_model(config), docs, n_indexed)
-    scores = []
-    test_mass = in_vocab = fallbacks = 0
+    scores, records, in_vocab = [], [], 0
     with _timed(stages, "folds"):
         for train, test in folds:
+            started = time.perf_counter()
             model, columns = fit_stylome(config, features, train, subjects[train], labels)
             test_counts = features.counts[test][:, columns]
             rows, fallback = possibility_rows(model, test_counts)
             scores.append(rows)
-            fallbacks += int(fallback.sum())
-            test_mass += int(features.mass[test].sum())
-            in_vocab += int(test_counts.sum())
+            mass = int(features.mass[test].sum())
+            # by row, then over rows: a sum over the whole matrix would sort the column take's indices
+            fold_in_vocab = int(test_counts.sum(axis=1).sum())
+            in_vocab += fold_in_vocab
+            records.append({
+                "seconds": time.perf_counter() - started,
+                "vocabulary": len(columns),
+                "test_mass": mass,
+                "test_oov_rate": _oov_rate(fold_in_vocab, mass),
+                "uniform_fallback_rows": int(fallback.sum()),
+            })
+    fallbacks = sum(record["uniform_fallback_rows"] for record in records)
     classifiers.warn_fallback(model, fallbacks)
-    oov_rate = 1.0 - in_vocab / test_mass if test_mass else 0.0
+    oov_rate = _oov_rate(in_vocab, sum(record["test_mass"] for record in records))
     stats = {"indexed": features.counts.shape[1], "tokens": features.tokens, "test_oov_rate": oov_rate}
-    return scores, {**stats, "uniform_fallback_rows": fallbacks}
+    return scores, {**stats, "uniform_fallback_rows": fallbacks}, records
+
+
+def _oov_rate(in_vocab: int, mass: int) -> float:
+    """The share of the extracted test mass outside the vocabulary; 0 without test mass."""
+    return 1.0 - in_vocab / mass if mass else 0.0
 
 
 def write_bundle(
@@ -275,7 +290,7 @@ def run_chimeric(config: ExperimentConfig) -> dict:
     docs += [doc for subj in dataset.subjects for doc in subj.test_docs]
     subjects = np.concatenate([np.repeat(np.arange(dataset.n_subjects), config.train_docs), truth])
     fold = (np.arange(n_train), np.arange(n_train, len(docs)))
-    (scores,), feature_stats = score_folds(config, docs, n_train, [fold], subjects, labels, stages)
+    (scores,), feature_stats, fold_records = score_folds(config, docs, n_train, [fold], subjects, labels, stages)
     stylome = ScoreMatrix(item_ids, labels, scores)
 
     # signature route
@@ -313,7 +328,8 @@ def run_chimeric(config: ExperimentConfig) -> dict:
 
     run_info = _write_run_json(
         out_dir, config, stages, started, protocol="chimeric", systems=sorted(matrices),
-        counts=_chimeric_counts(dataset), features=feature_stats, signature=_signature_counts(signatures),
+        counts=_chimeric_counts(dataset), features=feature_stats, folds=fold_records,
+        signature=_signature_counts(signatures),
         ttests=_ttest_on_correctness(correct, ttest_pairs),
     )
     return {"run": run_info, "summaries": summaries}
@@ -342,7 +358,7 @@ def run_rolling(config: ExperimentConfig) -> dict:
         warnings.warn(message, DegenerateInputWarning)
     docs = corpus.documents
     subjects = np.array([doc.subject for doc in docs], dtype=np.int64)
-    fold_rows, feature_stats = score_folds(config, docs, len(docs), folds, subjects, labels, stages)
+    fold_rows, feature_stats, fold_records = score_folds(config, docs, len(docs), folds, subjects, labels, stages)
     pooled_ids = tuple(f"f{k:02d}/{docs[r].doc_id}" for k, (_, test) in enumerate(folds) for r in test)
     matrix = ScoreMatrix(pooled_ids, labels, np.vstack(fold_rows))
     truth = subjects[np.concatenate([test for _, test in folds])]
@@ -353,7 +369,8 @@ def run_rolling(config: ExperimentConfig) -> dict:
 
     counts = {"subjects": len(labels), "folds": len(folds), "test_items": len(pooled_ids), "dropped_subjects": dropped}
     run_info = _write_run_json(
-        out_dir, config, stages, started, protocol="rolling", systems=[config.classifier], counts=counts, features=feature_stats
+        out_dir, config, stages, started, protocol="rolling", systems=[config.classifier], counts=counts,
+        features=feature_stats, folds=fold_records,
     )
     return {"run": run_info, "summaries": {config.classifier: summary}}
 

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import special  # the kernels of stats.norm.ppf, t.ppf and t.sf, without scipy.stats' import cost
 
 from .errors import DegenerateInputWarning
 from .signature import ScoreMatrix
@@ -90,6 +89,9 @@ def accuracy(correct=None, *, folds=None, confidence: float) -> AccuracyReport:
     over the fold mean.  Bounds are reported raw, without clamping to
     [0, 1].
     """
+    # the kernels of stats.norm.ppf and t.ppf, imported here so that only eval loads scipy.special
+    from scipy import special
+
     if (correct is None) == (folds is None):
         raise ValueError("pass exactly one of correct= or folds=")
     if not 0.0 < confidence < 1.0:
@@ -265,6 +267,8 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
         if mean == 0.0:
             return TTestResult(0.0, 1.0, df, True)
         return TTestResult(math.copysign(math.inf, mean), 0.0, df, True)
+    from scipy import special  # the kernel of stats.t.sf, imported here so that only eval loads it
+
     t = mean / (sd / math.sqrt(n))
     p = 2.0 * float(special.stdtr(df, -abs(t)))
     return TTestResult(t, p, df, False)

@@ -10,9 +10,13 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
+from stylosig.conllu import read_conllu
+from stylosig.corpus import Corpus, Document, Subject
 from stylosig.errors import DataError
 from stylosig.features import NGRAM_FAMILY, SNGRAM_ELEMENTS
 
@@ -363,3 +367,36 @@ def parse_capture_reference(path):
     if not rows:
         raise DataError(f"{path}: no points")
     return np.array(rows, dtype=np.int64)
+
+
+def pool_reference(counts, subjects, n_subjects):
+    """Pooled training counts as a (subjects, documents) indicator matrix times the (documents, m) counts."""
+    n = len(subjects)
+    indicator = sparse.csr_array((np.ones(n), (np.asarray(subjects, dtype=np.int64), np.arange(n))), shape=(n_subjects, n))
+    return (indicator @ counts).toarray()
+
+
+def load_text_corpus_reference(root):
+    """The pathlib loader: ``glob("*.txt")`` per subject, sorted, ``with_suffix(".conllu").is_file()``, ``read_text``."""
+    root = Path(root)
+    if not root.is_dir():
+        raise DataError(f"corpus root {root} is not a directory")
+    labels = sorted(d.name for d in root.iterdir() if d.is_dir())
+    if not labels:
+        raise DataError(f"corpus root {root} contains no subject directories")
+    subjects = tuple(Subject(i, label) for i, label in enumerate(labels))
+    documents = []
+    for subj in subjects:
+        subj_dir = root / subj.label
+        paths = sorted(subj_dir.glob("*.txt"))
+        if not paths:
+            raise DataError(f"subject directory {subj_dir} contains no .txt documents")
+        for path in paths:
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise DataError(f"cannot read {path}: {exc}") from exc
+            sidecar = path.with_suffix(".conllu")
+            tree = read_conllu(sidecar) if sidecar.is_file() else None
+            documents.append(Document(f"{subj.label}/{path.name}", subj.id, text, tree))
+    return Corpus(subjects, tuple(documents))

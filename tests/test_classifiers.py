@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from stylosig.classifiers import (
     NbModel,
+    _pool,
     load_model,
     mnb_train,
     pnb_train,
@@ -22,7 +24,7 @@ from stylosig.features import FeatureModel, Vocabulary
 from stylosig.fusion import decide
 
 from .conftest import write_text_corpus
-from .oracles import mnb_posterior_reference, pnb_posterior_reference
+from .oracles import mnb_posterior_reference, pnb_posterior_reference, pool_reference
 
 
 def make_vocab(n_features=4):
@@ -88,6 +90,49 @@ def test_training_pools_documents_per_subject():
     a = mnb_train(*split, 0.5, ("x", "y"))
     b = mnb_train(*pooled, 0.5, ("x", "y"))
     assert np.array_equal(a.table, b.table)
+
+
+@st.composite
+def training_rows(draw):
+    """A CSR of training counts as stored, with the subject of each row.
+
+    Rows come in any subject order and may be empty; within a row, columns
+    are unsorted and may repeat.  Float values differ in magnitude, so a
+    different order of addition rounds differently.
+    """
+    n_subjects = draw(st.integers(1, 4))
+    subjects = draw(st.permutations(list(range(n_subjects)) + draw(st.lists(st.integers(0, n_subjects - 1), max_size=5))))
+    m = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        values, dtype = st.integers(-(2**40), 2**40), np.int64
+    else:
+        values, dtype = st.floats(-1e17, 1e17, allow_subnormal=False) | st.sampled_from([0.1, 0.2, 0.3, 1e16, -0.0]), np.float64
+    entries = st.lists(st.tuples(st.integers(0, m - 1), values), max_size=6) if m else st.just([])
+    rows = [draw(entries) for _ in subjects]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([c for row in rows for c, _ in row], dtype=np.int32)
+    data = np.array([v for row in rows for _, v in row], dtype=dtype)
+    return sparse.csr_array((data, indices, indptr), shape=(len(subjects), m)), subjects, n_subjects
+
+
+@settings(max_examples=300, deadline=None)
+@given(training_rows())
+def test_pool_equals_indicator_product_bit_for_bit(case):
+    counts, subjects, n_subjects = case
+    stored = counts.indices.copy(), counts.data.copy()
+    pooled, docs_per_subject = _pool(counts, subjects, 0.0, n_subjects)
+    reference = pool_reference(counts, subjects, n_subjects)
+    assert pooled.dtype == reference.dtype == np.float64
+    assert np.array_equal(pooled, reference)
+    assert np.array_equal(docs_per_subject, np.bincount(subjects, minlength=n_subjects))
+    # pooling leaves the training rows as stored
+    assert np.array_equal(counts.indices, stored[0]) and np.array_equal(counts.data, stored[1])
+
+
+def test_pool_rejects_rows_that_do_not_fit_subjects():
+    counts, subjects = docs(([1, 0], 0), ([0, 2], 1))
+    with pytest.raises(ValueError):
+        mnb_train(counts, subjects + [1], 0.1, ("a", "b"))
 
 
 def test_alpha_zero_uses_floor():

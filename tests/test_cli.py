@@ -627,14 +627,35 @@ def test_any_input_file_content_runs_or_fails_cleanly(file_inputs, target, prefi
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_bench():
-    # scipy.stats alone cost most of a fresh CLI import; bench is for its command only
+    # scipy.stats alone cost most of a fresh CLI import, and scipy.special over a tenth of a
+    # second more; bench is for its command only
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import json, sys, stylosig.cli; "
-        "print(json.dumps([stylosig.cli.__file__, 'scipy.stats' in sys.modules, 'stylosig.bench' in sys.modules]))"
+        "print(json.dumps([stylosig.cli.__file__] + [m in sys.modules for m in ('scipy.stats', 'scipy.special', 'stylosig.bench')]))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    module, stats_loaded, bench_loaded = json.loads(result.stdout)
+    module, stats_loaded, special_loaded, bench_loaded = json.loads(result.stdout)
     assert Path(module).parent == src / "stylosig"
-    assert not stats_loaded and not bench_loaded
+    assert not stats_loaded and not special_loaded and not bench_loaded
+
+
+def test_train_and_attribute_never_load_scipy_special(tmp_path):
+    # only eval's accuracy intervals and t-tests call the scipy.special kernels
+    src = Path(__file__).resolve().parents[1] / "src"
+    corpus_dir = disjoint_corpus(tmp_path)
+    probe = tmp_path / "probe.txt"
+    probe.write_text("s1w0 s1w1 s1w2", encoding="utf-8")
+    model_dir = tmp_path / "model"
+    train = ["train", "-O", f"corpus_dir={corpus_dir}", "--output-dir", str(model_dir)]
+    attribute = ["attribute", "--model", str(model_dir / "model.npz"), str(probe)]
+    code = (
+        "import json, sys; from stylosig.cli import main; "
+        f"codes = [main({train!r}), main({attribute!r})]; "
+        "print(json.dumps([codes, 'scipy.special' in sys.modules]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    codes, special_loaded = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0] and not special_loaded

@@ -16,7 +16,7 @@ from stylosig.errors import DataError
 from stylosig.signature import load_svc
 
 from .conftest import write_svc_dir, write_text_corpus
-from .oracles import rolling_plan_reference
+from .oracles import load_text_corpus_reference, rolling_plan_reference
 
 
 def test_load_orders_subjects_and_docs(tiny_corpus_dir):
@@ -54,6 +54,90 @@ def test_load_rejects_empty_subject_dir(tmp_path):
     (root / "empty").mkdir(parents=True)
     with pytest.raises(DataError, match="no .txt documents"):
         load_text_corpus(root)
+
+
+def _conllu(form):
+    return f"1\t{form}\t{form.lower()}\tX\t_\t_\t0\troot\t_\t_\n"
+
+
+def odd_corpus(root):
+    """A tree of every listing case: line ends, sidecar kinds, case, dot files and names with two dots."""
+    a, b = root / "a", root / "b"
+    a.mkdir(parents=True)
+    b.mkdir()
+    (a / "crlf.txt").write_bytes(b"one two\r\nthree\r\n")
+    (a / "cr.txt").write_bytes(b"one\rtwo\r")
+    (a / "plain.txt").write_text("sidecar is a file", encoding="utf-8")
+    (a / "plain.conllu").write_text(_conllu("Plain"), encoding="utf-8")
+    (a / "dangling.txt").write_text("sidecar is a dangling symlink", encoding="utf-8")
+    (a / "dangling.conllu").symlink_to(root / "nowhere.conllu")
+    (a / "folder.txt").write_text("sidecar is a directory", encoding="utf-8")
+    (a / "folder.conllu").mkdir()
+    (a / "loop.txt").write_text("sidecar is a symlink loop", encoding="utf-8")
+    (a / "loop.conllu").symlink_to(a / "loop.conllu")
+    (a / "linked.txt").write_text("sidecar is a symlink to a file", encoding="utf-8")
+    (a / "linked.conllu").symlink_to(a / "plain.conllu")
+    (a / "A.TXT").write_text("not read", encoding="utf-8")
+    (a / "notes.md").write_text("not read", encoding="utf-8")
+    (b / ".a.txt").write_text("a dot file", encoding="utf-8")
+    (b / ".a.conllu").write_text(_conllu("Dot"), encoding="utf-8")
+    (b / ".txt").write_text("only a suffix", encoding="utf-8")
+    (b / ".txt.conllu").write_text(_conllu("Suffix"), encoding="utf-8")
+    (b / "a.b.txt").write_text("two dots", encoding="utf-8")
+    (b / "a.b.conllu").write_text(_conllu("Dots"), encoding="utf-8")
+    (b / "a.conllu").write_text(_conllu("Unused"), encoding="utf-8")
+    return root
+
+
+def _d_txt_directory(root):
+    (root / "a" / "d.txt").mkdir()
+
+
+def _subject_without_txt(root):
+    (root / "c").mkdir()
+    (root / "c" / "doc.md").write_text("no document", encoding="utf-8")
+
+
+def _not_utf8(root):
+    (root / "b" / "latin1.txt").write_bytes("caf\xe9".encode("latin-1"))
+
+
+def _bad_sidecar(root):
+    (root / "b" / "a.b.conllu").write_text("1\tonly three\tcolumns\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (None, None),
+        (_d_txt_directory, "cannot read {root}/a/d.txt: [Errno 21] Is a directory"),
+        (_subject_without_txt, "subject directory {root}/c contains no .txt documents"),
+        (_not_utf8, "cannot read {root}/b/latin1.txt: 'utf-8' codec can't decode"),
+        (_bad_sidecar, "{root}/b/a.b.conllu:1: expected 10 tab-separated columns"),
+    ],
+    ids=["readable", "d.txt-directory", "subject-without-txt", "not-utf8", "bad-sidecar"],
+)
+def test_load_matches_pathlib_reference(tmp_path, edit, error):
+    root = odd_corpus(tmp_path / "c")
+    if edit is not None:
+        edit(root)
+        with pytest.raises(DataError) as want:
+            load_text_corpus_reference(root)
+        with pytest.raises(DataError) as got:
+            load_text_corpus(root)
+        assert str(got.value) == str(want.value) and str(got.value).startswith(error.format(root=root))
+        return
+    want = load_text_corpus_reference(root)
+    corpus = load_text_corpus(root)
+    assert corpus == want
+    texts = {doc.doc_id: doc.text for doc in corpus.documents}
+    assert texts["a/crlf.txt"] == "one two\nthree\n" and texts["a/cr.txt"] == "one\ntwo\n"
+    trees = {doc.doc_id: doc.tree and doc.tree[0].tokens[0].form for doc in corpus.documents}
+    assert trees == {
+        "a/cr.txt": None, "a/crlf.txt": None, "a/dangling.txt": None, "a/folder.txt": None,
+        "a/linked.txt": "Plain", "a/loop.txt": None, "a/plain.txt": "Plain",
+        "b/.a.txt": "Dot", "b/.txt": "Suffix", "b/a.b.txt": "Dots",
+    }
 
 
 def test_keep_largest_by_bytes_with_filename_ties(tmp_path):

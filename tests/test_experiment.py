@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -519,3 +520,69 @@ def test_chimeric_run_json_records_config_and_version(tmp_path):
     assert run["config"]["signature_dir"] == str(config.signature_dir)
     assert run["config"]["signature_matrix"] is None
     assert set(run["config"]) == {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.fixture
+def index_sorts(monkeypatch):
+    """The function that called each ``sort_indices`` that found unsorted CSR indices."""
+    from scipy.sparse import _compressed
+
+    callers, original = [], _compressed._cs_matrix.sort_indices
+
+    def counted(self):
+        if not self.has_sorted_indices:
+            callers.append(sys._getframe(1).f_code.co_name)
+        original(self)
+
+    monkeypatch.setattr(_compressed._cs_matrix, "sort_indices", counted)
+    return callers
+
+
+def test_an_eval_sorts_csr_indices_only_in_extraction(tmp_path, index_sorts):
+    config = build_config(
+        {"corpus_dir": str(disjoint_corpus(tmp_path)), "train_window": "3", "test_window": "1", "output_dir": str(tmp_path / "out")}
+    )
+    assert run_rolling(config)["run"]["counts"]["folds"] == 4
+    assert index_sorts == ["extract_matrix"]
+
+    index_sorts.clear()
+    run_chimeric(chimeric_setup(tmp_path / "chimeric"))
+    assert index_sorts == ["extract_matrix"]
+
+
+def test_run_json_records_each_fold(tmp_path):
+    config = build_config(
+        {
+            "corpus_dir": str(degenerate_corpus(tmp_path)),
+            "train_window": "3",
+            "test_window": "1",
+            "profile_size": "20",
+            "classifier": "pnb",
+            "alpha": "0",
+            "output_dir": str(tmp_path / "out"),
+        }
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        run_rolling(config)
+    run = json.loads((tmp_path / "out" / "run.json").read_text())
+    folds = run["folds"]
+    assert len(folds) == run["counts"]["folds"] == 4
+    assert all(set(fold) == {"seconds", "vocabulary", "test_mass", "test_oov_rate", "uniform_fallback_rows"} for fold in folds)
+    assert all(fold["seconds"] >= 0.0 and 0 < fold["vocabulary"] <= 20 for fold in folds)
+    assert sum(fold["uniform_fallback_rows"] for fold in folds) == run["features"]["uniform_fallback_rows"] == 2
+    # the run's rate is the folds' rates weighed by their test mass
+    mass = sum(fold["test_mass"] for fold in folds)
+    in_vocab = sum((1.0 - fold["test_oov_rate"]) * fold["test_mass"] for fold in folds)
+    assert 1.0 - in_vocab / mass == pytest.approx(run["features"]["test_oov_rate"], rel=1e-12, abs=1e-15)
+    assert sum(fold["seconds"] for fold in folds) <= run["stage_seconds"]["folds"]
+    assert "seconds" not in (tmp_path / "out" / "pnb" / "summary.json").read_text()  # timings stay in run.json
+
+
+def test_chimeric_run_json_records_its_one_fold(tmp_path):
+    run_chimeric(chimeric_setup(tmp_path))
+    run = json.loads((tmp_path / "out" / "run.json").read_text())
+    (fold,) = run["folds"]
+    assert fold["uniform_fallback_rows"] == run["features"]["uniform_fallback_rows"]
+    assert fold["test_oov_rate"] == run["features"]["test_oov_rate"]
+    assert fold["vocabulary"] <= 200 and fold["test_mass"] > 0
