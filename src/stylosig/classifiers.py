@@ -175,6 +175,14 @@ def save_model(model: NbModel, path: str | Path, vocab: Vocabulary) -> None:
         )
 
 
+def _strings(data, name: str) -> tuple:
+    """The 1-d array ``name`` as a tuple of plain Python values; iterating it would make an ``np.str_`` each."""
+    array = data[name]
+    if array.ndim != 1:
+        raise ValueError(f"{name} is not a 1-d array")
+    return tuple(array.tolist())
+
+
 def load_model(path: str | Path) -> tuple[NbModel, Vocabulary]:
     """Read a model file and its vocabulary; one whose arrays do not fit its labels and features is a DataError."""
     path = Path(path)
@@ -192,8 +200,8 @@ def load_model(path: str | Path) -> tuple[NbModel, Vocabulary]:
             if kind not in KINDS:
                 raise DataError(f"{path}: unknown model kind {kind!r}")
             fmodel = FeatureModel(header["feature_family"], tuple(header["feature_orders"]), header["feature_element"])
-            vocab = Vocabulary(fmodel, header["profile_size"], tuple(data["features"]))
-            model = NbModel(kind, tuple(data["subject_labels"]), header["alpha"], data[_TABLE_NAMES[kind]])
+            vocab = Vocabulary(fmodel, header["profile_size"], _strings(data, "features"))
+            model = NbModel(kind, _strings(data, "subject_labels"), header["alpha"], data[_TABLE_NAMES[kind]])
             log_priors = data["log_priors"]
     # not an .npz archive, or a header or array of the wrong type
     except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError, TypeError) as exc:

@@ -29,6 +29,11 @@ SEP = "\x1f"
 _TOKEN_RE = re.compile(r"[^\W_]+")
 # ASCII bytes to token bytes: A-Z lowered, a-z and 0-9 kept, every other byte a space
 _ASCII_TOKENS = bytes(c | 0x20 if 65 <= c <= 90 else c if 97 <= c <= 122 or 48 <= c <= 57 else 32 for c in range(256))
+# the packed path: text per chunk, the spaces that keep every 8-byte read in bounds,
+# and _KEEP[v], the mask of a big-endian word's first v bytes
+_CHUNK_BYTES = 1 << 20
+_PAD = " " * 24
+_KEEP = np.array([((1 << 8 * v) - 1) << (64 - 8 * v) for v in range(9)], dtype=np.uint64)
 
 NGRAM_FAMILY = "ngram"
 SNGRAM_FAMILY = "sngram"
@@ -126,9 +131,27 @@ def _positions(model: FeatureModel, docs: Sequence[Document]):
     """The distinct labels, ascending; the label id and predecessor of every position; each document's position count.
 
     The predecessor is the previous token (word n-grams) or the head (syntactic
-    n-grams), -1 for none.  Labels are interned one document at a time, then
-    numbered in string order.
+    n-grams), -1 for none.  A word n-gram batch of ASCII documents is packed
+    into integers; any other batch, or one with a token longer than 24 bytes,
+    is interned one document at a time.
     """
+    packed = None
+    if model.family == NGRAM_FAMILY and all(doc.text.isascii() for doc in docs):
+        packed = _packed_labels([doc.text for doc in docs])
+    if packed is None:
+        names, label, heads, lengths = _interned_labels(model, docs)
+    else:
+        names, label, lengths = packed
+    if model.family == NGRAM_FAMILY:
+        pred = np.arange(-1, label.size - 1)
+        pred[(np.cumsum(lengths) - lengths)[lengths > 0]] = -1
+    else:
+        pred = np.array(heads, dtype=np.int64)
+    return names, label, pred, lengths
+
+
+def _interned_labels(model: FeatureModel, docs: Sequence[Document]):
+    """``_positions``' labels, label ids and lengths, with the heads of sn-gram nodes: interned per document, then numbered in string order."""
     ids: dict[str, int] = {}
     labels, heads = [np.zeros(0, dtype=np.int32)], []
     lengths = np.zeros(len(docs), dtype=np.int64)
@@ -149,13 +172,69 @@ def _positions(model: FeatureModel, docs: Sequence[Document]):
     names = np.array(sorted(ids), dtype=object)
     rank = np.empty(len(ids), dtype=np.int32)
     rank[np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(ids))] = np.arange(len(ids))
-    label = rank[np.concatenate(labels)]
-    if model.family == NGRAM_FAMILY:
-        pred = np.arange(-1, label.size - 1)
-        pred[(np.cumsum(lengths) - lengths)[lengths > 0]] = -1
-    else:
-        pred = np.array(heads, dtype=np.int64)
-    return names, label, pred, lengths
+    return names, rank[np.concatenate(labels)], heads, lengths
+
+
+def _packed_labels(texts: list[str]):
+    """``_positions``' labels, label ids and lengths for ASCII texts, with no object per token; None if a token exceeds 24 bytes.
+
+    Each token's bytes, zero-padded, are read as big-endian 64-bit words, so
+    integer order is string order.  Chunks of texts are numbered on their own,
+    then their distinct keys once more, to bound the per-byte arrays.
+    """
+    bounds, size = [0], 0
+    for i, text in enumerate(texts, 1):
+        size += len(text) + 1
+        if size >= _CHUNK_BYTES:
+            bounds.append(i)
+            size = 0
+    bounds.append(len(texts))
+    keys, ids, lengths = [], [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = _packed_tokens(texts[lo:hi])
+        if chunk is None:
+            return None
+        words, n_tokens = chunk
+        distinct, inverse = _unique_rows(words)
+        keys.append(distinct)
+        ids.append(inverse.astype(np.int32))
+        lengths.append(n_tokens)
+    width, starts = max(map(len, keys)), np.cumsum([0] + [len(words[0]) for words in keys])
+    # every chunk's keys, padded with zero words to the widest
+    words = [np.concatenate([w[j] if j < len(w) else np.zeros_like(w[0]) for w in keys]) for j in range(width)]
+    distinct, inverse = _unique_rows(words)
+    label = np.concatenate([inverse[a:b].astype(np.int32)[chunk] for a, b, chunk in zip(starts, starts[1:], ids)])
+    raw = np.stack(distinct, axis=1).astype(">u8").view(f"S{8 * width}").ravel()  # zero bytes drop off the end
+    names = np.array(list(map(bytes.decode, raw.tolist())), dtype=object)
+    return names, label, np.concatenate(lengths)
+
+
+def _packed_tokens(texts: list[str]):
+    """Each token of ASCII texts as ``ceil(longest / 8)`` big-endian words, and each text's token count; None past 24 bytes."""
+    raw = " ".join([*texts, _PAD]).encode().translate(_ASCII_TOKENS)
+    edges = np.flatnonzero(np.diff(np.frombuffer(raw, dtype=np.uint8) != 32, prepend=False))
+    starts, size = edges[0::2], edges[1::2] - edges[0::2]
+    longest = int(size.max(initial=1))
+    if longest > 3 * 8:
+        return None
+    window = np.ndarray((len(raw) - 7,), dtype=">u8", buffer=raw, strides=(1,))  # the 8 bytes from each offset
+    words = [window[starts + 8 * j].astype(np.uint64) & _KEEP[np.clip(size - 8 * j, 0, 8)] for j in range(-(-longest // 8))]
+    offsets = np.cumsum([0] + [len(text) + 1 for text in texts])
+    return words, np.diff(np.searchsorted(starts, offsets))
+
+
+def _unique_rows(words: list[np.ndarray]):
+    """The distinct rows of the uint64 columns ``words``, ascending, and the index of each row among them."""
+    if len(words) == 1:
+        distinct, inverse = np.unique(words[0], return_inverse=True)
+        return [distinct], inverse
+    order = np.lexsort(words[::-1])
+    words = [column[order] for column in words]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.logical_or.reduce([column[1:] != column[:-1] for column in words])
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return [column[new] for column in words], inverse
 
 
 def _label_ids(blocks, tables, wanted: np.ndarray, width: int) -> np.ndarray:
@@ -183,15 +262,15 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
 
     The order-k code at a position is the dense rank of (the order-(k-1)
     code at its predecessor, its label id): one ``np.unique`` per order for
-    both families.  Gram ids number the codes of each counted order in turn.
+    both families.  Gram ids number the codes of each counted order in turn,
+    and each gram id gets its column before the one ``np.unique`` over
+    (document, column) keys, so the CSR is built with its columns ascending.
     Label ids are in string order and every label character sorts above
     ``SEP``, so the order of codes, and of label-id tuples padded with -1
     across orders, is the order of the feature strings.
     """
     names, label, pred, lengths = _positions(model, docs)
-    stride = names.size + label.size * len(model.orders) + 1  # exceeds every gram id
-    row = np.repeat(np.arange(len(docs)) * stride, lengths)
-    code, tables, keys, blocks, n_grams = label, [], [np.zeros(0, dtype=np.int64)], [], 0
+    code, tables, codes, blocks, n_grams = label, [], [], [], 0
     for k in range(1, max(model.orders) + 1):
         if k > 1:
             has = pred >= 0
@@ -203,34 +282,42 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
             code = np.full(label.size, -1, dtype=np.int32)
             code[has] = dense
         if k in model.orders:
-            at = code >= 0
-            keys.append(row[at] + n_grams + code[at])  # document * stride + gram id
+            codes.append((n_grams, code))  # gram id = n_grams + code
             blocks.append((k, n_grams, n_grams + (names.size if k == 1 else table.size)))
             n_grams = blocks[-1][2]
-    del label, pred, code, row
-    keys, hits = np.unique(np.concatenate(keys), return_counts=True)
-    rows, gram = np.divmod(keys, stride)
-    del keys
-    column = np.full(n_grams, -1, dtype=np.int64)
+    del label, pred, code
     if index is None:  # the columns: every gram of the indexed documents, in label-id tuple order
-        indexed = gram[rows < (len(docs) if n_indexed is None else n_indexed)]
-        wanted = np.flatnonzero(np.bincount(indexed, minlength=n_grams))
+        indexed, n_indexed = np.zeros(n_grams, dtype=bool), int(lengths[:n_indexed].sum())
+        for lo, code in codes:
+            indexed[lo + code[:n_indexed][code[:n_indexed] >= 0]] = True
+        wanted = np.flatnonzero(indexed)
         grams = _label_ids(blocks, tables, wanted, max(model.orders))
         order = np.lexsort(grams.T[::-1])
         grams = grams[order]
         n_columns = wanted.size
+        column = np.full(n_grams, n_columns, dtype=np.int64)
         column[wanted[order]] = np.arange(n_columns)
     else:  # every gram of the batch, looked up in the index by its string
         strings = _join(names, _label_ids(blocks, tables, np.arange(n_grams), max(model.orders)))
-        column[:] = [index.get(f, -1) for f in strings]
         names = grams = None
         n_columns = len(index)
+        column = np.array([index.get(f, n_columns) for f in strings], dtype=np.int64)
+    # a gram outside the columns has column n_columns: counted in mass, then dropped
+    stride = n_columns + 1
+    row = np.repeat(np.arange(len(docs)) * stride, lengths)
+    keys = [np.zeros(0, dtype=np.int64)]
+    for lo, code in codes:
+        at = code >= 0
+        keys.append(row[at] + column[lo + code[at]])  # document * stride + column
+    del codes, row, column
+    keys = np.concatenate(keys)
+    keys, hits = np.unique(keys, return_counts=True)
+    rows, cols = np.divmod(keys, stride)
+    del keys
     mass = np.bincount(rows, weights=hits, minlength=len(docs)).astype(np.int64)
-    cols = column[gram]
-    kept = cols >= 0
+    kept = cols < n_columns
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=len(docs)))])
     counts = sparse.csr_array((hits[kept], cols[kept], indptr), shape=(len(docs), n_columns))
-    counts.sort_indices()  # columns are not numbered in gram id order
     return FeatureMatrix(model, names, grams, counts, mass, int(lengths.sum()))
 
 
@@ -246,7 +333,11 @@ def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> np.nd
     if seen.size == 0:
         orders = ",".join(map(str, matrix.model.orders))
         raise DataError(f"empty vocabulary: the training documents have no {matrix.model.family} of order {orders}")
-    return seen[np.argsort(-totals[seen], kind="stable")][:m]
+    totals = totals[seen]
+    key = -totals
+    if totals.dtype.kind in "iu" and totals.max() - totals.min() <= np.iinfo(np.uint16).max:
+        key = (totals.max() - totals).astype(np.uint16)  # the same order, which numpy sorts stably by radix
+    return seen[np.argsort(key, kind="stable")][:m]
 
 
 def write_feature_tsv(pairs, path: str | Path) -> None:

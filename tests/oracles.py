@@ -28,6 +28,19 @@ def tokenize_reference(text):
     return re.findall(r"[^\W_]+", text.lower())
 
 
+def positions_reference(texts):
+    """Word n-gram positions of ``texts``: the distinct tokens, sorted; each token's id among them and its predecessor (-1 at a text's start); each text's token count."""
+    tokens = [tokenize_reference(text) for text in texts]
+    names = sorted(set().union(*tokens))
+    ids = {name: i for i, name in enumerate(names)}
+    label, pred = [], []
+    for words in tokens:
+        for j, word in enumerate(words):
+            pred.append(len(label) - 1 if j else -1)
+            label.append(ids[word])
+    return names, label, pred, [len(words) for words in tokens]
+
+
 def possibility_naive(p):
     """Literal quadratic transform: pi_j = sum_a min(p_a, p_j)."""
     p = list(map(float, p))

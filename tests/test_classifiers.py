@@ -256,6 +256,7 @@ def test_roundtrip_is_bit_exact(tmp_path, train, rows, alpha, labels, doc):
     assert loaded.subject_labels == model.subject_labels
     assert loaded.alpha == model.alpha
     assert loaded_vocab.features == vocab.features
+    assert all(type(name) is str for name in loaded_vocab.features + loaded.subject_labels)  # not np.str_
     assert loaded_vocab.model == vocab.model
     assert np.array_equal(loaded.table, model.table)
     for ours, theirs in zip(loaded.linear, model.linear):

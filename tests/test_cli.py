@@ -94,6 +94,16 @@ def _header(edit):
             id="orders-not-a-list",
         ),
         pytest.param(_header(lambda header: list(header)), "cannot load model from {path}", id="header-a-list"),
+        pytest.param(
+            _resave(lambda arrays: {"features": arrays["features"][None]}),
+            "cannot load model from {path}: features is not a 1-d array\n",
+            id="features-2-d",
+        ),
+        pytest.param(
+            _resave(lambda arrays: {"subject_labels": arrays["subject_labels"][0]}),
+            "cannot load model from {path}: subject_labels is not a 1-d array\n",
+            id="labels-0-d",
+        ),
     ],
 )
 def test_attribute_model_that_does_not_fit_is_data_error(tmp_path, capsys, write, message):

@@ -538,16 +538,16 @@ def index_sorts(monkeypatch):
     return callers
 
 
-def test_an_eval_sorts_csr_indices_only_in_extraction(tmp_path, index_sorts):
+def test_an_eval_makes_no_csr_index_sort(tmp_path, index_sorts):
+    # extraction builds its CSR with columns ascending, and no fold reorders one
     config = build_config(
         {"corpus_dir": str(disjoint_corpus(tmp_path)), "train_window": "3", "test_window": "1", "output_dir": str(tmp_path / "out")}
     )
     assert run_rolling(config)["run"]["counts"]["folds"] == 4
-    assert index_sorts == ["extract_matrix"]
+    assert index_sorts == []
 
-    index_sorts.clear()
     run_chimeric(chimeric_setup(tmp_path / "chimeric"))
-    assert index_sorts == ["extract_matrix"]
+    assert index_sorts == []
 
 
 def test_run_json_records_each_fold(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import string
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from stylosig.conllu import DepSentence, DepToken, parse_conllu
 from stylosig.corpus import Document
+from stylosig import features
 from stylosig.errors import DataError
 from stylosig.features import (
     SEP,
@@ -22,7 +24,7 @@ from stylosig.features import (
 )
 
 from .conftest import make_sentence
-from .oracles import extract_counts, sngrams_recursive, tokenize_reference
+from .oracles import extract_counts, positions_reference, sngrams_recursive, tokenize_reference
 
 
 def row_counts(matrix, i, index=None):
@@ -83,6 +85,67 @@ def test_tokenize_every_ascii_character_as_the_regex():
 @settings(max_examples=500, deadline=None)
 def test_tokenize_equals_regex_reference(text):
     assert tokenize(text) == tokenize_reference(text)
+
+
+# -- packed tokens ----------------------------------------------------------
+
+TOKEN_CHARACTERS = string.ascii_letters + string.digits
+# every word boundary of the packed keys (1, 8, 9, 16, 17, 24 bytes), and past them
+ascii_words = st.one_of(
+    st.sampled_from([1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 40]).flatmap(
+        lambda n: st.text(st.sampled_from(TOKEN_CHARACTERS), min_size=n, max_size=n)
+    ),
+    st.text(st.sampled_from(TOKEN_CHARACTERS), min_size=1, max_size=26),
+)
+ascii_gaps = st.sampled_from([" ", "  ", ", ", "_", "-", "\n", "\t", "...", "\x1f", "\x00"])
+
+
+@st.composite
+def packed_batches(draw, non_ascii):
+    """Texts of zero to six documents; an empty one, or one of gaps only, has no token."""
+    words, gaps = ascii_words, ascii_gaps
+    if non_ascii:
+        words, gaps = st.one_of(words, st.sampled_from(["é", "Straße", "日本", "İ"])), st.one_of(gaps, st.just("…"))
+    texts = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        pieces = draw(st.lists(st.tuples(words, gaps), max_size=12))
+        texts.append("".join(map("".join, pieces)) if pieces else draw(st.one_of(st.just(""), gaps)))
+    return texts
+
+
+@given(st.one_of(packed_batches(non_ascii=False), packed_batches(non_ascii=True)), st.sampled_from([1, 9, 64, 1 << 20]))
+@settings(max_examples=500, deadline=None)
+def test_positions_equal_reference_interning(texts, chunk_bytes):
+    # a small chunk size splits a batch into many chunks
+    names, label, pred, lengths = positions_reference(texts)
+    with mock.patch.object(features, "_CHUNK_BYTES", chunk_bytes):
+        got = features._positions(FeatureModel("ngram", (1, 2)), [Document(f"d{i}", 0, t) for i, t in enumerate(texts)])
+    assert got[0].dtype == object and got[0].tolist() == names
+    assert got[1].dtype == np.int32 and got[1].tolist() == label
+    assert got[2].tolist() == pred
+    assert got[3].dtype == np.int64 and got[3].tolist() == lengths
+
+
+def test_each_batch_takes_its_path(monkeypatch):
+    taken = []
+    for name in ("_packed_labels", "_interned_labels"):
+        original = getattr(features, name)
+        monkeypatch.setattr(features, name, lambda *args, f=original, name=name: taken.append(name) or f(*args))
+
+    def path(model, *texts):
+        taken.clear()
+        features._positions(model, [Document(f"d{i}", 0, text) for i, text in enumerate(texts)])
+        return taken
+
+    words = FeatureModel("ngram", (1,))
+    assert path(words, "Ab9 " + "x" * 24, "", "z") == ["_packed_labels"]
+    assert path(words, "Ab9", "x" * 25) == ["_packed_labels", "_interned_labels"]  # a token past 24 bytes
+    assert path(words, "Ab9", "café") == ["_interned_labels"]
+    assert path(words) == ["_packed_labels"]
+    tree = (make_sentence([-1, 0], ["a", "b"]),)
+    taken.clear()
+    features._positions(FeatureModel("sngram", (2,)), [Document("d", 0, "a b", tree=tree)])
+    assert taken == ["_interned_labels"]
 
 
 # -- word n-grams -----------------------------------------------------------
@@ -354,6 +417,20 @@ def test_vocabulary_skips_features_absent_from_training():
 def test_vocabulary_rejects_bad_size():
     with pytest.raises(ValueError):
         build_vocabulary(extract_matrix(UNIGRAMS, []), np.zeros(0), 0)
+
+
+@given(
+    st.lists(st.sampled_from([0, 1, 2, 3, 65534, 65535, 65536, 65537, 70000, 2**40]), max_size=30),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_vocabulary_ranks_as_the_int64_key(totals, m):
+    # ties, and totals on both sides of the 16-bit key's range
+    totals = np.array(totals, dtype=np.int64)
+    seen = np.flatnonzero(totals)
+    if seen.size:
+        expected = seen[np.argsort(-totals[seen], kind="stable")][:m]
+        assert build_vocabulary(extract_matrix(UNIGRAMS, []), totals, m).tolist() == expected.tolist()
 
 
 def test_extract_matrix_over_vocabulary_drops_out_of_vocabulary():
