@@ -20,7 +20,7 @@ from . import __version__, classifiers, metrics
 from .config import ExperimentConfig
 from .corpus import build_chimeric, keep_largest, load_text_corpus, rolling_folds
 from .errors import DataError, DegenerateInputWarning
-from .features import FeatureMatrix, FeatureModel, Vocabulary, build_vocabulary, extract_matrix
+from .features import FeatureMatrix, FeatureModel, Vocabulary, build_vocabulary, extract_matrix, take_columns
 from .fusion import decide, fuse
 from .possibility import to_possibility
 from .signature import ScoreMatrix, load_score_matrix, load_svc, score_matrix_from_templates
@@ -40,7 +40,7 @@ def fit_stylome(config: ExperimentConfig, features: FeatureMatrix, rows, subject
     train = features.counts[np.asarray(rows, dtype=np.int64)]
     columns = build_vocabulary(features, train.sum(axis=0), config.profile_size)
     fit = getattr(classifiers, f"{config.classifier}_train")  # the estimator of a kind in classifiers.KINDS
-    return fit(train[:, columns], subjects, config.alpha, tuple(subject_labels)), columns
+    return fit(take_columns(train, columns), subjects, config.alpha, tuple(subject_labels)), columns
 
 
 def possibility_rows(model, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +75,8 @@ def score_folds(config: ExperimentConfig, docs, n_indexed: int, folds, subjects:
     Returns each fold's possibility rows, the feature statistics and one
     record per fold for run.json, and adds the extract and folds seconds to
     ``stages``.  Uniform posterior fallbacks get one warning with their total
-    row count.
+    row count.  A record's ``tied_rows`` comes later, from the decisions
+    (``_record_ties``).
     """
     with _timed(stages, "extract"):
         features = extract_matrix(build_feature_model(config), docs, n_indexed)
@@ -84,10 +85,11 @@ def score_folds(config: ExperimentConfig, docs, n_indexed: int, folds, subjects:
         for train, test in folds:
             started = time.perf_counter()
             model, columns = fit_stylome(config, features, train, subjects[train], labels)
-            test_counts = features.counts[test][:, columns]
+            test_counts = take_columns(features.counts[test], columns)
             rows, fallback = possibility_rows(model, test_counts)
             scores.append(rows)
-            mass = int(features.mass[test].sum())
+            test_mass = features.mass[test]
+            mass = int(test_mass.sum())
             # by row, then over rows: a sum over the whole matrix would sort the column take's indices
             fold_in_vocab = int(test_counts.sum(axis=1).sum())
             in_vocab += fold_in_vocab
@@ -97,6 +99,7 @@ def score_folds(config: ExperimentConfig, docs, n_indexed: int, folds, subjects:
                 "test_mass": mass,
                 "test_oov_rate": _oov_rate(fold_in_vocab, mass),
                 "uniform_fallback_rows": int(fallback.sum()),
+                "empty_test_rows": int(np.count_nonzero(test_mass == 0)),
             })
     fallbacks = sum(record["uniform_fallback_rows"] for record in records)
     classifiers.warn_fallback(model, fallbacks)
@@ -110,6 +113,12 @@ def _oov_rate(in_vocab: int, mass: int) -> float:
     return 1.0 - in_vocab / mass if mass else 0.0
 
 
+def _record_ties(records: list[dict], ties: np.ndarray) -> None:
+    """Add each fold's tied decisions to its run.json record; the items are the folds' test rows in fold order."""
+    for record, tied in zip(records, np.split(ties, len(records))):
+        record["tied_rows"] = int(tied.sum())
+
+
 def write_bundle(
     out_dir: Path,
     name: str,
@@ -117,10 +126,10 @@ def write_bundle(
     truth: Sequence[int],
     config: ExperimentConfig,
     n_folds: int | None = None,
-) -> tuple[dict, np.ndarray]:
+) -> tuple[dict, np.ndarray, np.ndarray]:
     """Decide each item once, score the system and write its curves.
 
-    Returns the summary dict and each item's correctness.  With
+    Returns the summary dict, each item's correctness and its tie flag.  With
     ``n_folds``, the items are that many equal folds in order, and the
     summary also gets each fold's accuracy.
     """
@@ -180,7 +189,7 @@ def write_bundle(
             "n": fold_acc.n,
         }
     metrics.write_summary_json(summary, out / "summary.json")
-    return summary, correct
+    return summary, correct, ties
 
 
 def _ttest_on_correctness(correct: dict[str, np.ndarray], pairs) -> dict:
@@ -324,7 +333,9 @@ def run_chimeric(config: ExperimentConfig) -> dict:
     summaries, correct = {}, {}
     with _timed(stages, "write"):
         for name, m in matrices.items():
-            summaries[name], correct[name] = write_bundle(out_dir, name, m, truth, config)
+            summaries[name], correct[name], ties = write_bundle(out_dir, name, m, truth, config)
+            if name == config.classifier:
+                _record_ties(fold_records, ties)
 
     run_info = _write_run_json(
         out_dir, config, stages, started, protocol="chimeric", systems=sorted(matrices),
@@ -365,7 +376,8 @@ def run_rolling(config: ExperimentConfig) -> dict:
 
     out_dir = Path(config.output_dir)
     with _timed(stages, "write"):
-        summary, _ = write_bundle(out_dir, config.classifier, matrix, truth, config, n_folds=len(folds))
+        summary, _, ties = write_bundle(out_dir, config.classifier, matrix, truth, config, n_folds=len(folds))
+    _record_ties(fold_records, ties)
 
     counts = {"subjects": len(labels), "folds": len(folds), "test_items": len(pooled_ids), "dropped_subjects": dropped}
     run_info = _write_run_json(

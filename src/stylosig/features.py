@@ -292,7 +292,12 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
             indexed[lo + code[:n_indexed][code[:n_indexed] >= 0]] = True
         wanted = np.flatnonzero(indexed)
         grams = _label_ids(blocks, tables, wanted, max(model.orders))
-        order = np.lexsort(grams.T[::-1])
+        # big-endian bytes of the ids + 1 compare as the padded tuples; each order's block is
+        # already sorted, so the stable sort only merges runs
+        key = grams.astype(">u4")
+        key += 1
+        order = np.argsort(key.view(f"V{key.itemsize * key.shape[1]}").ravel(), kind="stable")
+        del key
         grams = grams[order]
         n_columns = wanted.size
         column = np.full(n_grams, n_columns, dtype=np.int64)
@@ -329,7 +334,7 @@ def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> np.nd
     """
     if m < 1:
         raise ValueError("profile size must be >= 1")
-    seen = np.flatnonzero(totals)
+    seen = np.flatnonzero(totals != 0)
     if seen.size == 0:
         orders = ",".join(map(str, matrix.model.orders))
         raise DataError(f"empty vocabulary: the training documents have no {matrix.model.family} of order {orders}")
@@ -338,6 +343,22 @@ def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> np.nd
     if totals.dtype.kind in "iu" and totals.max() - totals.min() <= np.iinfo(np.uint16).max:
         key = (totals.max() - totals).astype(np.uint16)  # the same order, which numpy sorts stably by radix
     return seen[np.argsort(key, kind="stable")][:m]
+
+
+def take_columns(counts: sparse.csr_array, columns: np.ndarray) -> sparse.csr_array:
+    """``counts[:, columns]`` for distinct ``columns``, each row's entries kept in stored order.
+
+    Every stored column maps through one position array, -1 off ``columns``,
+    and the kept entries are taken by index, with no boolean mask.  Stored
+    order is the order in which a sparse product sums a row, so scores made
+    from the take are the same to the bit as from scipy's.
+    """
+    position = np.full(counts.shape[1], -1, dtype=np.int32)
+    position[columns] = np.arange(len(columns), dtype=np.int32)
+    mapped = position[counts.indices]
+    kept = np.flatnonzero(mapped >= 0)
+    indptr = np.searchsorted(kept, counts.indptr)
+    return sparse.csr_array((counts.data[kept], mapped[kept], indptr), shape=(counts.shape[0], len(columns)))
 
 
 def write_feature_tsv(pairs, path: str | Path) -> None:

@@ -550,6 +550,36 @@ def test_an_eval_makes_no_csr_index_sort(tmp_path, index_sorts):
     assert index_sorts == []
 
 
+@pytest.fixture
+def scipy_column_takes(monkeypatch):
+    """The number of scipy fancy column takes made."""
+    from scipy.sparse import _compressed
+
+    calls, original = [], _compressed._cs_matrix._minor_index_fancy
+
+    def counted(self, idx):
+        calls.append(len(idx))
+        return original(self, idx)
+
+    monkeypatch.setattr(_compressed._cs_matrix, "_minor_index_fancy", counted)
+    return calls
+
+
+def test_an_eval_makes_no_scipy_column_take(tmp_path, scipy_column_takes):
+    # both takes of a fold go through features.take_columns
+    config = build_config(
+        {"corpus_dir": str(disjoint_corpus(tmp_path)), "train_window": "3", "test_window": "1", "output_dir": str(tmp_path / "out")}
+    )
+    assert run_rolling(config)["run"]["counts"]["folds"] == 4
+    assert scipy_column_takes == []
+
+    run_chimeric(chimeric_setup(tmp_path / "chimeric"))
+    assert scipy_column_takes == []
+
+
+FOLD_KEYS = {"seconds", "vocabulary", "test_mass", "test_oov_rate", "uniform_fallback_rows", "empty_test_rows", "tied_rows"}
+
+
 def test_run_json_records_each_fold(tmp_path):
     config = build_config(
         {
@@ -568,9 +598,12 @@ def test_run_json_records_each_fold(tmp_path):
     run = json.loads((tmp_path / "out" / "run.json").read_text())
     folds = run["folds"]
     assert len(folds) == run["counts"]["folds"] == 4
-    assert all(set(fold) == {"seconds", "vocabulary", "test_mass", "test_oov_rate", "uniform_fallback_rows"} for fold in folds)
+    assert all(set(fold) == FOLD_KEYS for fold in folds)
     assert all(fold["seconds"] >= 0.0 and 0 < fold["vocabulary"] <= 20 for fold in folds)
     assert sum(fold["uniform_fallback_rows"] for fold in folds) == run["features"]["uniform_fallback_rows"] == 2
+    summary = json.loads((tmp_path / "out" / "pnb" / "summary.json").read_text())
+    assert sum(fold["tied_rows"] for fold in folds) == summary["n_tied_decisions"] == 2
+    assert all(fold["empty_test_rows"] == 0 for fold in folds)
     # the run's rate is the folds' rates weighed by their test mass
     mass = sum(fold["test_mass"] for fold in folds)
     in_vocab = sum((1.0 - fold["test_oov_rate"]) * fold["test_mass"] for fold in folds)
@@ -579,10 +612,38 @@ def test_run_json_records_each_fold(tmp_path):
     assert "seconds" not in (tmp_path / "out" / "pnb" / "summary.json").read_text()  # timings stay in run.json
 
 
+def test_fold_records_count_empty_test_rows_and_their_ties(tmp_path):
+    # a document of punctuation only extracts nothing: under mnb it falls back on the uniform posterior, a tie
+    subjects = {f"subj{s}": [" ".join([f"s{s}w{d}", f"s{s}w{d + 1}", "c0"]) for d in range(4)] for s in range(3)}
+    subjects["subj1"][2] = "?!"
+    config = build_config(
+        {
+            "corpus_dir": str(write_text_corpus(tmp_path / "texts", subjects)),
+            "train_window": "3",
+            "test_window": "1",
+            "output_dir": str(tmp_path / "out"),
+        }
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_rolling(config)
+    folds = result["run"]["folds"]
+    assert [fold["empty_test_rows"] for fold in folds] == [fold["uniform_fallback_rows"] for fold in folds]
+    assert sum(fold["empty_test_rows"] for fold in folds) == 1
+    (empty,) = [fold for fold in folds if fold["empty_test_rows"]]
+    assert empty["tied_rows"] >= 1
+    assert sum(fold["tied_rows"] for fold in folds) == result["summaries"]["mnb"]["n_tied_decisions"]
+    # the decisions are made once: one tie warning
+    assert sum("tied top score" in str(w.message) for w in caught) == 1
+
+
 def test_chimeric_run_json_records_its_one_fold(tmp_path):
-    run_chimeric(chimeric_setup(tmp_path))
+    result = run_chimeric(chimeric_setup(tmp_path))
     run = json.loads((tmp_path / "out" / "run.json").read_text())
     (fold,) = run["folds"]
+    assert set(fold) == FOLD_KEYS
+    assert fold["tied_rows"] == result["summaries"]["mnb"]["n_tied_decisions"]
+    assert fold["empty_test_rows"] == 0
     assert fold["uniform_fallback_rows"] == run["features"]["uniform_fallback_rows"]
     assert fold["test_oov_rate"] == run["features"]["test_oov_rate"]
     assert fold["vocabulary"] <= 200 and fold["test_mass"] > 0

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import string
 from collections import Counter
 from unittest import mock
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from stylosig.conllu import DepSentence, DepToken, parse_conllu
 from stylosig.corpus import Document
@@ -19,6 +21,7 @@ from stylosig.features import (
     Vocabulary,
     build_vocabulary,
     extract_matrix,
+    take_columns,
     tokenize,
     write_feature_tsv,
 )
@@ -396,6 +399,17 @@ def test_extract_matrix_projects_unindexed_documents():
     assert list(matrix.mass) == [2, 3]  # the dropped "c c" still counts
 
 
+@pytest.mark.parametrize("ks", [(1, 2), (2, 3)])
+def test_columns_follow_string_order_past_two_byte_label_ids(ks):
+    # 70,000 distinct labels, so the big-endian bytes above the last decide the column order
+    words = ["".join(w) for n in range(1, 5) for w in itertools.product(string.ascii_lowercase, repeat=n)][:70_000]
+    words = [words[i] for i in np.random.default_rng(3).permutation(len(words))]
+    matrix = extract_matrix(FeatureModel("ngram", ks), [Document("d", 0, " ".join(words))])
+    features = {SEP.join(words[i : i + k]) for k in ks for i in range(len(words) - k + 1)}
+    assert matrix.counts.shape == (1, len(features))
+    assert matrix.decode(np.arange(len(features))) == tuple(sorted(features))
+
+
 def test_vocabulary_ranks_by_frequency_then_lexicographic():
     # totals: a=3, b=3, c=3 -> all tie, lexicographic
     assert ranked([{"b": 3, "a": 1}, {"c": 3, "a": 2}], 3) == ("a", "b", "c")
@@ -459,6 +473,52 @@ def test_vocabulary_size_bounded_and_sorted(texts, m):
         total.update(extract_counts(model, doc))
     ranked_ref = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))
     assert features == [f for f, _ in ranked_ref[:m]]
+
+
+# -- column take ------------------------------------------------------------
+
+def assert_takes_as_scipy(matrix, columns):
+    got, want = take_columns(matrix, columns), matrix[:, np.asarray(columns, dtype=np.int64)]
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.data.tolist() == want.data.tolist()
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.indptr.tolist() == want.indptr.tolist()
+
+
+@st.composite
+def stored_matrices(draw):
+    """A CSR matrix whose rows store their distinct columns in any order, some rows empty, and distinct columns to take."""
+    n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(0, 8))
+    column_lists = st.lists(st.integers(0, max(n_cols - 1, 0)), unique=True, max_size=n_cols)
+    rows = [draw(column_lists) for _ in range(n_rows)]
+    indices = [j for row in rows for j in row]
+    values = draw(st.lists(st.integers(-3, 9), min_size=len(indices), max_size=len(indices)))
+    data = np.array(values, dtype=draw(st.sampled_from([np.int64, np.float64])))
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    matrix = sparse.csr_array((data, np.array(indices, dtype=np.int32), indptr), shape=(n_rows, n_cols))
+    return matrix, draw(column_lists)
+
+
+@given(stored_matrices())
+@settings(max_examples=400, deadline=None)
+def test_take_columns_equals_scipy_take(case):
+    assert_takes_as_scipy(*case)
+
+
+@pytest.mark.parametrize(
+    "rows, columns",
+    [
+        ([[0, 3, 1], [], [2]], []),  # no column
+        ([[0, 3], [], [3, 0]], [1, 2]),  # every stored column drops
+        ([[], []], [2, 0]),  # no entry
+        ([], [1, 0]),  # no row
+    ],
+)
+def test_take_columns_edge_cases(rows, columns):
+    indices = [j for row in rows for j in row]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    matrix = sparse.csr_array((np.arange(1, len(indices) + 1), np.array(indices, dtype=np.int32), indptr), shape=(len(rows), 4))
+    assert_takes_as_scipy(matrix, columns)
 
 
 # -- TSV round trip ---------------------------------------------------------
