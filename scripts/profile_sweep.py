@@ -10,37 +10,30 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from stylosig.classifiers import KINDS
 from stylosig.config import build_config
 from stylosig.experiment import run_rolling
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # a config flag left out stays off the namespace, so ExperimentConfig holds the only defaults
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], argument_default=argparse.SUPPRESS)
     parser.add_argument("corpus_dir", type=Path, help="corpus root (one directory per subject)")
     parser.add_argument("--sizes", default="500,1000,2000,5000,10000", help="comma-separated profile sizes")
-    parser.add_argument("--train-window", type=int, default=8)
-    parser.add_argument("--test-window", type=int, default=5)
-    parser.add_argument("--orders", default="1,2", help="n-gram orders, e.g. 1,2")
-    parser.add_argument("--alpha", type=float, default=0.01)
-    parser.add_argument("--classifier", choices=("mnb", "pnb"), default="mnb")
+    parser.add_argument("--train-window", type=int)
+    parser.add_argument("--test-window", type=int)
+    parser.add_argument("--orders", dest="ngram_orders", metavar="ORDERS", help="n-gram orders, e.g. 1,2")
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--classifier", choices=KINDS)
     parser.add_argument("--out", type=Path, default=Path("out/sweep"))
-    args = parser.parse_args(argv)
+    given = vars(parser.parse_args(argv))
+    sizes = [int(s) for s in given.pop("sizes").split(",") if s.strip()]
+    out = given.pop("out")
+    overrides = {key: str(value) for key, value in given.items()}  # corpus_dir and the config flags given
 
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     for m in sizes:
-        config = build_config(
-            overrides={
-                "corpus_dir": str(args.corpus_dir),
-                "train_window": str(args.train_window),
-                "test_window": str(args.test_window),
-                "ngram_orders": args.orders,
-                "alpha": str(args.alpha),
-                "classifier": args.classifier,
-                "profile_size": str(m),
-                "output_dir": str(args.out / f"m{m}"),
-            }
-        )
-        summary = run_rolling(config)["summaries"][args.classifier]
+        config = build_config(overrides={**overrides, "profile_size": str(m), "output_dir": str(out / f"m{m}")})
+        summary = run_rolling(config)["summaries"][config.classifier]
         acc = summary["accuracy"]
         fold = summary["fold_accuracy"]
         print(

@@ -22,13 +22,8 @@ DEFAULT_DOC_TOKENS = 400
 DEFAULT_VOCAB_WORDS = 2000
 
 
-def synthetic_corpus(
-    n_subjects: int,
-    docs_per_subject: int,
-    doc_tokens: int = DEFAULT_DOC_TOKENS,
-    vocab_words: int = DEFAULT_VOCAB_WORDS,
-) -> Corpus:
-    """Deterministic corpus with ``doc_tokens`` tokens in every document."""
+def synthetic_corpus(n_subjects: int, docs_per_subject: int, doc_tokens: int = DEFAULT_DOC_TOKENS) -> Corpus:
+    """Deterministic corpus with ``doc_tokens`` tokens in every document, over ``DEFAULT_VOCAB_WORDS`` words."""
     if n_subjects < 1 or docs_per_subject < 2 or doc_tokens < 1:
         raise ValueError("need >= 1 subject, >= 2 docs each, >= 1 token per doc")
     subjects = tuple(Subject(s, f"subject{s:03d}") for s in range(n_subjects))
@@ -42,7 +37,7 @@ def synthetic_corpus(
                 count = min(max(1, doc_tokens // (2 * (rank + 1))), remaining)
                 # word choice depends on the subject only, so test documents
                 # stay in-vocabulary no matter how the corpus is split
-                word_id = (31 * s + 7 * rank) % vocab_words
+                word_id = (31 * s + 7 * rank) % DEFAULT_VOCAB_WORDS
                 parts.append(f"w{word_id:05d} " * count)
                 remaining -= count
                 rank += 1
@@ -66,7 +61,7 @@ def time_attribution(corpus: Corpus, config: ExperimentConfig, stages: dict | No
     docs = train_docs + test_docs
     fold = (np.arange(len(train_docs)), np.arange(len(train_docs), len(docs)))
     subjects = np.array([doc.subject for doc in docs])
-    score_folds(config, docs, len(train_docs), [fold], subjects, corpus.subject_labels, {} if stages is None else stages)
+    score_folds(config, docs, [fold], subjects, corpus.subject_labels, {} if stages is None else stages)
     return time.perf_counter() - started
 
 

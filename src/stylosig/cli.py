@@ -20,48 +20,6 @@ from .fusion import decide
 from .signature import ScoreMatrix, save_score_matrix
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="stylosig", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("-c", "--config", help="key = value config file")
-        p.add_argument(
-            "-O",
-            "--override",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one config key (repeatable)",
-        )
-        p.add_argument("--output-dir", help="shortcut for -O output_dir=...")
-
-    p = sub.add_parser("train", help="fit a stylome model on a whole corpus")
-    common(p)
-
-    p = sub.add_parser("attribute", help="attribute text files with a trained model")
-    common(p)
-    p.add_argument("--model", required=True, help="model .npz written by train")
-    p.add_argument("--scores", help="also write the possibility matrix as CSV")
-    p.add_argument("texts", nargs="+", help=".txt files to attribute")
-
-    p = sub.add_parser("sigscore", help="baseline-score held-out signatures")
-    common(p)
-
-    p = sub.add_parser("chimeric", help="write the author+writer pairing manifest")
-    common(p)
-
-    p = sub.add_parser("eval", help="run the configured protocol end to end")
-    common(p)
-
-    p = sub.add_parser("bench", help="measure pipeline scaling on synthetic corpora")
-    common(p)
-    p.add_argument("--sizes", default="8,16,32", help="comma-separated docs per subject")
-    p.add_argument("--repeats", type=int, default=5)
-
-    return parser
-
-
 def _config_from_args(args) -> ExperimentConfig:
     file_values = parse_config_file(args.config) if args.config else {}
     overrides = {}
@@ -170,14 +128,41 @@ def cmd_bench(args, config: ExperimentConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "train": cmd_train,
-    "attribute": cmd_attribute,
-    "sigscore": cmd_sigscore,
-    "chimeric": cmd_chimeric,
-    "eval": cmd_eval,
-    "bench": cmd_bench,
+_COMMANDS = {  # name: (handler, help line), in --help order
+    "train": (cmd_train, "fit a stylome model on a whole corpus"),
+    "attribute": (cmd_attribute, "attribute text files with a trained model"),
+    "sigscore": (cmd_sigscore, "baseline-score held-out signatures"),
+    "chimeric": (cmd_chimeric, "write the author+writer pairing manifest"),
+    "eval": (cmd_eval, "run the configured protocol end to end"),
+    "bench": (cmd_bench, "measure pipeline scaling on synthetic corpora"),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="stylosig", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("-c", "--config", help="key = value config file")
+        p.add_argument(
+            "-O",
+            "--override",
+            action="append",
+            default=[],
+            metavar="KEY=VALUE",
+            help="override one config key (repeatable)",
+        )
+        p.add_argument("--output-dir", help="shortcut for -O output_dir=...")
+
+    p = sub.choices["attribute"]
+    p.add_argument("--model", required=True, help="model .npz written by train")
+    p.add_argument("--scores", help="also write the possibility matrix as CSV")
+    p.add_argument("texts", nargs="+", help=".txt files to attribute")
+
+    p = sub.choices["bench"]
+    p.add_argument("--sizes", default="8,16,32", help="comma-separated docs per subject")
+    p.add_argument("--repeats", type=int, default=5)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -185,7 +170,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         validate_for(config, args.command)
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command][0](args, config)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

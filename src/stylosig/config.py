@@ -166,10 +166,8 @@ def build_config(file_values: dict[str, str] | None = None, overrides: dict[str,
 
 _REQUIRED = {
     "train": ("corpus_dir",),
-    "attribute": (),
     "sigscore": ("signature_dir",),
     "chimeric": ("corpus_dir", "signature_dir"),
-    "bench": (),
 }
 
 

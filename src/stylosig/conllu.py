@@ -62,15 +62,19 @@ def _flush(rows, source, start_line):
         raise DataError(
             f"{source}: sentence at line {start_line} has {len(roots)} roots, expected exactly 1"
         )
-    # every node must reach the root without revisiting anything
-    n = len(tokens)
-    for i in range(n):
-        node, steps = i, 0
-        while node != -1:
-            node = tokens[node].head
-            steps += 1
-            if steps > n:
+    # every node must reach the root: walk up from each node until the root or
+    # a node already known to reach it, so each node is walked over once
+    state = [0] * len(tokens)  # 0 unseen, 1 on the current walk, 2 reaches the root
+    for i in range(len(tokens)):
+        walk, node = [], i
+        while node != -1 and state[node] != 2:
+            if state[node] == 1:
                 raise DataError(f"{source}: cycle in sentence at line {start_line}")
+            state[node] = 1
+            walk.append(node)
+            node = tokens[node].head
+        for node in walk:
+            state[node] = 2
     return DepSentence(tuple(tokens), roots[0])
 
 

@@ -16,10 +16,8 @@ class ConfigError(StylosigError):
     them at once instead of fixing one per run.
     """
 
-    def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
-        self.problems = list(problems)
+    def __init__(self, problems: list[str]):
+        self.problems = problems
         super().__init__("; ".join(self.problems))
 
 

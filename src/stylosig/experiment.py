@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 import warnings
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -69,16 +70,18 @@ def _write_run_json(out_dir: Path, config: ExperimentConfig, stages: dict, start
     return run_info
 
 
-def score_folds(config: ExperimentConfig, docs, n_indexed: int, folds, subjects: np.ndarray, labels, stages: dict):
+def score_folds(config: ExperimentConfig, docs, folds, subjects: np.ndarray, labels, stages: dict):
     """Extract ``docs`` once, then train on and fuzzify each fold's (train rows, test rows).
 
-    Returns each fold's possibility rows, the feature statistics and one
-    record per fold for run.json, and adds the extract and folds seconds to
-    ``stages``.  Uniform posterior fallbacks get one warning with their total
-    row count.  A record's ``tied_rows`` comes later, from the decisions
-    (``_record_ties``).
+    Callers put the training documents first: the documents up to the last
+    training row of any fold index the features.  Returns each fold's
+    possibility rows, the feature statistics and one record per fold for
+    run.json, and adds the extract and folds seconds to ``stages``.  Uniform
+    posterior fallbacks get one warning with their total row count.  A
+    record's ``tied_rows`` comes later, from the decisions (``_record_ties``).
     """
     with _timed(stages, "extract"):
+        n_indexed = 1 + max(train.max() for train, _ in folds)
         features = extract_matrix(build_feature_model(config), docs, n_indexed)
     scores, records, in_vocab = [], [], 0
     with _timed(stages, "folds"):
@@ -140,7 +143,8 @@ def write_bundle(
 
     decided, ties = decide(matrix.scores)
     correct = decided == truth
-    acc = metrics.accuracy(correct=correct, confidence=config.confidence)
+    acc = asdict(metrics.accuracy(correct=correct, confidence=config.confidence))
+    acc["value"] = acc.pop("accuracy")
 
     claims = metrics.expand_claims(matrix, truth)
     fcurve = metrics.fscore_curve(claims, grid)
@@ -164,14 +168,7 @@ def write_bundle(
         "n_genuine": claims.n_genuine,
         "n_imposter": claims.n_imposter,
         "n_tied_decisions": int(ties.sum()),
-        "accuracy": {
-            "value": acc.accuracy,
-            "ci_low": acc.ci_low,
-            "ci_high": acc.ci_high,
-            "method": acc.method,
-            "n": acc.n,
-            "confidence": acc.confidence,
-        },
+        "accuracy": acc,
         "best_fscore": {"threshold": float(grid[best_at]), "value": float(fcurve.ys[best_at])},
         "det_area": det.area,
         "cmc_rank1": float(cmc.ys[0]),
@@ -179,30 +176,16 @@ def write_bundle(
     }
     if n_folds is not None:
         fold_accuracies = correct.reshape(n_folds, -1).mean(axis=1)
-        fold_acc = metrics.accuracy(folds=fold_accuracies, confidence=config.confidence)
-        summary["fold_accuracy"] = {
-            "per_fold": [float(a) for a in fold_accuracies],
-            "mean": fold_acc.accuracy,
-            "ci_low": fold_acc.ci_low,
-            "ci_high": fold_acc.ci_high,
-            "method": fold_acc.method,
-            "n": fold_acc.n,
-        }
+        fold_acc = asdict(metrics.accuracy(folds=fold_accuracies, confidence=config.confidence))
+        fold_acc["mean"] = fold_acc.pop("accuracy")
+        del fold_acc["confidence"]
+        summary["fold_accuracy"] = {"per_fold": [float(a) for a in fold_accuracies], **fold_acc}
     metrics.write_summary_json(summary, out / "summary.json")
     return summary, correct, ties
 
 
 def _ttest_on_correctness(correct: dict[str, np.ndarray], pairs) -> dict:
-    out = {}
-    for name_a, name_b in pairs:
-        result = metrics.paired_ttest(correct[name_a].astype(np.float64), correct[name_b].astype(np.float64))
-        out[f"{name_a}_vs_{name_b}"] = {
-            "statistic": result.statistic,
-            "pvalue": result.pvalue,
-            "df": result.df,
-            "degenerate": result.degenerate,
-        }
-    return out
+    return {f"{a}_vs_{b}": asdict(metrics.paired_ttest(correct[a], correct[b])) for a, b in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +269,8 @@ def run_chimeric(config: ExperimentConfig) -> dict:
     stages: dict[str, float] = {}
     with _timed(stages, "load"):
         dataset, signatures = _load_chimeric(config)
+    if dataset.n_subjects < 2:  # a claim curve needs imposter claims
+        raise DataError(f"chimeric eval needs at least 2 author+writer subjects, found {dataset.n_subjects}")
     labels = dataset.subject_labels
 
     item_ids = tuple(
@@ -299,7 +284,7 @@ def run_chimeric(config: ExperimentConfig) -> dict:
     docs += [doc for subj in dataset.subjects for doc in subj.test_docs]
     subjects = np.concatenate([np.repeat(np.arange(dataset.n_subjects), config.train_docs), truth])
     fold = (np.arange(n_train), np.arange(n_train, len(docs)))
-    (scores,), feature_stats, fold_records = score_folds(config, docs, n_train, [fold], subjects, labels, stages)
+    (scores,), feature_stats, fold_records = score_folds(config, docs, [fold], subjects, labels, stages)
     stylome = ScoreMatrix(item_ids, labels, scores)
 
     # signature route
@@ -367,9 +352,11 @@ def run_rolling(config: ExperimentConfig) -> dict:
     if dropped:
         message = f"{len(dropped)} subject(s) with fewer than {n_docs} documents dropped: " + ", ".join(dropped)
         warnings.warn(message, DegenerateInputWarning)
+    if len(labels) < 2:  # a claim curve needs imposter claims
+        raise DataError(f"rolling eval needs at least 2 subjects with {n_docs} documents, found {len(labels)}")
     docs = corpus.documents
     subjects = np.array([doc.subject for doc in docs], dtype=np.int64)
-    fold_rows, feature_stats, fold_records = score_folds(config, docs, len(docs), folds, subjects, labels, stages)
+    fold_rows, feature_stats, fold_records = score_folds(config, docs, folds, subjects, labels, stages)
     pooled_ids = tuple(f"f{k:02d}/{docs[r].doc_id}" for k, (_, test) in enumerate(folds) for r in test)
     matrix = ScoreMatrix(pooled_ids, labels, np.vstack(fold_rows))
     truth = subjects[np.concatenate([test for _, test in folds])]

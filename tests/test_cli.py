@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -359,6 +360,64 @@ def test_env_var_redirects_output(tmp_path, monkeypatch):
     monkeypatch.setenv("STYLOSIG_OUTPUT_DIR", str(env_out))
     assert main(["train", "-O", f"corpus_dir={corpus_dir}"]) == 0
     assert (env_out / "model.npz").is_file()
+
+
+SUBCOMMANDS = [
+    ("train", "fit a stylome model on a whole corpus"),
+    ("attribute", "attribute text files with a trained model"),
+    ("sigscore", "baseline-score held-out signatures"),
+    ("chimeric", "write the author+writer pairing manifest"),
+    ("eval", "run the configured protocol end to end"),
+    ("bench", "measure pipeline scaling on synthetic corpora"),
+]
+# (flags or positional name, default, required) of every subcommand's options, in --help order
+COMMON_OPTIONS = [
+    (("-h", "--help"), argparse.SUPPRESS, False),
+    (("-c", "--config"), None, False),
+    (("-O", "--override"), [], False),
+    (("--output-dir",), None, False),
+]
+EXTRA_OPTIONS = {
+    "attribute": [(("--model",), None, True), (("--scores",), None, False), ("texts", None, True)],
+    "bench": [(("--sizes",), "8,16,32", False), (("--repeats",), 5, False)],
+}
+
+
+def test_help_lists_the_subcommands_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as caught:
+        main(["--help"])
+    assert caught.value.code == 0
+    out = capsys.readouterr().out
+    names = ",".join(name for name, _ in SUBCOMMANDS)
+    assert out.startswith(f"usage: stylosig [-h] {{{names}}} ...\n")
+    lines = [re.search(rf"^ +{name} +{re.escape(help_line)}$", out, re.M) for name, help_line in SUBCOMMANDS]
+    assert all(lines)
+    assert [line.start() for line in lines] == sorted(line.start() for line in lines)
+
+
+def test_each_subcommand_keeps_its_options():
+    (sub,) = [action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    assert [(action.dest, action.help) for action in sub._choices_actions] == SUBCOMMANDS
+    for name, parser in sub.choices.items():
+        options = [(tuple(a.option_strings) or a.dest, a.default, a.required) for a in parser._actions]
+        assert options == COMMON_OPTIONS + EXTRA_OPTIONS.get(name, []), name
+
+
+@pytest.mark.parametrize("protocol", ["rolling", "chimeric"])
+def test_one_subject_eval_is_data_error(tmp_path, capsys, protocol):
+    # one subject gives no imposter claim to draw a curve from
+    out = tmp_path / "out"
+    args = ["eval", "-O", f"corpus_dir={disjoint_corpus(tmp_path, n_subjects=1, docs=13)}", "--output-dir", str(out)]
+    if protocol == "chimeric":
+        sig_dir = write_svc_dir(tmp_path / "sigs", n_writers=1, n_samples=4)
+        args += ["-O", "protocol=chimeric", "-O", f"signature_dir={sig_dir}", "-O", "train_docs=2", "-O", "test_docs=2"]
+        message = "chimeric eval needs at least 2 author+writer subjects, found 1"
+    else:
+        message = "rolling eval needs at least 2 subjects with 13 documents, found 1"
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
 
 
 def chimeric_args(tmp_path, *extra, signatures=True):

@@ -98,3 +98,29 @@ def test_label_with_control_character_is_data_error(column, at, value):
 def test_labels_just_above_the_separator_parse():
     (sent,) = parse_conllu("1\ta b!\t\x7f\tX\t_\t_\t0\troot\t_\t_\n")
     assert (sent.tokens[0].form, sent.tokens[0].lemma) == ("a b!", "\x7f")
+
+
+def chain(n: int, towards_root: str) -> str:
+    """One sentence of ``n`` tokens, each the head of the next ("first") or of the one before ("last")."""
+    if towards_root == "first":
+        heads = range(n)  # token 1 is the root
+    else:
+        heads = [*range(2, n + 1), 0]  # token n is the root
+    return "".join(f"{k}\tw{k}\tw\tX\t_\t_\t{head}\tdep\t_\t_\n" for k, head in enumerate(heads, start=1))
+
+
+@pytest.mark.parametrize("towards_root", ["first", "last"])
+def test_long_chain_parses(towards_root):
+    (sent,) = parse_conllu(chain(4000, towards_root))
+    assert len(sent) == 4000
+    assert sent.root == (0 if towards_root == "first" else 3999)
+
+
+def test_cycle_inside_a_long_sentence_rejected():
+    # the root is token 4000; tokens 1-2000 lead into a cycle, where 2001-3998 each point one further and 3999 back to 2001
+    lines = chain(4000, "last").splitlines(keepends=True)
+    lines[3998] = "3999\tw\tw\tX\t_\t_\t2001\tdep\t_\t_\n"
+    text = "1\ta\ta\tX\t_\t_\t0\troot\t_\t_\n\n# sent_id = 2\n" + "".join(lines)
+    with pytest.raises(DataError) as caught:
+        parse_conllu(text, source="long.conllu")
+    assert str(caught.value) == "long.conllu: cycle in sentence at line 4"

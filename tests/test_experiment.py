@@ -637,6 +637,41 @@ def test_fold_records_count_empty_test_rows_and_their_ties(tmp_path):
     assert sum("tied top score" in str(w.message) for w in caught) == 1
 
 
+# the accuracy records summary.json writes and the t-test records run.json writes, key by key
+ACCURACY_TYPES = {"value": float, "ci_low": float, "ci_high": float, "method": str, "n": int, "confidence": float}
+FOLD_ACCURACY_TYPES = {"per_fold": list, "mean": float, "ci_low": float, "ci_high": float, "method": str, "n": int}
+TTEST_TYPES = {"statistic": float, "pvalue": float, "df": int, "degenerate": bool}
+
+
+def value_types(record: dict) -> dict:
+    return {key: type(value) for key, value in record.items()}
+
+
+def test_summary_and_ttest_records_keep_their_keys(tmp_path):
+    rolling = build_config(
+        {
+            "corpus_dir": str(disjoint_corpus(tmp_path)),
+            "train_window": "3",
+            "test_window": "1",
+            "output_dir": str(tmp_path / "rolling"),
+        }
+    )
+    run_rolling(rolling)
+    summary = json.loads((tmp_path / "rolling" / "mnb" / "summary.json").read_text())
+    assert value_types(summary["accuracy"]) == ACCURACY_TYPES
+    assert value_types(summary["fold_accuracy"]) == FOLD_ACCURACY_TYPES
+    assert [type(a) for a in summary["fold_accuracy"]["per_fold"]] == [float] * 4
+
+    run_chimeric(chimeric_setup(tmp_path / "chimeric"))
+    run = json.loads((tmp_path / "chimeric" / "out" / "run.json").read_text())
+    assert set(run["ttests"]) == {"mnb+signature_vs_mnb", "mnb+signature_vs_signature"}
+    assert all(value_types(record) == TTEST_TYPES for record in run["ttests"].values())
+    for system in run["systems"]:
+        summary = json.loads((tmp_path / "chimeric" / "out" / system / "summary.json").read_text())
+        assert value_types(summary["accuracy"]) == ACCURACY_TYPES
+        assert "fold_accuracy" not in summary
+
+
 def test_chimeric_run_json_records_its_one_fold(tmp_path):
     result = run_chimeric(chimeric_setup(tmp_path))
     run = json.loads((tmp_path / "out" / "run.json").read_text())

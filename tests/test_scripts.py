@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from stylosig.config import ExperimentConfig
 from stylosig.signature import load_svc
 
 from .test_experiment import disjoint_corpus
@@ -56,3 +57,18 @@ def test_profile_sweep_writes_one_bundle_per_size(tmp_path, capsys):
         assert (out / f"m{m}" / "run.json").is_file()
         assert (out / f"m{m}" / "mnb" / "summary.json").is_file()
     assert capsys.readouterr().out.count("m=") == 2
+
+
+def test_profile_sweep_passes_on_only_the_flags_given(tmp_path, capsys):
+    corpus_dir = disjoint_corpus(tmp_path)
+    sweep = load_script("profile_sweep").main
+    windows = [str(corpus_dir), "--sizes", "50", "--train-window", "3", "--test-window", "1"]
+    assert sweep([*windows, "--out", str(tmp_path / "defaults")]) == 0
+    assert sweep([*windows, "--orders", "1", "--alpha", "0.5", "--classifier", "pnb", "--out", str(tmp_path / "given")]) == 0
+    keys = ("ngram_orders", "alpha", "classifier")
+    defaults = json.loads((tmp_path / "defaults" / "m50" / "run.json").read_text())["config"]
+    assert [defaults[key] for key in keys] == [json.loads(json.dumps(ExperimentConfig().to_json()))[key] for key in keys]
+    given = json.loads((tmp_path / "given" / "m50" / "run.json").read_text())["config"]
+    assert [given[key] for key in keys] == [[1], 0.5, "pnb"]
+    assert (given["train_window"], given["test_window"], given["profile_size"]) == (3, 1, 50)
+    assert (tmp_path / "given" / "m50" / "pnb" / "summary.json").is_file()
