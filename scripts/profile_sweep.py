@@ -8,10 +8,12 @@ histogram overlap.  Reports land in OUT/m{size} for closer inspection.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from stylosig.classifiers import KINDS
 from stylosig.config import build_config
+from stylosig.errors import ConfigError, DataError
 from stylosig.experiment import run_rolling
 
 
@@ -27,7 +29,26 @@ def main(argv=None) -> int:
     parser.add_argument("--classifier", choices=KINDS)
     parser.add_argument("--out", type=Path, default=Path("out/sweep"))
     given = vars(parser.parse_args(argv))
-    sizes = [int(s) for s in given.pop("sizes").split(",") if s.strip()]
+    # exit codes and messages as the stylosig CLI's
+    try:
+        sweep(given)
+    except ConfigError as exc:
+        for problem in exc.problems:
+            print(f"config error: {problem}", file=sys.stderr)
+        return 2
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def sweep(given: dict) -> None:
+    """Run and report one rolling eval per profile size of ``given``, the parsed flags."""
+    raw = given.pop("sizes")
+    try:
+        sizes = [int(s) for s in raw.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError([f"--sizes {raw!r}: expected comma-separated integers"]) from None
     out = given.pop("out")
     overrides = {key: str(value) for key, value in given.items()}  # corpus_dir and the config flags given
 
@@ -41,7 +62,6 @@ def main(argv=None) -> int:
             f"fold mean {fold['mean']:.4f}  best F {summary['best_fscore']['value']:.4f}  "
             f"MSH overlap {summary['msh_overlap']:.4f}"
         )
-    return 0
 
 
 if __name__ == "__main__":

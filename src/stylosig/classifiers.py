@@ -38,9 +38,11 @@ _FALLBACKS = {"mnb": "empty feature vector", "pnb": "every subject has zero like
 class NbModel:
     """A trained naive Bayes model of one of ``KINDS``.
 
-    ``table`` is the (S, m) array its estimator fit, as its model file
-    stores it: log feature probabilities for "mnb", per-document expected
-    counts for "pnb".
+    ``table`` is the (S, m) array its estimator fit: log feature
+    probabilities for "mnb", per-document expected counts for "pnb".  A
+    model trained in this run holds it as the transpose of an (m, S)
+    C-contiguous block, the layout in which ``counts @ weights`` reads it;
+    a loaded model holds it C-ordered, as its model file stores it.
     """
 
     kind: str
@@ -68,14 +70,17 @@ class NbModel:
         # a zero rate weighs -inf, which only a stored count meets: it costs nothing where a row has no count
         with np.errstate(divide="ignore"):
             log_rates = np.log(self.table.T, order="C")
-        return self.log_priors - self.table.sum(axis=1), log_rates
+        # each subject's rate total summed pairwise along a C-ordered row, whatever the table's layout
+        return self.log_priors - np.ascontiguousarray(self.table).sum(axis=1), log_rates
 
 
 def _pool(counts, subjects, alpha: float, n_subjects: int):
     """Pool training rows per subject: each (subject, column) cell adds its entries in row order, then stored order.
 
     That is the order in which a subject-indicator matrix times the counts adds
-    them, so one ``np.bincount`` gives that product's table to the bit.
+    them, so one ``np.bincount`` gives that product's table to the bit.  The
+    table is bincounted as an (m, S) C-contiguous block and returned as its
+    (S, m) transpose, so estimators fit it in place in the layout that scoring reads.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -91,10 +96,11 @@ def _pool(counts, subjects, alpha: float, n_subjects: int):
     n_rows, m = counts.shape
     if n_rows != len(subjects):
         raise ValueError(f"{n_rows} training rows for {len(subjects)} subject ids")
-    cells = np.repeat(subjects * m, np.diff(counts.indptr)) + counts.indices
-    pooled = np.bincount(cells, weights=counts.data, minlength=n_subjects * m)
+    cells = counts.indices * np.int64(n_subjects)  # column * S + subject
+    cells += np.repeat(subjects, np.diff(counts.indptr))
+    pooled = np.bincount(cells, weights=counts.data, minlength=m * n_subjects)
     # np.bincount returns int64 when there are no entries
-    return pooled.astype(np.float64, copy=False).reshape(n_subjects, m), docs_per_subject
+    return pooled.astype(np.float64, copy=False).reshape(m, n_subjects).T, docs_per_subject
 
 
 def mnb_train(counts, subjects, alpha: float, subject_labels: Sequence[str]) -> NbModel:
@@ -106,10 +112,14 @@ def mnb_train(counts, subjects, alpha: float, subject_labels: Sequence[str]) -> 
     rejected.
     """
     labels = tuple(subject_labels)
-    pooled, _ = _pool(counts, subjects, alpha, len(labels))
+    table, _ = _pool(counts, subjects, alpha, len(labels))
     a = alpha if alpha > 0 else ALPHA_FLOOR
-    log_params = np.log(pooled + a) - np.log(pooled.sum(axis=1) + a * pooled.shape[1])[:, None]
-    return NbModel("mnb", labels, alpha, log_params)
+    # the row sums add integer-valued floats, which any order sums to the same bits
+    norm = np.log(table.sum(axis=1) + a * table.shape[1])
+    table += a
+    np.log(table, out=table)
+    table -= norm[:, None]
+    return NbModel("mnb", labels, alpha, table)
 
 
 def pnb_train(counts, subjects, alpha: float, subject_labels: Sequence[str]) -> NbModel:
@@ -119,8 +129,10 @@ def pnb_train(counts, subjects, alpha: float, subject_labels: Sequence[str]) -> 
     and its -inf log is handled at scoring time.
     """
     labels = tuple(subject_labels)
-    pooled, docs_per_subject = _pool(counts, subjects, alpha, len(labels))
-    return NbModel("pnb", labels, alpha, (pooled + alpha) / docs_per_subject[:, None])
+    table, docs_per_subject = _pool(counts, subjects, alpha, len(labels))
+    table += alpha
+    table /= docs_per_subject[:, None]
+    return NbModel("pnb", labels, alpha, table)
 
 
 def posterior(model: NbModel, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -132,14 +144,17 @@ def posterior(model: NbModel, counts) -> tuple[np.ndarray, np.ndarray]:
     """
     counts = sparse.csr_array(counts, dtype=np.float64)
     bias, weights = model.linear
-    log_scores = bias + counts @ weights
+    # normalized in place: the scores become the posteriors
+    posteriors = counts @ weights
+    posteriors += bias
     if model.kind == "mnb":
         degenerate = counts.sum(axis=1) == 0
     else:
-        degenerate = np.all(np.isneginf(log_scores), axis=1)
-    log_scores[degenerate] = 0.0
-    shifted = np.exp(log_scores - log_scores.max(axis=1, keepdims=True))
-    posteriors = shifted / shifted.sum(axis=1, keepdims=True)
+        degenerate = np.all(np.isneginf(posteriors), axis=1)
+    posteriors[degenerate] = 0.0
+    posteriors -= posteriors.max(axis=1, keepdims=True)
+    np.exp(posteriors, out=posteriors)
+    posteriors /= posteriors.sum(axis=1, keepdims=True)
     posteriors[degenerate] = 1.0 / model.n_subjects
     return posteriors, degenerate
 
@@ -170,7 +185,7 @@ def save_model(model: NbModel, path: str | Path, vocab: Vocabulary) -> None:
             subject_labels=np.array(model.subject_labels, dtype=np.str_),
             features=np.array(vocab.features, dtype=np.str_),
             log_priors=model.log_priors,
-            **{_TABLE_NAMES[model.kind]: model.table},
+            **{_TABLE_NAMES[model.kind]: np.ascontiguousarray(model.table)},  # C order, whatever the layout held
             header=np.array(json.dumps(header)),
         )
 

@@ -107,7 +107,13 @@ def score_folds(config: ExperimentConfig, docs, folds, subjects: np.ndarray, lab
     fallbacks = sum(record["uniform_fallback_rows"] for record in records)
     classifiers.warn_fallback(model, fallbacks)
     oov_rate = _oov_rate(in_vocab, sum(record["test_mass"] for record in records))
-    stats = {"indexed": features.counts.shape[1], "tokens": features.tokens, "test_oov_rate": oov_rate}
+    stats = {
+        "indexed": features.counts.shape[1],
+        "entries": features.counts.nnz,
+        "index_bits": 8 * features.counts.indices.itemsize,
+        "tokens": features.tokens,
+        "test_oov_rate": oov_rate,
+    }
     return scores, {**stats, "uniform_fallback_rows": fallbacks}, records
 
 

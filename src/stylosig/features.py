@@ -34,6 +34,8 @@ _ASCII_TOKENS = bytes(c | 0x20 if 65 <= c <= 90 else c if 97 <= c <= 122 or 48 <
 _CHUNK_BYTES = 1 << 20
 _PAD = " " * 24
 _KEEP = np.array([((1 << 8 * v) - 1) << (64 - 8 * v) for v in range(9)], dtype=np.uint64)
+# keys whose bound is at most this are formed as int32, others as int64
+_INT32_KEYS = np.iinfo(np.int32).max
 
 NGRAM_FAMILY = "ngram"
 SNGRAM_FAMILY = "sngram"
@@ -109,7 +111,7 @@ class FeatureMatrix:
     model: FeatureModel
     labels: np.ndarray | None  # the label strings (object), ascending
     grams: np.ndarray | None  # (features, max order) label ids of each column, padded with -1
-    counts: sparse.csr_array  # (documents, features) int64
+    counts: sparse.csr_array  # (documents, features): int64 data, index arrays int32 where the keys fit, else int64
     mass: np.ndarray  # per document: every extracted count, features outside the columns included
     tokens: int  # extracted positions: tokens, or tree nodes for sn-grams
 
@@ -237,6 +239,11 @@ def _unique_rows(words: list[np.ndarray]):
     return [column[new] for column in words], inverse
 
 
+def _key_dtype(bound: int) -> type:
+    """The type of keys that lie below ``bound``: int32 while ``bound`` is at most ``_INT32_KEYS``, else int64."""
+    return np.int32 if bound <= _INT32_KEYS else np.int64
+
+
 def _label_ids(blocks, tables, wanted: np.ndarray, width: int) -> np.ndarray:
     """The label ids of each ``wanted`` gram id (ascending), walked back from its last label to its first, padded with -1."""
     grams = np.full((wanted.size, width), -1, dtype=np.int32)
@@ -263,22 +270,30 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
     The order-k code at a position is the dense rank of (the order-(k-1)
     code at its predecessor, its label id): one ``np.unique`` per order for
     both families.  Gram ids number the codes of each counted order in turn,
-    and each gram id gets its column before the one ``np.unique`` over
-    (document, column) keys, so the CSR is built with its columns ascending.
-    Label ids are in string order and every label character sorts above
-    ``SEP``, so the order of codes, and of label-id tuples padded with -1
-    across orders, is the order of the feature strings.
+    and each gram id gets its column before the (document, column) keys are
+    sorted in place and counted by run, so the CSR is built with its columns
+    ascending.  Both keys are int32 where they fit, and the CSR's index
+    arrays take the width of its keys.  Label ids are in string order and
+    every label character sorts above ``SEP``, so the order of codes, and of
+    label-id tuples padded with -1 across orders, is the order of the
+    feature strings.
     """
     names, label, pred, lengths = _positions(model, docs)
     code, tables, codes, blocks, n_grams = label, [], [], [], 0
+    n_codes = names.size  # of the order below
     for k in range(1, max(model.orders) + 1):
         if k > 1:
             has = pred >= 0
             has[has] = code[pred[has]] >= 0
             if not has.any():
                 break  # no chain reaches order k, so none reaches a higher one
-            table, dense = np.unique(code[pred[has]].astype(np.int64) * names.size + label[has], return_inverse=True)
+            key = code[pred[has]].astype(_key_dtype(n_codes * names.size))
+            key *= names.size
+            key += label[has]
+            table, dense = np.unique(key, return_inverse=True)
+            del key
             tables.append(np.divmod(table, names.size))  # (prefix code, last label) of each order-k code
+            n_codes = table.size
             code = np.full(label.size, -1, dtype=np.int32)
             code[has] = dense
         if k in model.orders:
@@ -309,19 +324,30 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
         column = np.array([index.get(f, n_columns) for f in strings], dtype=np.int64)
     # a gram outside the columns has column n_columns: counted in mass, then dropped
     stride = n_columns + 1
-    row = np.repeat(np.arange(len(docs)) * stride, lengths)
-    keys = [np.zeros(0, dtype=np.int64)]
+    width = _key_dtype(len(docs) * stride)
+    column = column.astype(width, copy=False)
+    row = np.repeat(np.arange(0, len(docs) * stride, stride, dtype=width), lengths)
+    keys = [np.zeros(0, dtype=width)]
     for lo, code in codes:
         at = code >= 0
         keys.append(row[at] + column[lo + code[at]])  # document * stride + column
     del codes, row, column
     keys = np.concatenate(keys)
-    keys, hits = np.unique(keys, return_counts=True)
-    rows, cols = np.divmod(keys, stride)
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)  # the first key of each run of equal keys
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    distinct, n_keys = keys[starts], keys.size
     del keys
+    hits = np.diff(starts, append=n_keys)  # the length of each run
+    del starts
+    rows, cols = np.divmod(distinct, stride)
+    del distinct
     mass = np.bincount(rows, weights=hits, minlength=len(docs)).astype(np.int64)
     kept = cols < n_columns
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[kept], minlength=len(docs)))])
+    indptr = np.zeros(len(docs) + 1, dtype=width)
+    np.cumsum(np.bincount(rows[kept], minlength=len(docs)), out=indptr[1:])
     counts = sparse.csr_array((hits[kept], cols[kept], indptr), shape=(len(docs), n_columns))
     return FeatureMatrix(model, names, grams, counts, mass, int(lengths.sum()))
 
@@ -353,11 +379,11 @@ def take_columns(counts: sparse.csr_array, columns: np.ndarray) -> sparse.csr_ar
     order is the order in which a sparse product sums a row, so scores made
     from the take are the same to the bit as from scipy's.
     """
-    position = np.full(counts.shape[1], -1, dtype=np.int32)
-    position[columns] = np.arange(len(columns), dtype=np.int32)
+    position = np.full(counts.shape[1], -1, dtype=counts.indices.dtype)  # the input's index width
+    position[columns] = np.arange(len(columns))
     mapped = position[counts.indices]
     kept = np.flatnonzero(mapped >= 0)
-    indptr = np.searchsorted(kept, counts.indptr)
+    indptr = np.searchsorted(kept, counts.indptr).astype(counts.indptr.dtype)
     return sparse.csr_array((counts.data[kept], mapped[kept], indptr), shape=(counts.shape[0], len(columns)))
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +264,47 @@ def test_roundtrip_is_bit_exact(tmp_path, train, rows, alpha, labels, doc):
     for ours, theirs in zip(loaded.linear, model.linear):
         assert np.array_equal(ours, theirs)
     assert np.array_equal(posterior(loaded, vec(doc))[0], posterior(model, vec(doc))[0])
+
+
+def wide_training(n_subjects=40, m=2000):
+    """Sparse integer counts of three training documents per subject over m columns, and each row's subject."""
+    rng = np.random.default_rng(11)
+    dense = rng.integers(1, 9, (3 * n_subjects, m)) * (rng.random((3 * n_subjects, m)) < 0.05)
+    return sparse.csr_array(dense), np.repeat(np.arange(n_subjects), 3)  # pnb rates in thirds, which round
+
+
+def test_trained_mnb_weights_are_its_table_in_the_layout_the_product_reads():
+    counts, subjects = wide_training()
+    model = mnb_train(counts, subjects, 0.5, tuple(map(str, range(40))))
+    _, weights = model.linear
+    assert weights.flags.c_contiguous and np.shares_memory(weights, model.table)
+
+
+def test_posterior_of_a_trained_mnb_model_does_not_copy_its_table():
+    counts, subjects = wide_training()
+    model = mnb_train(counts, subjects, 0.5, tuple(map(str, range(40))))
+    rows = counts[:8]
+    tracemalloc.start()
+    try:
+        posterior(model, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.table.nbytes
+
+
+@pytest.mark.parametrize("train", [mnb_train, pnb_train])
+def test_model_file_and_scores_do_not_depend_on_the_table_layout(tmp_path, train):
+    counts, subjects = wide_training(n_subjects=5, m=300)
+    model = train(counts, subjects, 0.5, tuple("abcde"))
+    c_ordered = dataclasses.replace(model, table=np.ascontiguousarray(model.table))  # as load_model gives it
+    assert not model.table.flags.c_contiguous and c_ordered.table.flags.c_contiguous
+    vocab = make_vocab(300)
+    save_model(model, tmp_path / "trained.npz", vocab)
+    save_model(c_ordered, tmp_path / "c_ordered.npz", vocab)
+    assert (tmp_path / "trained.npz").read_bytes() == (tmp_path / "c_ordered.npz").read_bytes()
+    for ours, theirs in zip(posterior(model, counts), posterior(c_ordered, counts)):
+        assert np.array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("train, rows, alpha, labels, doc", ROUNDTRIP_CASES)

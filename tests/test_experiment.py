@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import stylosig
-from stylosig import classifiers, experiment
+from stylosig import classifiers, experiment, features
 from stylosig.cli import main
 from stylosig.config import ExperimentConfig, build_config
 from stylosig.corpus import load_text_corpus
@@ -509,6 +509,29 @@ def test_run_json_records_stages_and_feature_stats(tmp_path):
     assert set(run["config"]) == {f.name for f in fields(ExperimentConfig)}
     assert run["config"]["corpus_dir"] == str(corpus_dir)
     assert run["config"]["ngram_orders"] == [1, 2]
+
+
+@pytest.mark.parametrize("protocol", ["rolling", "chimeric"])
+def test_run_json_records_the_matrix_entries_and_index_width(tmp_path, monkeypatch, protocol):
+    # the benchmark only ever takes 32-bit keys, so a lowered bound runs the same eval at 64 bits
+    bundles = {}
+    for bits, bound in ((32, features._INT32_KEYS), (64, 0)):
+        monkeypatch.setattr(features, "_INT32_KEYS", bound)
+        if protocol == "chimeric":
+            config = chimeric_setup(tmp_path / str(bits))
+            run_chimeric(config)
+        else:
+            corpus_dir = disjoint_corpus(tmp_path / str(bits))
+            options = {"corpus_dir": str(corpus_dir), "train_window": "2", "test_window": "2"}
+            config = build_config({**options, "output_dir": str(tmp_path / str(bits) / "out")})
+            run_rolling(config)
+        out = tmp_path / str(bits) / "out"
+        run = json.loads((out / "run.json").read_text())
+        assert run["features"]["index_bits"] == bits
+        bundles[bits] = {p.relative_to(out): p.read_bytes() for p in out.glob("*/*")}
+        bundles[bits]["entries"] = run["features"]["entries"]
+    assert bundles[32]["entries"] > 0
+    assert bundles[32] == bundles[64]  # the same entries and the same bytes in every bundle file
 
 
 def test_chimeric_run_json_records_config_and_version(tmp_path):

@@ -410,6 +410,48 @@ def test_columns_follow_string_order_past_two_byte_label_ids(ks):
     assert matrix.decode(np.arange(len(features))) == tuple(sorted(features))
 
 
+def assert_same_matrix(a, b):
+    assert a.counts.shape == b.counts.shape and a.counts.dtype == b.counts.dtype == np.int64
+    for name in ("data", "indices", "indptr"):
+        assert getattr(a.counts, name).tolist() == getattr(b.counts, name).tolist()
+    assert a.mass.tolist() == b.mass.tolist() and a.tokens == b.tokens
+    if a.grams is None:
+        assert b.grams is None and a.labels is None and b.labels is None
+    else:
+        assert np.array_equal(a.grams, b.grams) and a.labels.tolist() == b.labels.tolist()
+
+
+@pytest.mark.parametrize("ks", [(1,), (1, 2), (1, 2, 3), (3,)])
+def test_extract_matrix_is_the_same_at_both_key_widths(ks):
+    rng = np.random.default_rng(2)
+    words = [f"w{i}" for i in range(60)]
+    docs = [Document(f"d{i}", 0, " ".join(rng.choice(words, int(rng.integers(0, 40))))) for i in range(30)]
+    model = FeatureModel("ngram", ks)
+    seen = set().union(*(extract_counts(model, doc) for doc in docs[:5]))
+    index = {f: j for j, f in enumerate(sorted(seen))}
+    narrow = extract_matrix(model, docs, n_indexed=20), extract_matrix(model, docs, index=index)
+    with mock.patch.object(features, "_INT32_KEYS", 0):  # every key past the bound
+        wide = extract_matrix(model, docs, n_indexed=20), extract_matrix(model, docs, index=index)
+    for a, b in zip(narrow, wide):
+        assert a.counts.indices.dtype == a.counts.indptr.dtype == np.int32
+        assert b.counts.indices.dtype == b.counts.indptr.dtype == np.int64
+        assert_same_matrix(a, b)
+
+
+def test_order_three_keys_past_int32_where_order_two_keys_fit():
+    # 40,000 labels: an order-2 key (labels²) fits in int32, an order-3 key (order-2 codes × labels) does not
+    rng = np.random.default_rng(5)
+    words = ["".join(w) for w in itertools.product(string.ascii_lowercase, repeat=4)]
+    words = [words[i] for i in rng.choice(len(words), 40_000, replace=False)]
+    tokens = words + [words[i] for i in rng.integers(0, len(words), 20_000)]
+    doc = Document("d", 0, " ".join(tokens[i] for i in rng.permutation(len(tokens))))
+    model = FeatureModel("ngram", (2, 3))
+    ref = extract_counts(model, doc)
+    bigrams = sum(1 for feature in ref if feature.count(SEP) == 1)
+    assert len(words) ** 2 < 2**31 < bigrams * len(words)
+    assert row_counts(extract_matrix(model, [doc]), 0) == ref
+
+
 def test_vocabulary_ranks_by_frequency_then_lexicographic():
     # totals: a=3, b=3, c=3 -> all tie, lexicographic
     assert ranked([{"b": 3, "a": 1}, {"c": 3, "a": 2}], 3) == ("a", "b", "c")
@@ -480,6 +522,7 @@ def test_vocabulary_size_bounded_and_sorted(texts, m):
 def assert_takes_as_scipy(matrix, columns):
     got, want = take_columns(matrix, columns), matrix[:, np.asarray(columns, dtype=np.int64)]
     assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.indices.dtype == got.indptr.dtype == matrix.indices.dtype  # the input's index width
     assert got.data.tolist() == want.data.tolist()
     assert got.indices.tolist() == want.indices.tolist()
     assert got.indptr.tolist() == want.indptr.tolist()
@@ -494,8 +537,9 @@ def stored_matrices(draw):
     indices = [j for row in rows for j in row]
     values = draw(st.lists(st.integers(-3, 9), min_size=len(indices), max_size=len(indices)))
     data = np.array(values, dtype=draw(st.sampled_from([np.int64, np.float64])))
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    matrix = sparse.csr_array((data, np.array(indices, dtype=np.int32), indptr), shape=(n_rows, n_cols))
+    width = draw(st.sampled_from([np.int32, np.int64]))  # scipy keeps int64 indices when indptr is int64
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(width)
+    matrix = sparse.csr_array((data, np.array(indices, dtype=width), indptr), shape=(n_rows, n_cols))
     return matrix, draw(column_lists)
 
 

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from stylosig.config import ExperimentConfig
 from stylosig.signature import load_svc
@@ -72,3 +73,20 @@ def test_profile_sweep_passes_on_only_the_flags_given(tmp_path, capsys):
     assert [given[key] for key in keys] == [[1], 0.5, "pnb"]
     assert (given["train_window"], given["test_window"], given["profile_size"]) == (3, 1, 50)
     assert (tmp_path / "given" / "m50" / "pnb" / "summary.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "flags, code, message",
+    [
+        (["--sizes", "a"], 2, "config error: --sizes 'a': expected comma-separated integers\n"),
+        (["--train-window", "0"], 2, "config error: train_window='0': must be >= 1\n"),
+        ([], 1, "data error: corpus root {missing} is not a directory\n"),
+    ],
+)
+def test_profile_sweep_reports_bad_input_as_the_cli_does(tmp_path, capsys, flags, code, message):
+    corpus_dir = disjoint_corpus(tmp_path) if code == 2 else tmp_path / "missing"
+    argv = [str(corpus_dir), "--sizes", "50", *flags, "--out", str(tmp_path / "sweep")]
+    assert load_script("profile_sweep").main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == message.format(missing=corpus_dir)
+    assert "Traceback" not in captured.err and captured.out == ""
