@@ -199,7 +199,7 @@ def _strings(data, name: str) -> tuple:
 
 
 def load_model(path: str | Path) -> tuple[NbModel, Vocabulary]:
-    """Read a model file and its vocabulary; one whose arrays do not fit its labels and features is a DataError."""
+    """Read a model file and its vocabulary; one whose arrays do not fit its labels and features, or that repeats a feature, is a DataError."""
     path = Path(path)
     try:
         data = np.load(path, allow_pickle=False)
@@ -227,4 +227,6 @@ def load_model(path: str | Path) -> tuple[NbModel, Vocabulary]:
             f"{path}: {_TABLE_NAMES[kind]} {model.table.shape} and log_priors {log_priors.shape} do not fit "
             f"{shape[0]} subject labels with uniform priors and {shape[1]} features"
         )
+    if len(vocab.index) != len(vocab):
+        raise DataError(f"{path}: features repeat a string: {len(vocab.index)} distinct of {len(vocab)}")
     return model, vocab

@@ -13,7 +13,6 @@ import csv
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, filterfalse
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -29,10 +28,10 @@ SEP = "\x1f"
 _TOKEN_RE = re.compile(r"[^\W_]+")
 # ASCII bytes to token bytes: A-Z lowered, a-z and 0-9 kept, every other byte a space
 _ASCII_TOKENS = bytes(c | 0x20 if 65 <= c <= 90 else c if 97 <= c <= 122 or 48 <= c <= 57 else 32 for c in range(256))
-# the packed path: text per chunk, the spaces that keep every 8-byte read in bounds,
-# and _KEEP[v], the mask of a big-endian word's first v bytes
+# the label packer: document bytes per chunk, the spaces that keep every 8-byte read
+# in bounds, and _KEEP[v], the mask of a big-endian word's first v bytes
 _CHUNK_BYTES = 1 << 20
-_PAD = " " * 24
+_PAD = b" " * 24
 _KEEP = np.array([((1 << 8 * v) - 1) << (64 - 8 * v) for v in range(9)], dtype=np.uint64)
 # keys whose bound is at most this are formed as int32, others as int64
 _INT32_KEYS = np.iinfo(np.int32).max
@@ -49,14 +48,16 @@ _NODE_LABELS = {
 SNGRAM_ELEMENTS = tuple(_NODE_LABELS)
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split on anything that is not a letter or digit.
-
-    ASCII text goes through a byte table, which gives the regex's tokens.
-    """
+def _token_bytes(text: str) -> bytes:
+    """The lowercased tokens of ``text`` as UTF-8 between spaces: a byte table for ASCII text, which gives the regex's tokens, else the regex."""
     if text.isascii():
-        return text.encode().translate(_ASCII_TOKENS).decode().split()
-    return _TOKEN_RE.findall(text.lower())
+        return text.encode().translate(_ASCII_TOKENS)
+    return " ".join(_TOKEN_RE.findall(text.lower())).encode()
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split on anything that is not a letter or digit."""
+    return _token_bytes(text).decode().split()
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class FeatureMatrix:
 
     model: FeatureModel
     labels: np.ndarray | None  # the label strings (object), ascending
-    grams: np.ndarray | None  # (features, max order) label ids of each column, padded with -1
+    grams: np.ndarray | None  # (features, highest order with a gram) label ids of each column, padded with -1
     counts: sparse.csr_array  # (documents, features): int64 data, index arrays int32 where the keys fit, else int64
     mass: np.ndarray  # per document: every extracted count, features outside the columns included
     tokens: int  # extracted positions: tokens, or tree nodes for sn-grams
@@ -133,96 +134,92 @@ def _positions(model: FeatureModel, docs: Sequence[Document]):
     """The distinct labels, ascending; the label id and predecessor of every position; each document's position count.
 
     The predecessor is the previous token (word n-grams) or the head (syntactic
-    n-grams), -1 for none.  A word n-gram batch of ASCII documents is packed
-    into integers; any other batch, or one with a token longer than 24 bytes,
-    is interned one document at a time.
+    n-grams), -1 for none.  Each document becomes UTF-8 bytes, its tokens
+    between spaces or each of its node labels followed by ``SEP``, and one
+    packer numbers the labels of the whole batch.
     """
-    packed = None
-    if model.family == NGRAM_FAMILY and all(doc.text.isascii() for doc in docs):
-        packed = _packed_labels([doc.text for doc in docs])
-    if packed is None:
-        names, label, heads, lengths = _interned_labels(model, docs)
-    else:
-        names, label, lengths = packed
     if model.family == NGRAM_FAMILY:
+        names, label, lengths = _packed_labels([_token_bytes(doc.text) for doc in docs], ended=False)
         pred = np.arange(-1, label.size - 1)
         pred[(np.cumsum(lengths) - lengths)[lengths > 0]] = -1
-    else:
-        pred = np.array(heads, dtype=np.int64)
-    return names, label, pred, lengths
-
-
-def _interned_labels(model: FeatureModel, docs: Sequence[Document]):
-    """``_positions``' labels, label ids and lengths, with the heads of sn-gram nodes: interned per document, then numbered in string order."""
-    ids: dict[str, int] = {}
-    labels, heads = [np.zeros(0, dtype=np.int32)], []
-    lengths = np.zeros(len(docs), dtype=np.int64)
-    for i, doc in enumerate(docs):
-        if model.family == NGRAM_FAMILY:
-            tokens = tokenize(doc.text)
-        elif doc.tree is None:
+        return names, label, pred, lengths
+    blobs, heads, node_label = [], [], _NODE_LABELS[model.element]
+    for doc in docs:
+        if doc.tree is None:
             raise DataError(f"document {doc.doc_id} has no dependency tree")
-        else:
-            tokens = []
-            for sentence in doc.tree:
-                start = len(heads)
-                heads.extend(start + t.head if t.head >= 0 else -1 for t in sentence.tokens)
-                tokens.extend(map(_NODE_LABELS[model.element], sentence.tokens))
-        ids.update(zip(filterfalse(ids.__contains__, dict.fromkeys(tokens)), count(len(ids))))
-        labels.append(np.fromiter(map(ids.__getitem__, tokens), dtype=np.int32, count=len(tokens)))
-        lengths[i] = len(tokens)
-    names = np.array(sorted(ids), dtype=object)
-    rank = np.empty(len(ids), dtype=np.int32)
-    rank[np.fromiter(map(ids.__getitem__, names), dtype=np.int64, count=len(ids))] = np.arange(len(ids))
-    return names, rank[np.concatenate(labels)], heads, lengths
+        for sentence in doc.tree:
+            start = len(heads)
+            heads.extend(start + t.head if t.head >= 0 else -1 for t in sentence.tokens)
+        blobs.append(SEP.join([node_label(t) for sentence in doc.tree for t in sentence.tokens] + [""]).encode())
+    names, label, lengths = _packed_labels(blobs, ended=True)
+    return names, label, np.array(heads, dtype=np.int64), lengths
 
 
-def _packed_labels(texts: list[str]):
-    """``_positions``' labels, label ids and lengths for ASCII texts, with no object per token; None if a token exceeds 24 bytes.
+def _packed_labels(blobs: list[bytes], ended: bool):
+    """``_positions``' labels, label ids and lengths for documents' bytes, with no object per label of up to 24 bytes.
 
-    Each token's bytes, zero-padded, are read as big-endian 64-bit words, so
-    integer order is string order.  Chunks of texts are numbered on their own,
-    then their distinct keys once more, to bound the per-byte arrays.
+    Each such label's bytes, zero-padded, are read as big-endian 64-bit
+    words, so integer order is string order, and the empty label is all
+    zeros.  Chunks of documents are numbered on their own, then their
+    distinct keys once more, to bound the per-byte arrays.  A longer label is
+    decoded, and the distinct ones are merged into the others by string
+    comparison: UTF-8 byte order is code-point order.
     """
-    bounds, size = [0], 0
-    for i, text in enumerate(texts, 1):
-        size += len(text) + 1
-        if size >= _CHUNK_BYTES:
-            bounds.append(i)
-            size = 0
-    bounds.append(len(texts))
-    keys, ids, lengths = [], [], []
+    # a chunk ends with each document whose bytes reach a further multiple of _CHUNK_BYTES
+    crossed = np.cumsum([len(blob) + 1 for blob in blobs]) // _CHUNK_BYTES
+    bounds = [0, *np.flatnonzero(np.diff(crossed, prepend=0)) + 1, len(blobs)]
+    keys, ids, longs, long_at, lengths, n_short = [], [], [], [], [], 0
     for lo, hi in zip(bounds, bounds[1:]):
-        chunk = _packed_tokens(texts[lo:hi])
-        if chunk is None:
-            return None
-        words, n_tokens = chunk
+        words, chunk_longs, at, n_tokens = _packed_tokens(blobs[lo:hi], ended)
         distinct, inverse = _unique_rows(words)
         keys.append(distinct)
         ids.append(inverse.astype(np.int32))
+        longs.extend(chunk_longs)
+        long_at.append(at + n_short)
         lengths.append(n_tokens)
+        n_short += inverse.size
     width, starts = max(map(len, keys)), np.cumsum([0] + [len(words[0]) for words in keys])
     # every chunk's keys, padded with zero words to the widest
     words = [np.concatenate([w[j] if j < len(w) else np.zeros_like(w[0]) for w in keys]) for j in range(width)]
     distinct, inverse = _unique_rows(words)
-    label = np.concatenate([inverse[a:b].astype(np.int32)[chunk] for a, b, chunk in zip(starts, starts[1:], ids)])
     raw = np.stack(distinct, axis=1).astype(">u8").view(f"S{8 * width}").ravel()  # zero bytes drop off the end
-    names = np.array(list(map(bytes.decode, raw.tolist())), dtype=object)
+    short = np.array(list(map(bytes.decode, raw.tolist())), dtype=object)
+    long, long_inverse = np.unique(np.array(longs, dtype=object), return_inverse=True)
+    below = np.searchsorted(short, long)  # the short labels below each long one
+    names, long_rank = np.insert(short, below, long), below + np.arange(long.size)
+    short_rank = np.delete(np.arange(names.size, dtype=np.int32), long_rank)
+    label = np.concatenate([short_rank[inverse[a:b]][chunk] for a, b, chunk in zip(starts, starts[1:], ids)])
+    if longs:
+        label = np.insert(label, np.concatenate(long_at), long_rank[long_inverse])
     return names, label, np.concatenate(lengths)
 
 
-def _packed_tokens(texts: list[str]):
-    """Each token of ASCII texts as ``ceil(longest / 8)`` big-endian words, and each text's token count; None past 24 bytes."""
-    raw = " ".join([*texts, _PAD]).encode().translate(_ASCII_TOKENS)
-    edges = np.flatnonzero(np.diff(np.frombuffer(raw, dtype=np.uint8) != 32, prepend=False))
-    starts, size = edges[0::2], edges[1::2] - edges[0::2]
-    longest = int(size.max(initial=1))
-    if longest > 3 * 8:
-        return None
+def _packed_tokens(blobs: list[bytes], ended: bool):
+    """The tokens of documents' bytes: those of up to 24 bytes as ``ceil(longest / 8)`` big-endian words, the longer as strings.
+
+    A token is a run of bytes other than space, or, where ``ended``, the
+    bytes before each ``SEP``.  Also gives where each longer token goes
+    among the shorter ones (before the one at that index) and each
+    document's token count.
+    """
+    joint = b"" if ended else b" "
+    raw = joint.join([*blobs, _PAD])
+    if ended:
+        ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord(SEP))
+        starts = np.concatenate([[0], ends + 1])[:-1]
+    else:
+        edges = np.flatnonzero(np.diff(np.frombuffer(raw, dtype=np.uint8) != 32, prepend=False))
+        starts, ends = edges[0::2], edges[1::2]
+    offsets = np.cumsum([0] + [len(blob) + len(joint) for blob in blobs])
+    n_tokens, size = np.diff(np.searchsorted(starts, offsets)), ends - starts
+    long = np.flatnonzero(size > 3 * 8)
+    longs = [raw[a:b].decode() for a, b in zip(starts[long].tolist(), ends[long].tolist())]
+    if longs:
+        starts, size = np.delete(starts, long), np.delete(size, long)
     window = np.ndarray((len(raw) - 7,), dtype=">u8", buffer=raw, strides=(1,))  # the 8 bytes from each offset
-    words = [window[starts + 8 * j].astype(np.uint64) & _KEEP[np.clip(size - 8 * j, 0, 8)] for j in range(-(-longest // 8))]
-    offsets = np.cumsum([0] + [len(text) + 1 for text in texts])
-    return words, np.diff(np.searchsorted(starts, offsets))
+    n_words = -(-int(size.max(initial=1)) // 8)
+    words = [window[starts + 8 * j].astype(np.uint64) & _KEEP[np.clip(size - 8 * j, 0, 8)] for j in range(n_words)]
+    return words, longs, long - np.arange(long.size), n_tokens
 
 
 def _unique_rows(words: list[np.ndarray]):
@@ -244,9 +241,9 @@ def _key_dtype(bound: int) -> type:
     return np.int32 if bound <= _INT32_KEYS else np.int64
 
 
-def _label_ids(blocks, tables, wanted: np.ndarray, width: int) -> np.ndarray:
-    """The label ids of each ``wanted`` gram id (ascending), walked back from its last label to its first, padded with -1."""
-    grams = np.full((wanted.size, width), -1, dtype=np.int32)
+def _label_ids(blocks, tables, wanted: np.ndarray) -> np.ndarray:
+    """The label ids of each ``wanted`` gram id (ascending), walked back from its last label, padded with -1 to the highest order in ``blocks``."""
+    grams = np.full((wanted.size, blocks[-1][0] if blocks else 1), -1, dtype=np.int32)
     for k, lo, hi in blocks:
         start, stop = np.searchsorted(wanted, (lo, hi))
         codes = wanted[start:stop] - lo
@@ -306,7 +303,7 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
         for lo, code in codes:
             indexed[lo + code[:n_indexed][code[:n_indexed] >= 0]] = True
         wanted = np.flatnonzero(indexed)
-        grams = _label_ids(blocks, tables, wanted, max(model.orders))
+        grams = _label_ids(blocks, tables, wanted)
         # big-endian bytes of the ids + 1 compare as the padded tuples; each order's block is
         # already sorted, so the stable sort only merges runs
         key = grams.astype(">u4")
@@ -318,7 +315,7 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
         column = np.full(n_grams, n_columns, dtype=np.int64)
         column[wanted[order]] = np.arange(n_columns)
     else:  # every gram of the batch, looked up in the index by its string
-        strings = _join(names, _label_ids(blocks, tables, np.arange(n_grams), max(model.orders)))
+        strings = _join(names, _label_ids(blocks, tables, np.arange(n_grams)))
         names = grams = None
         n_columns = len(index)
         column = np.array([index.get(f, n_columns) for f in strings], dtype=np.int64)

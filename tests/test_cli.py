@@ -105,6 +105,11 @@ def _header(edit):
             "cannot load model from {path}: subject_labels is not a 1-d array\n",
             id="labels-0-d",
         ),
+        pytest.param(
+            _resave(lambda arrays: {"features": np.append(arrays["features"][:-1], arrays["features"][0])}),
+            "{path}: features repeat a string: 35 distinct of 36\n",
+            id="features-repeat",
+        ),
     ],
 )
 def test_attribute_model_that_does_not_fit_is_data_error(tmp_path, capsys, write, message):

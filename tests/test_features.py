@@ -129,28 +129,6 @@ def test_positions_equal_reference_interning(texts, chunk_bytes):
     assert got[3].dtype == np.int64 and got[3].tolist() == lengths
 
 
-def test_each_batch_takes_its_path(monkeypatch):
-    taken = []
-    for name in ("_packed_labels", "_interned_labels"):
-        original = getattr(features, name)
-        monkeypatch.setattr(features, name, lambda *args, f=original, name=name: taken.append(name) or f(*args))
-
-    def path(model, *texts):
-        taken.clear()
-        features._positions(model, [Document(f"d{i}", 0, text) for i, text in enumerate(texts)])
-        return taken
-
-    words = FeatureModel("ngram", (1,))
-    assert path(words, "Ab9 " + "x" * 24, "", "z") == ["_packed_labels"]
-    assert path(words, "Ab9", "x" * 25) == ["_packed_labels", "_interned_labels"]  # a token past 24 bytes
-    assert path(words, "Ab9", "café") == ["_interned_labels"]
-    assert path(words) == ["_packed_labels"]
-    tree = (make_sentence([-1, 0], ["a", "b"]),)
-    taken.clear()
-    features._positions(FeatureModel("sngram", (2,)), [Document("d", 0, "a b", tree=tree)])
-    assert taken == ["_interned_labels"]
-
-
 # -- word n-grams -----------------------------------------------------------
 
 def test_unigrams_are_plain_counts():
@@ -278,7 +256,7 @@ def test_model_validation():
 
 # -- integer-coded extraction against the per-document oracle -----------------
 
-WORDS = ("a", "b", "ab", "É", "é", "straße", "日本", "x1", "Ωμέγα", "İ")
+WORDS = ("a", "b", "ab", "É", "é", "straße", "日本", "x1", "Ωμέγα", "İ", "Ωμέγα" * 3)  # the last past 24 bytes
 GAPS = (" ", "  ", ", ", "_", "-", "\n", "…")
 
 
@@ -294,10 +272,11 @@ def word_documents(draw):
 
 @st.composite
 def parsed_documents(draw):
-    """Documents of zero to three sentences; a form may hold a space or "!", just above the separator."""
+    """Documents of zero to three sentences; a form may be empty, pass 24 bytes, or hold a space or "!", just above the separator."""
     docs = []
+    forms = ("a", "B", "a b", "a!", "a0", "é", "日本", "", "x" * 25, "ü" * 13, "a label of spaces past 24 bytes")
     for i in range(draw(st.integers(min_value=0, max_value=5))):
-        sentences = draw(st.lists(random_trees(forms=("a", "B", "a b", "a!", "a0", "é", "日本")), max_size=3))
+        sentences = draw(st.lists(random_trees(forms=forms), max_size=3))
         tree = tuple(
             DepSentence(
                 tuple(
@@ -436,6 +415,15 @@ def test_extract_matrix_is_the_same_at_both_key_widths(ks):
         assert a.counts.indices.dtype == a.counts.indptr.dtype == np.int32
         assert b.counts.indices.dtype == b.counts.indptr.dtype == np.int64
         assert_same_matrix(a, b)
+
+
+def test_an_order_no_chain_reaches_adds_no_label_id_column():
+    docs = [Document("d0", 0, "a b c a b"), Document("d1", 0, "b c d"), Document("d2", 0, "")]
+    short, wide = (extract_matrix(FeatureModel("ngram", ks), docs) for ks in [(1, 2), (1, 2, 1000)])
+    assert wide.grams.shape[1] == 2
+    assert (wide.counts != short.counts).nnz == 0 and wide.mass.tolist() == short.mass.tolist()
+    columns = np.arange(short.counts.shape[1])
+    assert wide.decode(columns) == short.decode(columns)
 
 
 def test_order_three_keys_past_int32_where_order_two_keys_fit():
