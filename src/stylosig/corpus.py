@@ -105,13 +105,27 @@ def _is_file(entry: os.DirEntry) -> bool:
         return Path(entry.path).is_file()
 
 
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of the file ``path``, in one unbuffered read.
+
+    ``open`` refuses a directory with its name in the error, where
+    ``os.read`` on a descriptor would fail without one.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        return fh.readall()
+
+
 def _read_text(path: str | Path) -> str:
-    """``Path.read_text`` in UTF-8 with universal newlines; a failure is a DataError."""
+    """``Path.read_text`` in UTF-8 with universal newlines; a failure is a DataError.
+
+    The whole file is decoded at once, as a text read of a whole file does,
+    so a decoding error gives the same byte position.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        text = read_bytes(path).decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def read_document(path: Path, doc_id: str, subject: int) -> Document:

@@ -260,12 +260,14 @@ def _chimeric_counts(dataset) -> dict:
     }
 
 
-def _signature_counts(signatures) -> dict:
+def _signature_counts(signatures, matrix: ScoreMatrix) -> dict:
     samples = [sample for samples in signatures.by_writer.values() for sample in samples]
     return {
         "samples": len(samples),
         "points": sum(len(sample.points) for sample in samples),
         "checked_parse_files": signatures.checked_parse_files,
+        "still_probes": matrix.still_probes,
+        "still_subjects": matrix.still_subjects,
     }
 
 
@@ -331,7 +333,7 @@ def run_chimeric(config: ExperimentConfig) -> dict:
     run_info = _write_run_json(
         out_dir, config, stages, started, protocol="chimeric", systems=sorted(matrices),
         counts=_chimeric_counts(dataset), features=feature_stats, folds=fold_records,
-        signature=_signature_counts(signatures),
+        signature=_signature_counts(signatures, signature),
         ttests=_ttest_on_correctness(correct, ttest_pairs),
     )
     return {"run": run_info, "summaries": summaries}

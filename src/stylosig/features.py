@@ -278,7 +278,9 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
     names, label, pred, lengths = _positions(model, docs)
     code, tables, codes, blocks, n_grams = label, [], [], [], 0
     n_codes = names.size  # of the order below
-    for k in range(1, max(model.orders) + 1):
+    # a chain is never longer than its document: no order above the longest one is numbered
+    top = max((k for k in model.orders if k <= lengths.max(initial=0)), default=0)
+    for k in range(1, top + 1):
         if k > 1:
             has = pred >= 0
             has[has] = code[pred[has]] >= 0

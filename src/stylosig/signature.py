@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import read_bytes
 from .errors import DataError, DegenerateInputWarning
 
 GENUINE_PER_WRITER = 20
@@ -58,7 +59,7 @@ def _parse_sample(path: Path, writer: int, index: int) -> tuple[SignatureSample,
     digits, e.g. U+01FE as 462.
     """
     try:
-        data = path.read_bytes()
+        data = read_bytes(path)
         lines = data.decode("utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -187,16 +188,62 @@ class ScoreMatrix:
     item_ids: tuple[str, ...]
     subject_labels: tuple[str, ...]
     scores: np.ndarray  # (items, subjects) float64 in [0, 1]
+    # probes, and subjects none of whose templates moves, without pen-down motion; None unless scored from templates
+    still_probes: int | None = None
+    still_subjects: int | None = None
 
     def __post_init__(self):
         if self.scores.shape != (len(self.item_ids), len(self.subject_labels)):
             raise ValueError("score matrix shape does not match its labels")
 
 
-def _warn_still(what: str, still: np.ndarray, names) -> None:
+def _warn_still(what: str, still: np.ndarray, names) -> int:
+    """Warn once about the ``still`` items of ``names``, if any; their count."""
     if still.any():
         first = names[int(np.argmax(still))]
         warnings.warn(f"{int(still.sum())} {what} and score 0 (first: {first})", DegenerateInputWarning)
+    return int(still.sum())
+
+
+def _sum_in_numpy_order(term, n: int) -> np.ndarray:
+    """``term(0) + ... + term(n - 1)``, float64 arrays added as ``np.add.reduce`` adds a contiguous row of n values.
+
+    numpy 2 sums such a row pairwise into a result that starts at 0.0: under
+    8 values one by one; up to 128 in eight running sums over blocks of 8,
+    joined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    rest one by one; above 128 as two halves, the first rounded down to a
+    multiple of 8.  Each term must be a new array: running sums are kept in
+    place, so at most nine terms are alive at once below 129 values.
+    """
+
+    def pairwise(lo: int, n: int) -> np.ndarray:
+        if n < 8:
+            total = term(lo)
+            for i in range(lo + 1, lo + n):
+                total += term(i)
+            return total
+        if n <= 128:
+            sums, end = [term(lo + j) for j in range(8)], lo + n - n % 8
+            for i in range(lo + 8, end, 8):
+                for j, total in enumerate(sums):
+                    total += term(i + j)
+            for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+                sums[a] += sums[b]
+            for i in range(end, lo + n):
+                sums[0] += term(i)
+            return sums[0]
+        half = n // 2 - n // 2 % 8
+        total = pairwise(lo, half)
+        total += pairwise(lo + half, n - half)
+        return total
+
+    total = pairwise(0, n)
+    total += 0.0  # numpy's starting 0.0, which turns a sum of -0.0 into 0.0
+    return total
+
+
+# cells of one (probes, templates) plane of minima: the probe block follows from the template count
+_PLANE_CELLS = 1 << 15
 
 
 def score_matrix_from_templates(probes, template_sets, subject_labels, delta_alpha: float) -> ScoreMatrix:
@@ -206,13 +253,16 @@ def score_matrix_from_templates(probes, template_sets, subject_labels, delta_alp
     subject is its best histogram intersection (sum of bin-wise minima)
     with any of the subject's templates.  All histograms are computed in
     one pass, each sample's once, so the matrix costs time linear in
-    probes x templates.
+    probes x templates.  Blocks of probes meet all templates at once, one
+    (probes, templates) plane of minima per bin, and the planes are added in
+    the order numpy sums a row of bins, so every score is the bit-exact
+    ``np.minimum(probe, template).sum()`` of its best pair.
 
     Degenerate inputs: an empty template set, or a template set count
     that differs from the label count, is a ValueError.  A histogram
     without pen-down motion is all zero, so probes without motion, and
     subjects none of whose templates has any, score 0, with one warning
-    per kind and call.
+    per kind and call; the matrix counts both kinds.
     """
     template_sets = [tuple(templates) for templates in template_sets]
     if len(template_sets) != len(subject_labels):
@@ -222,16 +272,18 @@ def score_matrix_from_templates(probes, template_sets, subject_labels, delta_alp
     item_ids = tuple(item_id for item_id, _ in probes)
     samples = [sample for _, sample in probes] + [t for templates in template_sets for t in templates]
     hists = direction_histograms(samples, delta_alpha)
-    stacked = hists[: len(item_ids)]
-    template_hists = np.split(hists[len(item_ids) :], np.cumsum([len(ts) for ts in template_sets])[:-1])
-    _warn_still("probe(s) have no pen-down motion", ~stacked.any(axis=1), item_ids)
-    still_subjects = np.array([not h.any() for h in template_hists], dtype=bool)
-    _warn_still("subject(s) have no template with pen-down motion", still_subjects, subject_labels)
+    probe_hists, template_bins = hists[: len(item_ids)], np.ascontiguousarray(hists[len(item_ids) :].T)
+    starts = np.cumsum([0] + [len(templates) for templates in template_sets[:-1]])  # each subject's first template
+    still_probes = _warn_still("probe(s) have no pen-down motion", ~probe_hists.any(axis=1), item_ids)
+    moving = np.logical_or.reduceat(template_bins.any(axis=0), starts)
+    still_subjects = _warn_still("subject(s) have no template with pen-down motion", ~moving, subject_labels)
     rows = np.zeros((len(item_ids), len(template_sets)), dtype=np.float64)
-    for j, hists in enumerate(template_hists):
-        # (probes, templates, B) for one subject at a time bounds the memory
-        rows[:, j] = np.minimum(stacked[:, None, :], hists[None, :, :]).sum(axis=2).max(axis=1)
-    return ScoreMatrix(item_ids, tuple(subject_labels), rows)
+    block = max(1, _PLANE_CELLS // template_bins.shape[1])
+    for lo in range(0, len(item_ids), block):
+        probe_bins = np.ascontiguousarray(probe_hists[lo : lo + block].T)
+        sums = _sum_in_numpy_order(lambda b: np.minimum(probe_bins[b, :, None], template_bins[b]), hists.shape[1])
+        rows[lo : lo + block] = np.maximum.reduceat(sums, starts, axis=1)
+    return ScoreMatrix(item_ids, tuple(subject_labels), rows, still_probes, still_subjects)
 
 
 def save_score_matrix(matrix: ScoreMatrix, path: str | Path) -> None:

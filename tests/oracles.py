@@ -19,6 +19,7 @@ from stylosig.conllu import read_conllu
 from stylosig.corpus import Corpus, Document, Subject
 from stylosig.errors import DataError
 from stylosig.features import NGRAM_FAMILY, SNGRAM_ELEMENTS
+from stylosig.signature import direction_histograms
 
 SEP = "\x1f"
 
@@ -338,6 +339,22 @@ def direction_histogram_per_sample(points, delta_alpha):
         np.add.at(weights, (lower + 1) % n_bins, frac)
         weights /= angles.size
     return weights
+
+
+def score_matrix_per_subject(probes, template_sets, delta_alpha):
+    """The (probes, subjects) scores of the per-subject broadcast that the blocked scorer replaced.
+
+    One subject at a time: the (probes, templates, bins) minima, summed over
+    the bins by numpy, then the best of the subject's templates.
+    """
+    samples = [sample for _, sample in probes] + [t for templates in template_sets for t in templates]
+    hists = direction_histograms(samples, delta_alpha)
+    stacked = hists[: len(probes)]
+    template_hists = np.split(hists[len(probes) :], np.cumsum([len(ts) for ts in template_sets])[:-1])
+    rows = np.zeros((len(probes), len(template_sets)), dtype=np.float64)
+    for j, subject_hists in enumerate(template_hists):
+        rows[:, j] = np.minimum(stacked[:, None, :], subject_hists[None, :, :]).sum(axis=2).max(axis=1)
+    return rows
 
 
 def parse_capture_reference(path):

@@ -67,6 +67,8 @@ def odd_corpus(root):
     b.mkdir()
     (a / "crlf.txt").write_bytes(b"one two\r\nthree\r\n")
     (a / "cr.txt").write_bytes(b"one\rtwo\r")
+    (a / "crcrlf.txt").write_bytes(b"one\r\r\ntwo\r\n\rthree\r")
+    (a / "bom.txt").write_bytes(b"\xef\xbb\xbfstarts with a byte order mark\r\n")
     (a / "plain.txt").write_text("sidecar is a file", encoding="utf-8")
     (a / "plain.conllu").write_text(_conllu("Plain"), encoding="utf-8")
     (a / "dangling.txt").write_text("sidecar is a dangling symlink", encoding="utf-8")
@@ -102,6 +104,10 @@ def _not_utf8(root):
     (root / "b" / "latin1.txt").write_bytes("caf\xe9".encode("latin-1"))
 
 
+def _not_utf8_past_64_kib(root):
+    (root / "b" / "late.txt").write_bytes(b"x" * 70_000 + b"\xff")
+
+
 def _bad_sidecar(root):
     (root / "b" / "a.b.conllu").write_text("1\tonly three\tcolumns\n", encoding="utf-8")
 
@@ -113,9 +119,10 @@ def _bad_sidecar(root):
         (_d_txt_directory, "cannot read {root}/a/d.txt: [Errno 21] Is a directory"),
         (_subject_without_txt, "subject directory {root}/c contains no .txt documents"),
         (_not_utf8, "cannot read {root}/b/latin1.txt: 'utf-8' codec can't decode"),
+        (_not_utf8_past_64_kib, "cannot read {root}/b/late.txt: 'utf-8' codec can't decode byte 0xff in position 70000"),
         (_bad_sidecar, "{root}/b/a.b.conllu:1: expected 10 tab-separated columns"),
     ],
-    ids=["readable", "d.txt-directory", "subject-without-txt", "not-utf8", "bad-sidecar"],
+    ids=["readable", "d.txt-directory", "subject-without-txt", "not-utf8", "not-utf8-past-64-kib", "bad-sidecar"],
 )
 def test_load_matches_pathlib_reference(tmp_path, edit, error):
     root = odd_corpus(tmp_path / "c")
@@ -132,9 +139,12 @@ def test_load_matches_pathlib_reference(tmp_path, edit, error):
     assert corpus == want
     texts = {doc.doc_id: doc.text for doc in corpus.documents}
     assert texts["a/crlf.txt"] == "one two\nthree\n" and texts["a/cr.txt"] == "one\ntwo\n"
+    assert texts["a/crcrlf.txt"] == "one\n\ntwo\n\nthree\n"
+    assert texts["a/bom.txt"] == "\ufeffstarts with a byte order mark\n"
     trees = {doc.doc_id: doc.tree and doc.tree[0].tokens[0].form for doc in corpus.documents}
     assert trees == {
-        "a/cr.txt": None, "a/crlf.txt": None, "a/dangling.txt": None, "a/folder.txt": None,
+        "a/bom.txt": None, "a/cr.txt": None, "a/crcrlf.txt": None, "a/crlf.txt": None,
+        "a/dangling.txt": None, "a/folder.txt": None,
         "a/linked.txt": "Plain", "a/loop.txt": None, "a/plain.txt": "Plain",
         "b/.a.txt": "Dot", "b/.txt": "Suffix", "b/a.b.txt": "Dots",
     }

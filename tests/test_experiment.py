@@ -15,6 +15,7 @@ from stylosig.corpus import load_text_corpus
 from stylosig.errors import DegenerateInputWarning
 from stylosig.features import FeatureModel, tokenize
 from stylosig.fusion import decide
+from stylosig.signature import save_score_matrix
 from stylosig.experiment import (
     build_feature_model,
     chimeric_manifest,
@@ -23,7 +24,7 @@ from stylosig.experiment import (
     signature_matrix_from_dir,
 )
 
-from .conftest import write_svc_dir, write_text_corpus
+from .conftest import write_svc_dir, write_svc_file, write_text_corpus
 from .oracles import (
     extract_counts,
     mnb_posterior_reference,
@@ -705,3 +706,30 @@ def test_chimeric_run_json_records_its_one_fold(tmp_path):
     assert fold["uniform_fallback_rows"] == run["features"]["uniform_fallback_rows"]
     assert fold["test_oov_rate"] == run["features"]["test_oov_rate"]
     assert fold["vocabulary"] <= 200 and fold["test_mass"] > 0
+
+
+def test_chimeric_run_json_counts_still_signatures(tmp_path):
+    config = chimeric_setup(tmp_path)
+    run_chimeric(config)
+    run = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert (run["signature"]["still_probes"], run["signature"]["still_subjects"]) == (0, 0)
+    still = np.array([[5, 5, 0, 1], [5, 5, 10, 1]])
+    write_svc_file(config.signature_dir / "U1S3.txt", still)  # a probe: samples 3 and 4 are tested
+    for sample in (1, 2):  # every template of writer 2
+        write_svc_file(config.signature_dir / f"U2S{sample}.txt", still)
+    with pytest.warns(DegenerateInputWarning) as record:
+        run_chimeric(config)
+    messages = [str(w.message) for w in record if "pen-down" in str(w.message)]
+    assert messages == [
+        "1 probe(s) have no pen-down motion and score 0 (first: s00i00)",
+        "1 subject(s) have no template with pen-down motion and score 0 (first: subj1+w2)",
+    ]
+    run = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert (run["signature"]["still_probes"], run["signature"]["still_subjects"]) == (1, 1)
+    # scores read from a matrix come with no histograms to count
+    with pytest.warns(DegenerateInputWarning):
+        save_score_matrix(signature_matrix_from_dir(config), tmp_path / "scores.csv")
+    config.signature_matrix, config.output_dir = tmp_path / "scores.csv", tmp_path / "from-matrix"
+    run_chimeric(config)
+    run = json.loads((tmp_path / "from-matrix" / "run.json").read_text())
+    assert (run["signature"]["still_probes"], run["signature"]["still_subjects"]) == (None, None)

@@ -15,6 +15,7 @@ from stylosig.corpus import Document
 from stylosig import features
 from stylosig.errors import DataError
 from stylosig.features import (
+    FAMILIES,
     SEP,
     SNGRAM_ELEMENTS,
     FeatureModel,
@@ -417,13 +418,22 @@ def test_extract_matrix_is_the_same_at_both_key_widths(ks):
         assert_same_matrix(a, b)
 
 
-def test_an_order_no_chain_reaches_adds_no_label_id_column():
-    docs = [Document("d0", 0, "a b c a b"), Document("d1", 0, "b c d"), Document("d2", 0, "")]
-    short, wide = (extract_matrix(FeatureModel("ngram", ks), docs) for ks in [(1, 2), (1, 2, 1000)])
-    assert wide.grams.shape[1] == 2
-    assert (wide.counts != short.counts).nnz == 0 and wide.mass.tolist() == short.mass.tolist()
-    columns = np.arange(short.counts.shape[1])
-    assert wide.decode(columns) == short.decode(columns)
+def test_an_order_no_chain_reaches_adds_no_label_id_column(monkeypatch):
+    # the longest document has 5 positions: orders 3 to 5 have chains, but none is counted, so none is numbered
+    trees = [make_sentence([-1, 0, 1, 2, 3]), make_sentence([1, -1, 1])]
+    docs = [Document("d0", 0, "a b c a b", (trees[0],)), Document("d1", 0, "b c d", (trees[1],)), Document("d2", 0, "", ())]
+    calls, unique = [], np.unique
+    monkeypatch.setattr(features.np, "unique", lambda *args, **kwargs: calls.append(1) or unique(*args, **kwargs))
+    for family in FAMILIES:
+        made = []
+        for ks in [(1, 2), (1, 2, 1000)]:
+            calls.clear()
+            made.append((extract_matrix(FeatureModel(family, ks), docs), len(calls)))
+        (short, short_calls), (wide, wide_calls) = made
+        assert wide.grams.shape[1] == 2 and wide_calls == short_calls
+        assert (wide.counts != short.counts).nnz == 0 and wide.mass.tolist() == short.mass.tolist()
+        columns = np.arange(short.counts.shape[1])
+        assert wide.decode(columns) == short.decode(columns)
 
 
 def test_order_three_keys_past_int32_where_order_two_keys_fit():

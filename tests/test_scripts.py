@@ -33,7 +33,9 @@ def test_demo_chimeric_writes_every_bundle(tmp_path, capsys):
     corpus = load_svc(out / "data" / "signatures")
     points = sum(len(s.points) for samples in corpus.by_writer.values() for s in samples)
     signature = json.loads((out / "run.json").read_text(encoding="utf-8"))["signature"]
-    assert signature == {"samples": 6 * 20, "points": points, "checked_parse_files": 0}
+    assert signature == {
+        "samples": 6 * 20, "points": points, "checked_parse_files": 0, "still_probes": 0, "still_subjects": 0,
+    }
 
 
 def test_demo_signatures_take_the_fast_parse(tmp_path):

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stylosig.errors import DataError, DegenerateInputWarning
+from stylosig import signature
 from stylosig.signature import (
     ScoreMatrix,
     SignatureSample,
+    _n_bins,
     _parse_sample,
+    _sum_in_numpy_order,
     direction_histograms,
     load_score_matrix,
     load_svc,
@@ -20,7 +23,12 @@ from stylosig.signature import (
 )
 
 from .conftest import signature_points, write_svc_dir, write_svc_file
-from .oracles import direction_histogram_per_sample, direction_histogram_reference, parse_capture_reference
+from .oracles import (
+    direction_histogram_per_sample,
+    direction_histogram_reference,
+    parse_capture_reference,
+    score_matrix_per_subject,
+)
 
 
 DELTA_ALPHA = 25.0
@@ -448,6 +456,57 @@ def test_score_matrix_matches_per_pair_oracle(delta):
     assert np.all(matrix.scores[[0, -1]] == 0.0)
     assert np.all(matrix.scores[:, 2] == 0.0)
     assert np.all(matrix.scores[1:-1, [0, 1, 3]] > 0.0)
+
+
+def test_sum_in_numpy_order_is_numpys_row_sum():
+    # if numpy changes the order in which it sums a row, this fails before any score shifts
+    rng, differ = np.random.default_rng(3), []
+    for n in [*range(1, 301), 1440]:
+        rows = rng.standard_normal((5, n))
+        rows[0] = -0.0  # numpy's sum starts at 0.0
+        rows[1] *= 10.0 ** rng.integers(-12, 13, n)  # sums whose rounding depends on the order
+        got = _sum_in_numpy_order(lambda i: rows[:, i].copy(), n)
+        if got.tobytes() != np.add.reduce(rows, axis=-1).tobytes():
+            differ.append(n)
+    assert differ == []
+
+
+# each bin count's delta_alpha: one bin, under 8, a block of 8 and a remainder, 128 and 129 (the pairwise split), 1,440
+BIN_DELTAS = {1: 360.0, 8: 45.0, 15: 24.0, 128: 2.8125, 129: 2.8, 1440: 0.25}
+# ragged sets, one of a single template, 60 templates in all
+SET_SIZES = (1, 3, 2, 5, 4, 1, 6, 2, 3, 4, 5, 2, 3, 1, 7, 2, 3, 6)
+BLOCK = signature._PLANE_CELLS // sum(SET_SIZES)
+
+
+def blocked_scores_and_oracle(bins, n_probes):
+    still = segment([(0, 0), (0, 0)])
+    template_sets, n = [], 0
+    for size in SET_SIZES:
+        template_sets.append([sample_from(signature_points(n + i, 1), n + i) for i in range(size)])
+        n += size
+    template_sets[4][2] = still  # a set that holds one motionless template
+    probes = [(f"p{i}", sample_from(signature_points(1000 + i, 2), 1000 + i)) for i in range(n_probes)]
+    if n_probes > 1:  # a lone probe keeps its motion
+        probes[n_probes // 2] = ("still", still)
+    labels = [f"w{j}" for j in range(len(SET_SIZES))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        matrix = score_matrix_from_templates(probes, template_sets, labels, BIN_DELTAS[bins])
+    return matrix.scores, score_matrix_per_subject(probes, template_sets, BIN_DELTAS[bins])
+
+
+@pytest.mark.parametrize("bins", sorted(BIN_DELTAS))
+def test_blocked_scores_are_the_per_subject_broadcast_bit_for_bit(bins):
+    assert _n_bins(BIN_DELTAS[bins]) == bins
+    scores, oracle = blocked_scores_and_oracle(bins, BLOCK + 1)
+    assert scores.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("n_probes", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_blocked_scores_match_the_per_subject_broadcast_at_every_block_edge(n_probes):
+    assert BLOCK > 1
+    scores, oracle = blocked_scores_and_oracle(15, n_probes)
+    assert scores.shape == (n_probes, len(SET_SIZES)) and scores.tobytes() == oracle.tobytes()
 
 
 def test_score_matrix_rejects_bad_template_sets_before_histograms():
