@@ -174,20 +174,21 @@ _REQUIRED = {
 def validate_for(config: ExperimentConfig, command: str) -> None:
     """Check that the config carries everything ``command`` needs."""
     problems = []
+    required = _REQUIRED.get(command, ())
     if command == "eval":
-        required = ["corpus_dir"]
+        required = ("corpus_dir",)
+        # the pairing of authors with writers needs the writers, even when
+        # signature_matrix supplies the scores
         if config.protocol == "chimeric" and config.signature_dir is None:
-            # the pairing of authors with writers needs the writers, even
-            # when signature_matrix supplies the scores
             problems.append("chimeric eval needs signature_dir, also with signature_matrix")
-    else:
-        required = list(_REQUIRED.get(command, ()))
+        elif config.protocol == "chimeric":
+            required += ("signature_dir",)
     for key in required:
         if getattr(config, key) is None:
             problems.append(f"{command} requires {key}")
-    for key in ("corpus_dir", "signature_dir"):
+    for key in required:  # every required key names a directory
         value = getattr(config, key)
-        if value is not None and key in required and not Path(value).is_dir():
+        if value is not None and not Path(value).is_dir():
             problems.append(f"{key} {value} is not a directory")
     out = Path(config.output_dir)
     blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)

@@ -1,4 +1,4 @@
-"""Minimal CoNLL-U reader producing validated dependency trees.
+"""Minimal CoNLL-U parser producing validated dependency trees.
 
 Only the columns needed downstream are kept (FORM, LEMMA, UPOS, HEAD,
 DEPREL).  Multiword-token ranges and empty nodes are skipped; comment
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import DataError
 
@@ -116,11 +115,3 @@ def parse_conllu(text: str, source: str = "<string>") -> tuple[DepSentence, ...]
         sentences.append(_flush(rows, source, start_line))
     return tuple(sentences)
 
-
-def read_conllu(path: str | Path) -> tuple[DepSentence, ...]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return parse_conllu(text, source=str(path))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conllu import DepSentence, read_conllu
+from .conllu import DepSentence, parse_conllu
 from .errors import DataError
 
 
@@ -82,7 +82,7 @@ def load_text_corpus(root: str | Path) -> Corpus:
         for name in names:
             # Path.with_suffix(".conllu"): a name that is only ".txt" has no suffix to replace
             sidecar = entries.get(name[:-4] + ".conllu" if len(name) > 4 else ".txt.conllu")
-            text = _read_text(entries[name].path)
+            text = read_text(entries[name].path)
             tree = read_conllu(sidecar.path) if sidecar is not None and _is_file(sidecar) else None
             documents.append(Document(f"{subj.label}/{name}", subj.id, text, tree))
     return Corpus(subjects, tuple(documents))
@@ -105,33 +105,30 @@ def _is_file(entry: os.DirEntry) -> bool:
         return Path(entry.path).is_file()
 
 
-def read_bytes(path: str | Path) -> bytes:
-    """The bytes of the file ``path``, in one unbuffered read.
+def read_text(path: str | Path) -> str:
+    """``Path.read_text`` in UTF-8 with universal newlines, in one unbuffered read; a failure is a DataError.
 
-    ``open`` refuses a directory with its name in the error, where
-    ``os.read`` on a descriptor would fail without one.
-    """
-    with open(path, "rb", buffering=0) as fh:
-        return fh.readall()
-
-
-def _read_text(path: str | Path) -> str:
-    """``Path.read_text`` in UTF-8 with universal newlines; a failure is a DataError.
-
-    The whole file is decoded at once, as a text read of a whole file does,
-    so a decoding error gives the same byte position.
+    The one reader of documents, CoNLL-U sidecars and capture files.  It
+    decodes the whole file at once, so a decoding error gives the byte
+    position a text read gives, and ``open`` names a directory in its error.
     """
     try:
-        text = read_bytes(path).decode("utf-8")
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.readall().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
+def read_conllu(path: str | Path) -> tuple[DepSentence, ...]:
+    """The dependency sentences of the CoNLL-U file ``path``."""
+    return parse_conllu(read_text(path), source=str(path))
+
+
 def read_document(path: Path, doc_id: str, subject: int) -> Document:
     """Read one ``.txt`` document and its optional ``.conllu`` sidecar."""
     sidecar = path.with_suffix(".conllu")
-    return Document(doc_id, subject, _read_text(path), read_conllu(sidecar) if sidecar.is_file() else None)
+    return Document(doc_id, subject, read_text(path), read_conllu(sidecar) if sidecar.is_file() else None)
 
 
 def keep_largest(corpus: Corpus, n: int) -> Corpus:

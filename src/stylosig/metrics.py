@@ -39,6 +39,12 @@ class ClaimSet:
     genuine: np.ndarray  # (n_genuine,) float64 scores of the genuine claims, ascending
     imposter: np.ndarray  # (n_imposter,) float64 scores of the imposter claims, ascending
 
+    def __post_init__(self):
+        if not (self.genuine.size and self.imposter.size):
+            raise ValueError("a claim set needs both genuine and imposter claims")
+        if min(self.genuine[0], self.imposter[0]) < 0.0 or max(self.genuine[-1], self.imposter[-1]) > 1.0:
+            raise ValueError("match scores must lie in [0, 1]")
+
     @property
     def n_genuine(self) -> int:
         return self.genuine.size
@@ -145,22 +151,15 @@ def _accept_counts(claims: ClaimSet, thresholds: np.ndarray) -> tuple[np.ndarray
 
 
 def fscore_curve(claims: ClaimSet, grid: np.ndarray) -> Curve:
-    """F-measure 2TP / (2TP + FP + FN) across the sweep; an empty denominator scores 0, with a warning."""
+    """F-measure 2TP / (2TP + FP + FN) across the sweep; TP + FN is the genuine count, so no denominator is 0."""
     grid = np.asarray(grid, dtype=np.float64)
     tp, fp = _accept_counts(claims, grid)
-    fn = claims.n_genuine - tp
-    denom = 2 * tp + fp + fn
-    if np.any(denom == 0):
-        warnings.warn("F-measure undefined at some thresholds, reporting 0", DegenerateInputWarning)
-    ys = np.where(denom == 0, 0.0, 2.0 * tp / np.where(denom == 0, 1, denom))
-    return Curve(grid, ys, "threshold", "fscore")
+    return Curve(grid, 2.0 * tp / (2 * tp + fp + (claims.n_genuine - tp)), "threshold", "fscore")
 
 
 def recall_curve(claims: ClaimSet, grid: np.ndarray) -> Curve:
     """Recall (true accept rate over genuine claims) across the threshold sweep."""
     grid = np.asarray(grid, dtype=np.float64)
-    if claims.n_genuine == 0:
-        raise ValueError("recall needs at least one genuine claim")
     tp, _ = _accept_counts(claims, grid)
     return Curve(grid, tp / claims.n_genuine, "threshold", "recall")
 
@@ -168,8 +167,6 @@ def recall_curve(claims: ClaimSet, grid: np.ndarray) -> Curve:
 def det_curve(claims: ClaimSet, grid: np.ndarray) -> DetCurve:
     """FAR/FRR tradeoff over the sweep, with trapezoid area under FRR(FAR)."""
     grid = np.asarray(grid, dtype=np.float64)
-    if claims.n_genuine == 0 or claims.n_imposter == 0:
-        raise ValueError("DET needs both genuine and imposter claims")
     tp, fp = _accept_counts(claims, grid)
     far = fp / claims.n_imposter
     frr = (claims.n_genuine - tp) / claims.n_genuine
@@ -201,7 +198,7 @@ def cmc_curve(matrix: ScoreMatrix, truth: Sequence[int]) -> Curve:
 @dataclass(frozen=True)
 class MatchScoreHistogram:
     edges: np.ndarray  # (bins + 1,)
-    genuine: np.ndarray  # (bins,) frequencies, sum 1 when the class is non-empty
+    genuine: np.ndarray  # (bins,) frequencies, sum 1
     imposter: np.ndarray
     n_genuine: int
     n_imposter: int
@@ -219,16 +216,12 @@ def msh(claims: ClaimSet, bins: int) -> MatchScoreHistogram:
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    if any(c.size and (c[0] < 0.0 or c[-1] > 1.0) for c in (claims.genuine, claims.imposter)):
-        raise ValueError("match scores must lie in [0, 1]")
     edges = np.arange(bins + 1) / bins
-    if claims.n_genuine == 0 or claims.n_imposter == 0:
-        warnings.warn("one claim class is empty, overlap is trivially 0", DegenerateInputWarning)
     freqs = []
     for at_least, n in zip(_accept_counts(claims, edges), (claims.n_genuine, claims.n_imposter)):
         at_least[-1] = 0  # the last bin also keeps the scores of 1.0
         counts = (at_least[:-1] - at_least[1:]).astype(np.float64)  # differences in integers, so no -0.0
-        freqs.append(counts / n if n else counts)
+        freqs.append(counts / n)
     genuine, imposter = freqs
     overlap = float(np.minimum(genuine, imposter).sum())
     return MatchScoreHistogram(edges, genuine, imposter, claims.n_genuine, claims.n_imposter, overlap)

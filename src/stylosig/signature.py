@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import read_bytes
+from .corpus import read_text
 from .errors import DataError, DegenerateInputWarning
 
 GENUINE_PER_WRITER = 20
@@ -58,14 +58,11 @@ def _parse_sample(path: Path, writer: int, index: int) -> tuple[SignatureSample,
     alone reads.  Other text goes there too: numpy reads some letters as
     digits, e.g. U+01FE as 462.
     """
-    try:
-        data = read_bytes(path)
-        lines = data.decode("utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path)
+    lines = text.splitlines()
     try:
         declared = int(lines[0].split()[0])
-        if data.isascii() and any(map(str.strip, lines[1:])):  # loadtxt warns on lines without a point
+        if text.isascii() and any(map(str.strip, lines[1:])):  # loadtxt warns on lines without a point
             points = np.loadtxt(lines[1:], dtype=np.int64, ndmin=2, comments=None)
             if points.shape[1] in (4, 7) and len(points) == declared:
                 return SignatureSample(writer, index, points), False
@@ -151,8 +148,10 @@ def direction_histograms(samples, delta_alpha: float) -> np.ndarray:
 
     The directions are those of the pen-down steps with real motion inside a
     sample.  Bin centers sit at multiples of delta_alpha; each angle splits
-    unit mass linearly between its two nearest centers (wrapping at 360), and
-    a row is normalized by its sample's number of angles.  A sample with no
+    unit mass linearly between its two nearest centers, the last wrapping to
+    the 0 bin as if a full delta_alpha away (at 25, 355 degrees gives 0.8 to
+    350 and 0.2 to 0), and a row is normalized by its sample's number of
+    angles, so a one-bin row is 1 only up to rounding.  A sample with no
     pen-down motion gives the all-zero row.
 
     One bincount adds every lower-bin share, then every upper-bin share, so
@@ -283,6 +282,7 @@ def score_matrix_from_templates(probes, template_sets, subject_labels, delta_alp
         probe_bins = np.ascontiguousarray(probe_hists[lo : lo + block].T)
         sums = _sum_in_numpy_order(lambda b: np.minimum(probe_bins[b, :, None], template_bins[b]), hists.shape[1])
         rows[lo : lo + block] = np.maximum.reduceat(sums, starts, axis=1)
+    np.minimum(rows, 1.0, out=rows)  # a one-bin histogram sums its shares to 1 give or take a few ulp
     return ScoreMatrix(item_ids, tuple(subject_labels), rows, still_probes, still_subjects)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from stylosig.conllu import read_conllu
+from stylosig.conllu import parse_conllu
 from stylosig.corpus import Corpus, Document, Subject
 from stylosig.errors import DataError
 from stylosig.features import NGRAM_FAMILY, SNGRAM_ELEMENTS
@@ -345,7 +345,8 @@ def score_matrix_per_subject(probes, template_sets, delta_alpha):
     """The (probes, subjects) scores of the per-subject broadcast that the blocked scorer replaced.
 
     One subject at a time: the (probes, templates, bins) minima, summed over
-    the bins by numpy, then the best of the subject's templates.
+    the bins by numpy, then the best of the subject's templates, at most 1
+    (a one-bin histogram of a moving sample is 1 only up to rounding).
     """
     samples = [sample for _, sample in probes] + [t for templates in template_sets for t in templates]
     hists = direction_histograms(samples, delta_alpha)
@@ -354,7 +355,7 @@ def score_matrix_per_subject(probes, template_sets, delta_alpha):
     rows = np.zeros((len(probes), len(template_sets)), dtype=np.float64)
     for j, subject_hists in enumerate(template_hists):
         rows[:, j] = np.minimum(stacked[:, None, :], subject_hists[None, :, :]).sum(axis=2).max(axis=1)
-    return rows
+    return np.minimum(rows, 1.0)
 
 
 def parse_capture_reference(path):
@@ -407,7 +408,18 @@ def pool_reference(counts, subjects, n_subjects):
 
 
 def load_text_corpus_reference(root):
-    """The pathlib loader: ``glob("*.txt")`` per subject, sorted, ``with_suffix(".conllu").is_file()``, ``read_text``."""
+    """The pathlib loader: ``glob("*.txt")`` per subject, sorted, ``with_suffix(".conllu").is_file()``, ``read_text``.
+
+    Documents and sidecars alike are read with ``Path.read_text``, so the
+    reference shares no reader with ``load_text_corpus``.
+    """
+
+    def read_text(path):
+        try:
+            return path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"corpus root {root} is not a directory")
@@ -422,11 +434,8 @@ def load_text_corpus_reference(root):
         if not paths:
             raise DataError(f"subject directory {subj_dir} contains no .txt documents")
         for path in paths:
-            try:
-                text = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                raise DataError(f"cannot read {path}: {exc}") from exc
+            text = read_text(path)
             sidecar = path.with_suffix(".conllu")
-            tree = read_conllu(sidecar) if sidecar.is_file() else None
+            tree = parse_conllu(read_text(sidecar), source=str(sidecar)) if sidecar.is_file() else None
             documents.append(Document(f"{subj.label}/{path.name}", subj.id, text, tree))
     return Corpus(subjects, tuple(documents))

@@ -441,6 +441,15 @@ def test_fusion_sum_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["eval", "chimeric", "sigscore"])
+def test_signature_dir_that_is_no_directory_is_config_error(tmp_path, capsys, command):
+    not_a_dir = tmp_path / "sigs.txt"
+    not_a_dir.write_text("x", encoding="utf-8")
+    args = chimeric_args(tmp_path, "-O", f"signature_dir={not_a_dir}", signatures=False)
+    assert main([command, *args[1:]]) == 2
+    assert f"config error: signature_dir {not_a_dir} is not a directory" in capsys.readouterr().err
+
+
 def test_signature_matrix_without_signature_dir_is_config_error(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     save_score_matrix(ScoreMatrix(("x",), ("a",), np.array([[0.5]])), scores)
@@ -477,19 +486,23 @@ def test_reordered_external_matrix_is_data_error(tmp_path, capsys):
     assert "item id 1 is 's02i01', expected 's00i00'" in err
 
 
-def sigscore_args(sig_dir, out):
-    return ["sigscore", "-O", f"signature_dir={sig_dir}", "-O", "train_docs=2", "-O", "test_docs=2", "--output-dir", str(out)]
+def sigscore_args(sig_dir, out, *extra):
+    return [
+        "sigscore", "-O", f"signature_dir={sig_dir}", "-O", "train_docs=2", "-O", "test_docs=2", "--output-dir", str(out),
+        *extra,
+    ]
 
 
-def signature_matrix_run(tmp_path, extra_writers=0, edit=None) -> int:
+def signature_matrix_run(tmp_path, extra_writers=0, edit=None, options=()) -> int:
     """Run a chimeric eval from signature_dir into direct/, and from sigscore's matrix of that directory into matrix/.
 
     ``extra_writers`` more writers than the corpus has authors are scored; ``edit``
-    rewrites the matrix's lines first.  Returns the exit code of the matrix run.
+    rewrites the matrix's lines first; ``options`` go to all three commands.
+    Returns the exit code of the matrix run.
     """
-    args = chimeric_args(tmp_path)
+    args = chimeric_args(tmp_path, *options)
     write_svc_dir(tmp_path / "sigs", n_writers=extra_writers, n_samples=4, start_writer=4)
-    assert main(sigscore_args(tmp_path / "sigs", tmp_path / "scored")) == 0
+    assert main(sigscore_args(tmp_path / "sigs", tmp_path / "scored", *options)) == 0
     path = tmp_path / "scored" / "signature_scores.csv"
     if edit is not None:
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n", encoding="utf-8")
@@ -508,6 +521,14 @@ def assert_same_signature_bundle(tmp_path):
 def test_sigscore_matrix_round_trip_matches_signature_dir_run(tmp_path):
     assert signature_matrix_run(tmp_path) == 0
     assert_same_signature_bundle(tmp_path)
+
+
+def test_one_bin_histograms_score_at_most_one(tmp_path):
+    # with one bin a moving sample's histogram sums its shares to 1 give or take a few ulp
+    assert signature_matrix_run(tmp_path, options=("-O", "delta_alpha=360")) == 0
+    assert_same_signature_bundle(tmp_path)
+    scores = load_score_matrix(tmp_path / "scored" / "signature_scores.csv").scores
+    assert scores.max() == 1.0
 
 
 @pytest.mark.parametrize(

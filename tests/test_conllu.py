@@ -1,6 +1,7 @@
 import pytest
 
-from stylosig.conllu import parse_conllu, read_conllu
+from stylosig.conllu import parse_conllu
+from stylosig.corpus import read_conllu
 from stylosig.errors import DataError
 
 SAMPLE = """# sent_id = 1

@@ -66,6 +66,9 @@ def odd_corpus(root):
     a.mkdir(parents=True)
     b.mkdir()
     (a / "crlf.txt").write_bytes(b"one two\r\nthree\r\n")
+    # two sentences: CRLF line ends, then a lone CR as the blank line between them and as a line end
+    crlf, cr = _conllu("Crlf").encode().replace(b"\n", b"\r\n"), _conllu("Cr").encode().replace(b"\n", b"\r")
+    (a / "crlf.conllu").write_bytes(b"# crlf\r\n" + crlf + b"\r" + cr)
     (a / "cr.txt").write_bytes(b"one\rtwo\r")
     (a / "crcrlf.txt").write_bytes(b"one\r\r\ntwo\r\n\rthree\r")
     (a / "bom.txt").write_bytes(b"\xef\xbb\xbfstarts with a byte order mark\r\n")
@@ -112,6 +115,15 @@ def _bad_sidecar(root):
     (root / "b" / "a.b.conllu").write_text("1\tonly three\tcolumns\n", encoding="utf-8")
 
 
+def _not_utf8_sidecar(root):
+    (root / "b" / "a.b.conllu").write_bytes(_conllu("Caf\xe9").encode("latin-1"))
+
+
+def _bad_line_after_lone_cr(root):
+    # a lone CR ends a line, so the bad line is line 4 of the sidecar
+    (root / "a" / "crlf.conllu").write_bytes(b"# crlf\r\n" + _conllu("Crlf").encode() + b"\r1\tthree\tcolumns\r\n")
+
+
 @pytest.mark.parametrize(
     "edit, error",
     [
@@ -121,8 +133,13 @@ def _bad_sidecar(root):
         (_not_utf8, "cannot read {root}/b/latin1.txt: 'utf-8' codec can't decode"),
         (_not_utf8_past_64_kib, "cannot read {root}/b/late.txt: 'utf-8' codec can't decode byte 0xff in position 70000"),
         (_bad_sidecar, "{root}/b/a.b.conllu:1: expected 10 tab-separated columns"),
+        (_not_utf8_sidecar, "cannot read {root}/b/a.b.conllu: 'utf-8' codec can't decode byte 0xe9 in position 5"),
+        (_bad_line_after_lone_cr, "{root}/a/crlf.conllu:4: expected 10 tab-separated columns, got 3"),
     ],
-    ids=["readable", "d.txt-directory", "subject-without-txt", "not-utf8", "not-utf8-past-64-kib", "bad-sidecar"],
+    ids=[
+        "readable", "d.txt-directory", "subject-without-txt", "not-utf8", "not-utf8-past-64-kib", "bad-sidecar",
+        "not-utf8-sidecar", "bad-line-after-lone-cr",
+    ],
 )
 def test_load_matches_pathlib_reference(tmp_path, edit, error):
     root = odd_corpus(tmp_path / "c")
@@ -141,12 +158,12 @@ def test_load_matches_pathlib_reference(tmp_path, edit, error):
     assert texts["a/crlf.txt"] == "one two\nthree\n" and texts["a/cr.txt"] == "one\ntwo\n"
     assert texts["a/crcrlf.txt"] == "one\n\ntwo\n\nthree\n"
     assert texts["a/bom.txt"] == "\ufeffstarts with a byte order mark\n"
-    trees = {doc.doc_id: doc.tree and doc.tree[0].tokens[0].form for doc in corpus.documents}
+    trees = {doc.doc_id: doc.tree and tuple(sentence.tokens[0].form for sentence in doc.tree) for doc in corpus.documents}
     assert trees == {
-        "a/bom.txt": None, "a/cr.txt": None, "a/crcrlf.txt": None, "a/crlf.txt": None,
+        "a/bom.txt": None, "a/cr.txt": None, "a/crcrlf.txt": None, "a/crlf.txt": ("Crlf", "Cr"),
         "a/dangling.txt": None, "a/folder.txt": None,
-        "a/linked.txt": "Plain", "a/loop.txt": None, "a/plain.txt": "Plain",
-        "b/.a.txt": "Dot", "b/.txt": "Suffix", "b/a.b.txt": "Dots",
+        "a/linked.txt": ("Plain",), "a/loop.txt": None, "a/plain.txt": ("Plain",),
+        "b/.a.txt": ("Dot",), "b/.txt": ("Suffix",), "b/a.b.txt": ("Dots",),
     }
 
 

@@ -733,3 +733,54 @@ def test_chimeric_run_json_counts_still_signatures(tmp_path):
     run_chimeric(config)
     run = json.loads((tmp_path / "from-matrix" / "run.json").read_text())
     assert (run["signature"]["still_probes"], run["signature"]["still_subjects"]) == (None, None)
+
+
+# each kind of DegenerateInputWarning an eval can raise, and the count of it that run.json or summary.json keeps
+WARNING_COUNTS = {
+    "uniform posterior": lambda run, summaries: run["features"]["uniform_fallback_rows"],
+    "tied top score": lambda run, summaries: sum(s["n_tied_decisions"] for s in summaries.values()),
+    "zero-variance differences": lambda run, summaries: sum(t["degenerate"] for t in run["ttests"].values()),
+    "probe(s) have no pen-down motion": lambda run, summaries: run["signature"]["still_probes"],
+    "subject(s) have no template with pen-down motion": lambda run, summaries: run["signature"]["still_subjects"],
+    "documents dropped": lambda run, summaries: len(run["counts"]["dropped_subjects"]),
+}
+
+
+def warnings_and_counts(run, out):
+    """Each DegenerateInputWarning ``run`` raises, with the count its eval's run.json or summary.json keeps of it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    record = json.loads((out / "run.json").read_text())
+    summaries = {system: json.loads((out / system / "summary.json").read_text()) for system in record["systems"]}
+    counted = {}
+    for message in (str(w.message) for w in caught if issubclass(w.category, DegenerateInputWarning)):
+        (kind,) = [kind for kind in WARNING_COUNTS if kind in message]  # an unknown kind fails here
+        counted[message] = WARNING_COUNTS[kind](record, summaries)
+    return counted
+
+
+def test_every_eval_warning_is_counted_in_the_bundle(tmp_path):
+    texts = ["one two three", "two three four", "three four five"]
+    subjects = {"a": texts, "b": [*texts[:2], "... !!!"], "short": texts[:1]}  # b tests one empty document
+    config = build_config(
+        {
+            "corpus_dir": str(write_text_corpus(tmp_path / "texts", subjects)),
+            "train_window": "2",
+            "test_window": "1",
+            "output_dir": str(tmp_path / "rolling"),
+        }
+    )
+    counted = warnings_and_counts(lambda: run_rolling(config), tmp_path / "rolling")
+    assert any("documents dropped" in message for message in counted)
+    assert any("empty feature vector" in message for message in counted)
+
+    config = chimeric_setup(tmp_path / "chimeric")
+    still = np.array([[5, 5, 0, 1], [5, 5, 10, 1]])
+    write_svc_file(config.signature_dir / "U1S3.txt", still)  # a probe: samples 3 and 4 are tested
+    for sample in (1, 2):  # every template of writer 2
+        write_svc_file(config.signature_dir / f"U2S{sample}.txt", still)
+    chimeric = warnings_and_counts(lambda: run_chimeric(config), config.output_dir)
+    assert sum("pen-down motion" in message for message in chimeric) == 2
+    counted.update(chimeric)
+    assert all(counted.values()), {message: count for message, count in counted.items() if not count}

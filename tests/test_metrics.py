@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -168,14 +167,6 @@ def test_recall_curve_endpoints_and_monotonicity():
     assert np.all(np.diff(curve.ys) <= 0)
 
 
-def test_recall_needs_genuine_claims():
-    matrix, _ = random_claims(3, 3)
-    claims = expand_claims(matrix, [0, 0, 0])
-    only_imposters = ClaimSet(claims.genuine[:0], claims.imposter)
-    with pytest.raises(ValueError):
-        recall_curve(only_imposters, GRID)
-
-
 def test_det_curve_endpoints_and_reference():
     matrix, truth = random_claims(10, 5, seed=8)
     claims = expand_claims(matrix, truth)
@@ -202,12 +193,21 @@ def test_fscore_curve_peaks_at_separating_threshold():
     assert curve.ys[50] == 1.0  # threshold 0.5
 
 
-def test_fscore_undefined_scores_zero_with_warning():
-    matrix = ScoreMatrix(("a",), ("x", "y"), np.array([[0.2, 0.3]]))
-    claims = expand_claims(matrix, [0])
-    no_genuine = ClaimSet(claims.genuine[:0], claims.imposter)
-    with pytest.warns(DegenerateInputWarning):
-        assert fscore_curve(no_genuine, [0.9]).ys.tolist() == [0.0]
+def test_claim_set_needs_both_classes():
+    matrix, truth = random_claims(3, 3)
+    claims = expand_claims(matrix, truth)
+    for dropped in ("genuine", "imposter"):
+        with pytest.raises(ValueError, match="needs both genuine and imposter claims"):
+            replace(claims, **{dropped: getattr(claims, dropped)[:0]})
+    one_subject = ScoreMatrix(("a", "b"), ("x",), np.array([[0.2], [0.7]]))
+    with pytest.raises(ValueError, match="needs both genuine and imposter claims"):
+        expand_claims(one_subject, [0, 0])
+
+
+@pytest.mark.parametrize("genuine, imposter", [([-0.1, 0.5], [0.5]), ([0.5], [0.5, 1.0000000000000002])])
+def test_claim_set_scores_lie_in_unit_interval(genuine, imposter):
+    with pytest.raises(ValueError, match=r"match scores must lie in \[0, 1\]"):
+        ClaimSet(np.array(genuine), np.array(imposter))
 
 
 # -- identification ---------------------------------------------------------
@@ -306,35 +306,29 @@ def claim_cases(draw):
 @given(claim_cases())
 def test_threshold_statistics_equal_loop_references(case):
     matrix, truth, grid, bins, dropped = case
+    if matrix.scores.shape[1] == 1:  # one subject: no imposter claim
+        with pytest.raises(ValueError, match="needs both genuine and imposter claims"):
+            expand_claims(matrix, truth)
+        return
     claims = expand_claims(matrix, truth)
-    scores, genuine = flat_claims_reference(matrix.scores, truth)
     if dropped is not None:  # a claim set with one class empty
-        claims = replace(claims, **{dropped: getattr(claims, dropped)[:0]})
-        keep = ~genuine if dropped == "genuine" else genuine
-        scores, genuine = scores[keep], genuine[keep]
+        with pytest.raises(ValueError, match="needs both genuine and imposter claims"):
+            replace(claims, **{dropped: getattr(claims, dropped)[:0]})
+        return
+    scores, genuine = flat_claims_reference(matrix.scores, truth)
     references = [confusion_reference(scores, genuine, t) for t in grid]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateInputWarning)
-        assert fscore_curve(claims, grid).ys.tolist() == [fscore_reference(scores, genuine, t) for t in grid]
-        hist = msh(claims, bins)
+    assert fscore_curve(claims, grid).ys.tolist() == [fscore_reference(scores, genuine, t) for t in grid]
+    hist = msh(claims, bins)
     gen, imp, overlap = msh_reference(scores, genuine, bins)
     assert (hist.n_genuine, hist.n_imposter) == (genuine.sum(), (~genuine).sum())
     # repr tells -0.0 from 0.0, as msh.csv does
     freqs = [*hist.genuine.tolist(), *hist.imposter.tolist()]
     assert list(map(repr, freqs)) == list(map(repr, [*gen.tolist(), *imp.tolist()]))
     assert abs(hist.overlap - overlap) < 1e-12  # the two sums add in different orders
-    if not genuine.any():
-        with pytest.raises(ValueError):
-            recall_curve(claims, grid)
-    else:
-        assert recall_curve(claims, grid).ys.tolist() == [tp / (tp + fn) for tp, _, fn, _ in references]
-    if genuine.all() or not genuine.any():
-        with pytest.raises(ValueError):
-            det_curve(claims, grid)
-    else:
-        det = det_curve(claims, grid)
-        far_frr = [far_frr_reference(scores, genuine, t) for t in grid]
-        assert list(zip(det.far.tolist(), det.frr.tolist())) == far_frr
+    assert recall_curve(claims, grid).ys.tolist() == [tp / (tp + fn) for tp, _, fn, _ in references]
+    det = det_curve(claims, grid)
+    far_frr = [far_frr_reference(scores, genuine, t) for t in grid]
+    assert list(zip(det.far.tolist(), det.frr.tolist())) == far_frr
 
 
 # -- paired t-test ----------------------------------------------------------
