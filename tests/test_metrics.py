@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +168,13 @@ def test_recall_curve_endpoints_and_monotonicity():
     assert np.all(np.diff(curve.ys) <= 0)
 
 
+def test_recall_needs_genuine_claims():
+    matrix, _ = random_claims(3, 3)
+    claims = expand_claims(matrix, [0, 0, 0])
+    with pytest.raises(ValueError, match="needs both genuine and imposter claims"):
+        recall_curve(ClaimSet(claims.genuine[:0], claims.imposter), GRID)
+
+
 def test_det_curve_endpoints_and_reference():
     matrix, truth = random_claims(10, 5, seed=8)
     claims = expand_claims(matrix, truth)
@@ -191,6 +199,21 @@ def test_fscore_curve_peaks_at_separating_threshold():
     curve = fscore_curve(claims, GRID)
     assert curve.ys.max() == 1.0
     assert curve.ys[50] == 1.0  # threshold 0.5
+
+
+def test_fscore_undefined_scores_zero_with_warning():
+    """The one claim set whose F score was undefined (no genuine claim) is refused with a ValueError.
+
+    Every claim set that can be built has a genuine claim, so a threshold above all scores,
+    which accepts nothing, scores F = 0 with no warning.
+    """
+    matrix = ScoreMatrix(("a",), ("x", "y"), np.array([[0.2, 0.3]]))
+    claims = expand_claims(matrix, [0])
+    with pytest.raises(ValueError, match="needs both genuine and imposter claims"):
+        fscore_curve(ClaimSet(claims.genuine[:0], claims.imposter), [0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateInputWarning)
+        assert fscore_curve(claims, [0.9]).ys.tolist() == [0.0]
 
 
 def test_claim_set_needs_both_classes():
