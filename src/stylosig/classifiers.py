@@ -6,6 +6,10 @@ are ``bias + counts @ weights``, one sparse product, and each row is
 normalized with a max-shifted softmax.  Priors are uniform.  Only the
 rule for rows that fall back on the uniform posterior depends on the
 estimator.  Model files round-trip bit-exactly.
+
+Count matrices are CSR: a ``features.CsrMatrix`` or a scipy CSR.  The
+product is scipy's kernel, the one use of ``scipy.sparse``, which is
+imported on first use, so training alone loads no scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DataError, DegenerateInputWarning
 from .features import FeatureModel, Vocabulary
@@ -74,6 +77,19 @@ class NbModel:
         return self.log_priors - np.ascontiguousarray(self.table).sum(axis=1), log_rates
 
 
+def _check_csr(counts) -> None:
+    """Refuse a count matrix in any layout but CSR, whose three arrays would be misread as CSR's."""
+    if getattr(counts, "format", None) != "csr":
+        raise TypeError(f"counts must be a CSR matrix, not {type(counts).__name__}")
+
+
+def load_sparse():
+    """``scipy.sparse``, imported on the first call: only ``posterior`` runs its kernel, so a process that never scores never loads it."""
+    from scipy import sparse
+
+    return sparse
+
+
 def _pool(counts, subjects, alpha: float, n_subjects: int):
     """Pool training rows per subject: each (subject, column) cell adds its entries in row order, then stored order.
 
@@ -92,7 +108,7 @@ def _pool(counts, subjects, alpha: float, n_subjects: int):
     missing = [str(s) for s in np.flatnonzero(docs_per_subject == 0)]
     if missing:
         raise DataError("subjects without training vectors: " + ", ".join(missing))
-    counts = sparse.csr_array(counts)
+    _check_csr(counts)
     n_rows, m = counts.shape
     if n_rows != len(subjects):
         raise ValueError(f"{n_rows} training rows for {len(subjects)} subject ids")
@@ -106,7 +122,7 @@ def _pool(counts, subjects, alpha: float, n_subjects: int):
 def mnb_train(counts, subjects, alpha: float, subject_labels: Sequence[str]) -> NbModel:
     """Fit multinomial feature probabilities with additive smoothing.
 
-    ``counts`` is a sparse (documents, m) matrix over the m profile features
+    ``counts`` is a CSR (documents, m) matrix over the m profile features
     and ``subjects`` the subject id of each row.  alpha=0 is replaced by a
     1e-10 floor so that log probabilities stay finite; negative alpha is
     rejected.
@@ -136,13 +152,14 @@ def pnb_train(counts, subjects, alpha: float, subject_labels: Sequence[str]) -> 
 
 
 def posterior(model: NbModel, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Posteriors over subjects, one row per row of a sparse (documents, m) count matrix, and the fallback mask.
+    """Posteriors over subjects, one row per row of a CSR (documents, m) count matrix, and the fallback mask.
 
     Rows that no subject explains (empty under MNB, of zero likelihood for every
     subject under PNB) fall back on the uniform posterior and are set in the
     mask; the caller reports them through ``warn_fallback``.
     """
-    counts = sparse.csr_array(counts, dtype=np.float64)
+    _check_csr(counts)
+    counts = load_sparse().csr_array((counts.data, counts.indices, counts.indptr), shape=counts.shape, dtype=np.float64)
     bias, weights = model.linear
     # normalized in place: the scores become the posteriors
     posteriors = counts @ weights

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Document
 from .errors import DataError
@@ -100,6 +99,54 @@ class Vocabulary:
         return len(self.features)
 
 
+@dataclass(frozen=True, eq=False)
+class CsrMatrix:
+    """A compressed sparse row matrix of counts, as scipy lays one out.
+
+    Row i stores ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, in stored order: the order in
+    which a sparse product sums the row.  The arrays are kept as given, so
+    the index arrays keep the width their maker chose.  Only
+    ``classifiers.posterior`` hands them to scipy, for its product kernel.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    format: ClassVar[str] = "csr"  # scipy's name for the layout; classifiers refuses every other
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def take_rows(self, rows) -> CsrMatrix:
+        """``rows``, in their order and with repeats, each keeping its stored entries.
+
+        Each run of consecutive rows is one slice of the arrays, and the
+        slices are concatenated: no per-entry index is built.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and not 0 <= rows.min() <= rows.max() < self.shape[0]:
+            raise IndexError(f"row take outside 0..{self.shape[0] - 1}")
+        # the first and the last row of each run: rows are at least 0, so -2 never continues a run
+        starts = self.indptr[rows[np.diff(rows, prepend=-2) != 1]].tolist()
+        stops = self.indptr[rows[np.diff(rows, append=-2) != 1] + 1].tolist()
+        lengths = np.diff(self.indptr)[rows]
+        indptr = np.zeros(rows.size + 1, dtype=self.indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        data = np.concatenate([self.data[:0], *(self.data[a:b] for a, b in zip(starts, stops))])
+        indices = np.concatenate([self.indices[:0], *(self.indices[a:b] for a, b in zip(starts, stops))])
+        return CsrMatrix(data, indices, indptr, (rows.size, self.shape[1]))
+
+    def column_sums(self) -> np.ndarray:
+        """Each column's total, int64; integer counts add to the same total in any order."""
+        totals = np.zeros(self.shape[1], dtype=np.int64)
+        np.add.at(totals, self.indices, self.data)
+        return totals
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Feature counts of a document list: row i is document i, column j counts the gram ``grams[j]``.
@@ -112,7 +159,7 @@ class FeatureMatrix:
     model: FeatureModel
     labels: np.ndarray | None  # the label strings (object), ascending
     grams: np.ndarray | None  # (features, highest order with a gram) label ids of each column, padded with -1
-    counts: sparse.csr_array  # (documents, features): int64 data, index arrays int32 where the keys fit, else int64
+    counts: CsrMatrix  # (documents, features): int64 data, index arrays int32 where the keys fit, else int64
     mass: np.ndarray  # per document: every extracted count, features outside the columns included
     tokens: int  # extracted positions: tokens, or tree nodes for sn-grams
 
@@ -124,7 +171,7 @@ class FeatureMatrix:
 def _join(labels: np.ndarray, grams: np.ndarray) -> np.ndarray:
     """Each row of label ids as a feature string (object array), one join per gram order."""
     strings, width = np.empty(len(grams), dtype=object), (grams >= 0).sum(axis=1)
-    for k in np.unique(width):
+    for k in np.flatnonzero(np.bincount(width)):  # not np.unique, which imports numpy.ma
         at = width == k
         strings[at] = list(map(SEP.join, zip(*labels[grams[at, :k]].T)))
     return strings
@@ -347,7 +394,7 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
     kept = cols < n_columns
     indptr = np.zeros(len(docs) + 1, dtype=width)
     np.cumsum(np.bincount(rows[kept], minlength=len(docs)), out=indptr[1:])
-    counts = sparse.csr_array((hits[kept], cols[kept], indptr), shape=(len(docs), n_columns))
+    counts = CsrMatrix(hits[kept], cols[kept], indptr, (len(docs), n_columns))
     return FeatureMatrix(model, names, grams, counts, mass, int(lengths.sum()))
 
 
@@ -370,8 +417,8 @@ def build_vocabulary(matrix: FeatureMatrix, totals: np.ndarray, m: int) -> np.nd
     return seen[np.argsort(key, kind="stable")][:m]
 
 
-def take_columns(counts: sparse.csr_array, columns: np.ndarray) -> sparse.csr_array:
-    """``counts[:, columns]`` for distinct ``columns``, each row's entries kept in stored order.
+def take_columns(counts: CsrMatrix, columns: np.ndarray) -> CsrMatrix:
+    """scipy's ``counts[:, columns]`` for distinct ``columns``, each row's entries kept in stored order.
 
     Every stored column maps through one position array, -1 off ``columns``,
     and the kept entries are taken by index, with no boolean mask.  Stored
@@ -383,7 +430,7 @@ def take_columns(counts: sparse.csr_array, columns: np.ndarray) -> sparse.csr_ar
     mapped = position[counts.indices]
     kept = np.flatnonzero(mapped >= 0)
     indptr = np.searchsorted(kept, counts.indptr).astype(counts.indptr.dtype)
-    return sparse.csr_array((counts.data[kept], mapped[kept], indptr), shape=(counts.shape[0], len(columns)))
+    return CsrMatrix(counts.data[kept], mapped[kept], indptr, (counts.shape[0], len(columns)))
 
 
 def write_feature_tsv(pairs, path: str | Path) -> None:

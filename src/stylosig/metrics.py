@@ -77,6 +77,13 @@ def expand_claims(matrix: ScoreMatrix, truth: Sequence[int]) -> ClaimSet:
 # ---------------------------------------------------------------------------
 # accuracy with confidence intervals
 
+def load_special():
+    """``scipy.special``, imported on the first call: only an eval's intervals and t-tests run its kernels, so no other command loads it."""
+    from scipy import special
+
+    return special
+
+
 @dataclass(frozen=True)
 class AccuracyReport:
     accuracy: float
@@ -95,9 +102,7 @@ def accuracy(correct=None, *, folds=None, confidence: float) -> AccuracyReport:
     over the fold mean.  Bounds are reported raw, without clamping to
     [0, 1].
     """
-    # the kernels of stats.norm.ppf and t.ppf, imported here so that only eval loads scipy.special
-    from scipy import special
-
+    special = load_special()  # the kernels of stats.norm.ppf and t.ppf
     if (correct is None) == (folds is None):
         raise ValueError("pass exactly one of correct= or folds=")
     if not 0.0 < confidence < 1.0:
@@ -260,8 +265,7 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
         if mean == 0.0:
             return TTestResult(0.0, 1.0, df, True)
         return TTestResult(math.copysign(math.inf, mean), 0.0, df, True)
-    from scipy import special  # the kernel of stats.t.sf, imported here so that only eval loads it
-
+    special = load_special()  # the kernel of stats.t.sf
     t = mean / (sd / math.sqrt(n))
     p = 2.0 * float(special.stdtr(df, -abs(t)))
     return TTestResult(t, p, df, False)

@@ -400,6 +400,11 @@ def parse_capture_reference(path):
     return np.array(rows, dtype=np.int64)
 
 
+def as_scipy(counts):
+    """A count matrix's arrays as a scipy ``csr_array``, for tests that use scipy's API on ``FeatureMatrix.counts``."""
+    return sparse.csr_array((counts.data, counts.indices, counts.indptr), shape=counts.shape)
+
+
 def pool_reference(counts, subjects, n_subjects):
     """Pooled training counts as a (subjects, documents) indicator matrix times the (documents, m) counts."""
     n = len(subjects)

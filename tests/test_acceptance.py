@@ -29,6 +29,7 @@ from stylosig.signature import ScoreMatrix, load_svc, score_matrix_from_template
 
 from .conftest import write_svc_dir, write_text_corpus
 from .oracles import (
+    as_scipy,
     cmc_reference,
     confusion_reference,
     far_frr_reference,
@@ -366,7 +367,7 @@ def test_criterion_10_ccat50_accuracy_if_available():
     train = np.arange(len(train_corpus.documents))
     subjects = [doc.subject for doc in train_corpus.documents]
     model, columns = fit_stylome(config, features, train, subjects, train_corpus.subject_labels)
-    rows, _ = possibility_rows(model, features.counts[len(train) :][:, columns])
+    rows, _ = possibility_rows(model, as_scipy(features.counts)[len(train) :][:, columns])
     truth = np.array([doc.subject for doc in test_corpus.documents])
     accuracy = float((rows.argmax(axis=1) == truth).mean())
     assert accuracy >= 10 * (1.0 / len(train_corpus.subjects))

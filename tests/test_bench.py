@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from stylosig.bench import run_scaling, synthetic_corpus, time_attribution
@@ -50,3 +56,22 @@ def test_run_scaling_validates():
         run_scaling([4, 2], ExperimentConfig(), repeats=2)
     with pytest.raises(ValueError):
         run_scaling([2, 4], ExperimentConfig(), repeats=0)
+
+
+def test_no_timed_pass_of_a_fresh_run_imports_a_module():
+    # scoring imports scipy's product kernel on first use; a timed pass that did so would time the import
+    code = (
+        "import json, sys; from stylosig import bench; from stylosig.config import ExperimentConfig\n"
+        "timed, new = bench.time_attribution, []\n"
+        "def watched(*args):\n"
+        "    before = set(sys.modules)\n"
+        "    seconds = timed(*args)\n"
+        "    new.append(sorted(set(sys.modules) - before))\n"
+        "    return seconds\n"
+        "bench.time_attribution = watched\n"
+        "bench.run_scaling([2, 4], ExperimentConfig(profile_size=50), repeats=2, n_subjects=2, doc_tokens=50)\n"
+        "print(json.dumps(new))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == [[]] * 4

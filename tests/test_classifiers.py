@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from stylosig.classifiers import (
+    KINDS,
     NbModel,
     _pool,
     load_model,
@@ -22,11 +23,11 @@ from stylosig.classifiers import (
     warn_fallback,
 )
 from stylosig.errors import DataError, DegenerateInputWarning
-from stylosig.features import FeatureModel, Vocabulary
+from stylosig.features import CsrMatrix, FeatureModel, Vocabulary
 from stylosig.fusion import decide
 
 from .conftest import write_text_corpus
-from .oracles import mnb_posterior_reference, pnb_posterior_reference, pool_reference
+from .oracles import as_scipy, mnb_posterior_reference, pnb_posterior_reference, pool_reference
 
 
 def make_vocab(n_features=4):
@@ -135,6 +136,45 @@ def test_pool_rejects_rows_that_do_not_fit_subjects():
     counts, subjects = docs(([1, 0], 0), ([0, 2], 1))
     with pytest.raises(ValueError):
         mnb_train(counts, subjects + [1], 0.1, ("a", "b"))
+
+
+@pytest.mark.parametrize("layout", ["csc_array", "coo_array", "csc_matrix", "coo_matrix"])
+def test_a_count_matrix_in_another_layout_is_refused(layout):
+    # a CSC matrix has data, indices and indptr too, which read as CSR would be its transpose
+    counts, subjects = docs(([2, 1], 0), ([0, 4], 1))
+    other = getattr(sparse, layout)(counts)
+    for train in (mnb_train, pnb_train):
+        with pytest.raises(TypeError, match="must be a CSR matrix"):
+            train(other, subjects, 1.0, ("a", "b"))
+    model = mnb_train(counts, subjects, 1.0, ("a", "b"))
+    with pytest.raises(TypeError, match="must be a CSR matrix"):
+        posterior(model, other)
+
+
+@st.composite
+def scored_counts(draw):
+    """A CSR count matrix whose rows store columns in any order, repeated or none, with int32 or int64 indices, and a model over its columns."""
+    kind, n_subjects, m = draw(st.sampled_from(KINDS)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, 2**20)), max_size=8), max_size=5))
+    width = draw(st.sampled_from([np.int32, np.int64]))
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(width)
+    indices = np.array([c for row in rows for c, _ in row], dtype=width)
+    data = np.array([v for row in rows for _, v in row], dtype=np.int64)
+    # training counts of varied size, so that the weights differ in magnitude and the order of a row's sum matters
+    train = draw(st.lists(st.integers(0, 10**6), min_size=n_subjects * m, max_size=n_subjects * m))
+    alpha = draw(st.sampled_from([0.0, 0.01, 1.0]))
+    fit = {"mnb": mnb_train, "pnb": pnb_train}[kind]
+    model = fit(sparse.csr_array(np.array(train).reshape(n_subjects, m)), np.arange(n_subjects), alpha, tuple(map(str, range(n_subjects))))
+    return model, CsrMatrix(data, indices, indptr, (len(rows), m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_counts())
+def test_posterior_of_the_count_matrix_equals_scipy_csr_bit_for_bit(case):
+    model, counts = case
+    ours, theirs = posterior(model, counts), posterior(model, as_scipy(counts))
+    for got, want in zip(ours, theirs):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_alpha_zero_uses_floor():

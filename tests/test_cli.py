@@ -722,18 +722,68 @@ def test_any_input_file_content_runs_or_fails_cleanly(file_inputs, target, prefi
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_bench():
-    # scipy.stats alone cost most of a fresh CLI import, and scipy.special over a tenth of a
-    # second more; bench is for its command only
+    # scipy.stats alone cost most of a fresh CLI import, scipy.special over a tenth of a
+    # second more, and scipy.sparse about 0.19 s; bench is for its command only
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import json, sys, stylosig.cli; "
-        "print(json.dumps([stylosig.cli.__file__] + [m in sys.modules for m in ('scipy.stats', 'scipy.special', 'stylosig.bench')]))"
-    )
+    modules = ("scipy.stats", "scipy.special", "scipy.sparse", "stylosig.bench")
+    code = f"import json, sys, stylosig.cli; print(json.dumps([stylosig.cli.__file__] + [m in sys.modules for m in {modules!r}]))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    module, stats_loaded, special_loaded, bench_loaded = json.loads(result.stdout)
+    module, *loaded = json.loads(result.stdout)
     assert Path(module).parent == src / "stylosig"
-    assert not stats_loaded and not special_loaded and not bench_loaded
+    assert loaded == [False] * len(modules)
+
+
+def _fresh_process(code: str):
+    """The JSON that ``code`` prints last, run in a fresh interpreter on this checkout's ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+# the scipy modules a process has loaded
+SCIPY_MODULES = "{m for m in sys.modules if m.split('.')[0] == 'scipy'}"
+
+
+def test_train_sigscore_and_chimeric_load_no_scipy(tmp_path):
+    # only scoring multiplies through scipy.sparse, and only eval's statistics call scipy.special
+    corpus_dir = disjoint_corpus(tmp_path)
+    sig_dir = write_svc_dir(tmp_path / "sigs", n_writers=3, n_samples=4)
+    sizes = ["-O", "train_docs=2", "-O", "test_docs=2"]
+    calls = [
+        ["train", "-O", f"corpus_dir={corpus_dir}", "--output-dir", str(tmp_path / "model")],
+        ["sigscore", "-O", f"signature_dir={sig_dir}", *sizes, "--output-dir", str(tmp_path / "sig")],
+        ["chimeric", "-O", f"corpus_dir={corpus_dir}", "-O", f"signature_dir={sig_dir}", *sizes, "--output-dir", str(tmp_path / "plan")],
+    ]
+    code = f"import json, sys; from stylosig.cli import main; codes = [main(argv) for argv in {calls!r}]; print(json.dumps([codes, sorted({SCIPY_MODULES})]))"
+    assert _fresh_process(code) == [[0, 0, 0], []]
+
+
+@pytest.mark.parametrize("protocol", ["rolling", "chimeric"])
+def test_no_stage_of_a_fresh_eval_imports_scipy(tmp_path, protocol):
+    # the kernels load before the eval's clock starts, so run.json's stage seconds time the program's own work
+    corpus_dir = disjoint_corpus(tmp_path)
+    argv = ["eval", "-O", f"corpus_dir={corpus_dir}", "-O", "train_window=3", "-O", "test_window=1"]
+    if protocol == "chimeric":
+        sig_dir = write_svc_dir(tmp_path / "sigs", n_writers=3, n_samples=4)
+        argv += ["-O", "protocol=chimeric", "-O", f"signature_dir={sig_dir}", "-O", "train_docs=2", "-O", "test_docs=2"]
+    argv += ["--output-dir", str(tmp_path / "out")]
+    code = (
+        "import contextlib, json, sys; from stylosig import experiment; from stylosig.cli import main\n"
+        "timed, new = experiment._timed, {}\n"
+        "@contextlib.contextmanager\n"
+        "def watched(seconds, stage):\n"
+        f"    before = {SCIPY_MODULES}\n"
+        "    with timed(seconds, stage):\n"
+        "        yield\n"
+        f"    new[stage] = sorted({SCIPY_MODULES} - before)\n"
+        "experiment._timed = watched\n"
+        f"print(json.dumps([main({argv!r}), new]))"
+    )
+    rc, new = _fresh_process(code)
+    stages = ["load", "extract", "folds", "write"] + (["signature"] if protocol == "chimeric" else [])
+    assert rc == 0 and sorted(new) == sorted(stages)
+    assert new == {stage: [] for stage in stages}
 
 
 def test_train_and_attribute_never_load_scipy_special(tmp_path):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from stylosig.conllu import DepSentence, DepToken, parse_conllu
 from stylosig.corpus import Document
@@ -18,6 +17,7 @@ from stylosig.features import (
     FAMILIES,
     SEP,
     SNGRAM_ELEMENTS,
+    CsrMatrix,
     FeatureModel,
     Vocabulary,
     build_vocabulary,
@@ -28,12 +28,12 @@ from stylosig.features import (
 )
 
 from .conftest import make_sentence
-from .oracles import extract_counts, positions_reference, sngrams_recursive, tokenize_reference
+from .oracles import as_scipy, extract_counts, positions_reference, sngrams_recursive, tokenize_reference
 
 
 def row_counts(matrix, i, index=None):
     """Row i of a feature matrix as a Counter over feature strings; ``index`` names the columns of a projected one."""
-    row = matrix.counts[[i]].toarray()[0]
+    row = as_scipy(matrix.counts)[[i]].toarray()[0]
     (columns,) = np.nonzero(row)
     features = matrix.decode(columns) if index is None else np.array(list(index), dtype=object)[columns]
     return Counter(dict(zip(features, row[columns].tolist())))
@@ -297,7 +297,7 @@ def check_against_oracle(model, docs, n_indexed, index_draw):
     indexed = set().union(*refs[:n_indexed])
     matrix = extract_matrix(model, docs, n_indexed)
     assert matrix.decode(np.arange(len(indexed))) == tuple(sorted(indexed))  # string order: the vocabulary's tie order
-    assert matrix.counts.dtype == np.int64 and matrix.counts.shape == (len(docs), len(indexed))
+    assert matrix.counts.data.dtype == np.int64 and matrix.counts.shape == (len(docs), len(indexed))
     for i, ref in enumerate(refs):
         assert row_counts(matrix, i) == Counter({f: c for f, c in ref.items() if f in indexed})
         assert matrix.mass[i] == sum(ref.values())
@@ -307,7 +307,7 @@ def check_against_oracle(model, docs, n_indexed, index_draw):
     projected = extract_matrix(model, docs, index=index)
     assert projected.labels is None and projected.grams is None and projected.counts.shape == (len(docs), len(index))
     # scoring sums each row in stored order, so both keep columns ascending whatever the numbering
-    assert matrix.counts.has_sorted_indices and projected.counts.has_sorted_indices
+    assert as_scipy(matrix.counts).has_sorted_indices and as_scipy(projected.counts).has_sorted_indices
     for i, ref in enumerate(refs):
         assert row_counts(projected, i, index) == Counter({f: c for f, c in ref.items() if f in index})
         assert projected.mass[i] == sum(ref.values())
@@ -359,7 +359,7 @@ def ranked(dicts, m):
     """Features of the profile ranked on documents holding exactly the given unigram counts."""
     docs = [Document(f"d{i}", 0, text_of(d)) for i, d in enumerate(dicts)]
     matrix = extract_matrix(UNIGRAMS, docs)
-    return matrix.decode(build_vocabulary(matrix, matrix.counts.sum(axis=0), m))
+    return matrix.decode(build_vocabulary(matrix, matrix.counts.column_sums(), m))
 
 
 def test_extract_matrix_rows_match_per_document_counts():
@@ -375,7 +375,7 @@ def test_extract_matrix_projects_unindexed_documents():
     docs = [Document("d0", 0, "a b"), Document("d1", 1, "a c c")]
     matrix = extract_matrix(UNIGRAMS, docs, n_indexed=1)
     assert matrix.decode([0, 1]) == ("a", "b")
-    assert matrix.counts.toarray().tolist() == [[1, 1], [1, 0]]
+    assert as_scipy(matrix.counts).toarray().tolist() == [[1, 1], [1, 0]]
     assert list(matrix.mass) == [2, 3]  # the dropped "c c" still counts
 
 
@@ -391,7 +391,7 @@ def test_columns_follow_string_order_past_two_byte_label_ids(ks):
 
 
 def assert_same_matrix(a, b):
-    assert a.counts.shape == b.counts.shape and a.counts.dtype == b.counts.dtype == np.int64
+    assert a.counts.shape == b.counts.shape and a.counts.data.dtype == b.counts.data.dtype == np.int64
     for name in ("data", "indices", "indptr"):
         assert getattr(a.counts, name).tolist() == getattr(b.counts, name).tolist()
     assert a.mass.tolist() == b.mass.tolist() and a.tokens == b.tokens
@@ -431,7 +431,7 @@ def test_an_order_no_chain_reaches_adds_no_label_id_column(monkeypatch):
             made.append((extract_matrix(FeatureModel(family, ks), docs), len(calls)))
         (short, short_calls), (wide, wide_calls) = made
         assert wide.grams.shape[1] == 2 and wide_calls == short_calls
-        assert (wide.counts != short.counts).nnz == 0 and wide.mass.tolist() == short.mass.tolist()
+        assert (as_scipy(wide.counts) != as_scipy(short.counts)).nnz == 0 and wide.mass.tolist() == short.mass.tolist()
         columns = np.arange(short.counts.shape[1])
         assert wide.decode(columns) == short.decode(columns)
 
@@ -465,7 +465,7 @@ def test_vocabulary_smaller_than_m_is_fine():
 
 def test_vocabulary_skips_features_absent_from_training():
     matrix = extract_matrix(UNIGRAMS, [Document("d0", 0, "a"), Document("d1", 0, "b b")])
-    assert list(build_vocabulary(matrix, matrix.counts[[0]].sum(axis=0), 5)) == [0]  # "a"
+    assert list(build_vocabulary(matrix, matrix.counts.take_rows([0]).column_sums(), 5)) == [0]  # "a"
 
 
 def test_vocabulary_rejects_bad_size():
@@ -491,8 +491,8 @@ def test_extract_matrix_over_vocabulary_drops_out_of_vocabulary():
     vocab = Vocabulary(UNIGRAMS, 2, ranked([{"a": 2, "b": 1}], 2))
     counts = extract_matrix(UNIGRAMS, [Document("q", 0, text_of({"a": 4, "z": 9}))], index=vocab.index).counts
     assert counts.shape == (1, 2) and counts.nnz == 1
-    assert counts[0, vocab.index["a"]] == 4
-    assert counts.sum() == 4
+    assert as_scipy(counts)[0, vocab.index["a"]] == 4
+    assert as_scipy(counts).sum() == 4
     assert vocab.index == {"a": 0, "b": 1}  # a given index is not extended
 
 
@@ -506,7 +506,7 @@ def test_vocabulary_size_bounded_and_sorted(texts, m):
     model = FeatureModel("ngram", (1, 2))
     docs = [Document(f"d{i}", 0, " ".join(words)) for i, words in enumerate(texts)]
     matrix = extract_matrix(model, docs)
-    features = list(matrix.decode(build_vocabulary(matrix, matrix.counts.sum(axis=0), m)))
+    features = list(matrix.decode(build_vocabulary(matrix, matrix.counts.column_sums(), m)))
     assert len(features) <= m
     total = Counter()
     for doc in docs:
@@ -515,36 +515,54 @@ def test_vocabulary_size_bounded_and_sorted(texts, m):
     assert features == [f for f, _ in ranked_ref[:m]]
 
 
-# -- column take ------------------------------------------------------------
+# -- the count matrix against scipy ------------------------------------------
+
+def assert_same_csr(got, want, index_dtype):
+    """``got``, a ``CsrMatrix``, holds scipy's ``want`` array for array, with index arrays of ``index_dtype``."""
+    assert isinstance(got, CsrMatrix)
+    assert got.shape == want.shape and got.nnz == want.nnz and got.data.dtype == want.data.dtype
+    assert got.indices.dtype == got.indptr.dtype == index_dtype
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
 
 def assert_takes_as_scipy(matrix, columns):
-    got, want = take_columns(matrix, columns), matrix[:, np.asarray(columns, dtype=np.int64)]
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.indices.dtype == got.indptr.dtype == matrix.indices.dtype  # the input's index width
-    assert got.data.tolist() == want.data.tolist()
-    assert got.indices.tolist() == want.indices.tolist()
-    assert got.indptr.tolist() == want.indptr.tolist()
+    # the input's index width, which scipy's column take may narrow
+    assert_same_csr(take_columns(matrix, columns), as_scipy(matrix)[:, np.asarray(columns, dtype=np.int64)], matrix.indices.dtype)
 
 
 @st.composite
-def stored_matrices(draw):
-    """A CSR matrix whose rows store their distinct columns in any order, some rows empty, and distinct columns to take."""
+def stored_matrices(draw, data_dtypes=(np.int64, np.float64)):
+    """A CSR matrix whose rows store their distinct columns in any order, some rows empty."""
     n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(0, 8))
     column_lists = st.lists(st.integers(0, max(n_cols - 1, 0)), unique=True, max_size=n_cols)
     rows = [draw(column_lists) for _ in range(n_rows)]
     indices = [j for row in rows for j in row]
     values = draw(st.lists(st.integers(-3, 9), min_size=len(indices), max_size=len(indices)))
-    data = np.array(values, dtype=draw(st.sampled_from([np.int64, np.float64])))
+    data = np.array(values, dtype=draw(st.sampled_from(data_dtypes)))
     width = draw(st.sampled_from([np.int32, np.int64]))  # scipy keeps int64 indices when indptr is int64
     indptr = np.cumsum([0] + [len(row) for row in rows]).astype(width)
-    matrix = sparse.csr_array((data, np.array(indices, dtype=width), indptr), shape=(n_rows, n_cols))
-    return matrix, draw(column_lists)
+    return CsrMatrix(data, np.array(indices, dtype=width), indptr, (n_rows, n_cols))
 
 
-@given(stored_matrices())
+@st.composite
+def column_takes(draw):
+    """A stored matrix and distinct columns to take."""
+    matrix = draw(stored_matrices())
+    return matrix, draw(st.lists(st.integers(0, max(matrix.shape[1] - 1, 0)), unique=True, max_size=matrix.shape[1]))
+
+
+@given(column_takes())
 @settings(max_examples=400, deadline=None)
 def test_take_columns_equals_scipy_take(case):
     assert_takes_as_scipy(*case)
+
+
+def csr_of(rows, n_cols=4):
+    """The CSR of rows given as their stored column lists, valued 1, 2, ... in stored order."""
+    indices = [j for row in rows for j in row]
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.int32)
+    return CsrMatrix(np.arange(1, len(indices) + 1), np.array(indices, dtype=np.int32), indptr, (len(rows), n_cols))
 
 
 @pytest.mark.parametrize(
@@ -557,10 +575,47 @@ def test_take_columns_equals_scipy_take(case):
     ],
 )
 def test_take_columns_edge_cases(rows, columns):
-    indices = [j for row in rows for j in row]
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    matrix = sparse.csr_array((np.arange(1, len(indices) + 1), np.array(indices, dtype=np.int32), indptr), shape=(len(rows), 4))
-    assert_takes_as_scipy(matrix, columns)
+    assert_takes_as_scipy(csr_of(rows), columns)
+
+
+@st.composite
+def row_takes(draw):
+    """A stored matrix and rows to take: any order, repeats, empty rows and none at all, as int32 or int64."""
+    matrix = draw(stored_matrices())
+    rows = draw(st.lists(st.integers(0, matrix.shape[0] - 1), max_size=12)) if matrix.shape[0] else []
+    return matrix, np.array(rows, dtype=draw(st.sampled_from([np.int32, np.int64])))
+
+
+@given(row_takes())
+@settings(max_examples=400, deadline=None)
+def test_take_rows_equals_scipy_take(case):
+    matrix, rows = case
+    # the input's index width, which scipy narrows to int32 when it takes no row
+    assert_same_csr(matrix.take_rows(rows), as_scipy(matrix)[rows], matrix.indices.dtype)
+
+
+def test_take_rows_edge_cases():
+    matrix = csr_of([[0, 3, 1], [], [2], [1]])
+    for rows in ([], [1], [1, 1], [3, 2, 1, 0], [0, 1, 2, 3], [2, 3, 0, 1], [0, 0, 1, 2, 2]):
+        assert_same_csr(matrix.take_rows(rows), as_scipy(matrix)[np.array(rows, dtype=np.int64)], np.int32)
+    for rows in ([4], [-1], [0, 7]):
+        with pytest.raises(IndexError):
+            matrix.take_rows(rows)
+
+
+@given(stored_matrices(data_dtypes=(np.int64,)))
+@settings(max_examples=300, deadline=None)
+def test_column_sums_equal_scipy_sums(matrix):
+    got, want = matrix.column_sums(), as_scipy(matrix).sum(axis=0)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tolist() == want.tolist()
+
+
+def test_column_sums_are_exact_past_float_precision():
+    # 2**53 + 1 has no float64: a sum through float weights would round it
+    matrix = csr_of([[0, 1], [0]], n_cols=2)
+    big = CsrMatrix(np.array([2**53, 1, 1], dtype=np.int64), matrix.indices, matrix.indptr, matrix.shape)
+    assert big.column_sums().tolist() == [2**53 + 1, 1]
 
 
 # -- TSV round trip ---------------------------------------------------------
