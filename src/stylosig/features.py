@@ -133,11 +133,11 @@ class CsrMatrix:
         # the first and the last row of each run: rows are at least 0, so -2 never continues a run
         starts = self.indptr[rows[np.diff(rows, prepend=-2) != 1]].tolist()
         stops = self.indptr[rows[np.diff(rows, append=-2) != 1] + 1].tolist()
-        lengths = np.diff(self.indptr)[rows]
+        spans = [slice(a, b) for a, b in zip(starts, stops)]
         indptr = np.zeros(rows.size + 1, dtype=self.indptr.dtype)
-        np.cumsum(lengths, out=indptr[1:])
-        data = np.concatenate([self.data[:0], *(self.data[a:b] for a, b in zip(starts, stops))])
-        indices = np.concatenate([self.indices[:0], *(self.indices[a:b] for a, b in zip(starts, stops))])
+        np.cumsum(np.diff(self.indptr)[rows], out=indptr[1:])
+        data = np.concatenate([self.data[:0], *(self.data[span] for span in spans)])
+        indices = np.concatenate([self.indices[:0], *(self.indices[span] for span in spans)])
         return CsrMatrix(data, indices, indptr, (rows.size, self.shape[1]))
 
     def column_sums(self) -> np.ndarray:

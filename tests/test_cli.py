@@ -721,24 +721,24 @@ def test_any_input_file_content_runs_or_fails_cleanly(file_inputs, target, prefi
     assert "Traceback" not in err
 
 
-def test_cli_import_loads_neither_scipy_stats_nor_bench():
-    # scipy.stats alone cost most of a fresh CLI import, scipy.special over a tenth of a
-    # second more, and scipy.sparse about 0.19 s; bench is for its command only
-    src = Path(__file__).resolve().parents[1] / "src"
-    modules = ("scipy.stats", "scipy.special", "scipy.sparse", "stylosig.bench")
-    code = f"import json, sys, stylosig.cli; print(json.dumps([stylosig.cli.__file__] + [m in sys.modules for m in {modules!r}]))"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    module, *loaded = json.loads(result.stdout)
-    assert Path(module).parent == src / "stylosig"
-    assert loaded == [False] * len(modules)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _fresh_process(code: str):
     """The JSON that ``code`` prints last, run in a fresh interpreter on this checkout's ``src``."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_bench():
+    # scipy.stats alone cost most of a fresh CLI import, scipy.special over a tenth of a
+    # second more, and scipy.sparse about 0.19 s; bench is for its command only
+    modules = ("scipy.stats", "scipy.special", "scipy.sparse", "stylosig.bench")
+    code = f"import json, sys, stylosig.cli; print(json.dumps([stylosig.cli.__file__] + [m in sys.modules for m in {modules!r}]))"
+    module, *loaded = _fresh_process(code)
+    assert Path(module).parent == SRC / "stylosig"
+    assert loaded == [False] * len(modules)
 
 
 # the scipy modules a process has loaded
@@ -788,7 +788,6 @@ def test_no_stage_of_a_fresh_eval_imports_scipy(tmp_path, protocol):
 
 def test_train_and_attribute_never_load_scipy_special(tmp_path):
     # only eval's accuracy intervals and t-tests call the scipy.special kernels
-    src = Path(__file__).resolve().parents[1] / "src"
     corpus_dir = disjoint_corpus(tmp_path)
     probe = tmp_path / "probe.txt"
     probe.write_text("s1w0 s1w1 s1w2", encoding="utf-8")
@@ -800,7 +799,5 @@ def test_train_and_attribute_never_load_scipy_special(tmp_path):
         f"codes = [main({train!r}), main({attribute!r})]; "
         "print(json.dumps([codes, 'scipy.special' in sys.modules]))"
     )
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    codes, special_loaded = json.loads(result.stdout.splitlines()[-1])
+    codes, special_loaded = _fresh_process(code)
     assert codes == [0, 0] and not special_loaded
