@@ -78,9 +78,14 @@ class NbModel:
 
 
 def _check_csr(counts) -> None:
-    """Refuse a count matrix in any layout but CSR, whose three arrays would be misread as CSR's."""
+    """Refuse a count matrix in any layout but CSR, whose three arrays would be misread as CSR's, or that stores a count not above 0.
+
+    A stored zero would meet a PNB zero rate's -inf weight as 0 * -inf, which is NaN.
+    """
     if getattr(counts, "format", None) != "csr":
         raise TypeError(f"counts must be a CSR matrix, not {type(counts).__name__}")
+    if not counts.data.min(initial=1) > 0:  # one pass; a NaN fails it too
+        raise ValueError("counts must store only positive counts")
 
 
 def load_sparse():

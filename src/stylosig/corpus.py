@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conllu import DepSentence, parse_conllu
+from .conllu import DepTree, parse_conllu
 from .errors import DataError
 
 
@@ -30,7 +30,7 @@ class Document:
     doc_id: str
     subject: int
     text: str
-    tree: tuple[DepSentence, ...] | None = None
+    tree: DepTree | None = None
 
     @property
     def size_bytes(self) -> int:
@@ -120,8 +120,8 @@ def read_text(path: str | Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def read_conllu(path: str | Path) -> tuple[DepSentence, ...]:
-    """The dependency sentences of the CoNLL-U file ``path``."""
+def read_conllu(path: str | Path) -> DepTree:
+    """The dependency tree of the CoNLL-U file ``path``."""
     return parse_conllu(read_text(path), source=str(path))
 
 

@@ -36,12 +36,13 @@ def build_feature_model(config: ExperimentConfig) -> FeatureModel:
 def fit_stylome(config: ExperimentConfig, features: FeatureMatrix, rows, subjects, subject_labels: Sequence[str]):
     """Rank the vocabulary on the training ``rows`` of ``subjects`` and train the configured classifier.
 
-    Returns the model and the vocabulary's columns in ``features``.
+    Returns the model, the vocabulary's columns in ``features`` and each column's training count.
     """
     train = features.counts.take_rows(rows)
-    columns = build_vocabulary(features, train.column_sums(), config.profile_size)
+    totals = train.column_sums()
+    columns = build_vocabulary(features, totals, config.profile_size)
     fit = getattr(classifiers, f"{config.classifier}_train")  # the estimator of a kind in classifiers.KINDS
-    return fit(take_columns(train, columns), subjects, config.alpha, tuple(subject_labels)), columns
+    return fit(take_columns(train, columns), subjects, config.alpha, tuple(subject_labels)), columns, totals[columns]
 
 
 def possibility_rows(model, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +102,7 @@ def score_folds(config: ExperimentConfig, docs, folds, subjects: np.ndarray, lab
     with _timed(stages, "folds"):
         for train, test in folds:
             started = time.perf_counter()
-            model, columns = fit_stylome(config, features, train, subjects[train], labels)
+            model, columns, _ = fit_stylome(config, features, train, subjects[train], labels)
             test_counts = take_columns(features.counts.take_rows(test), columns)
             rows, fallback = possibility_rows(model, test_counts)
             scores.append(rows)
@@ -408,9 +409,8 @@ def train_on_corpus(config: ExperimentConfig):
     corpus = load_text_corpus(config.corpus_dir)
     features = extract_matrix(build_feature_model(config), corpus.documents)
     subjects = [doc.subject for doc in corpus.documents]
-    model, columns = fit_stylome(config, features, np.arange(len(corpus)), subjects, corpus.subject_labels)
-    vocab = Vocabulary(features.model, config.profile_size, features.decode(columns))
-    return model, vocab, features.counts.column_sums()[columns]
+    model, columns, totals = fit_stylome(config, features, np.arange(len(corpus)), subjects, corpus.subject_labels)
+    return model, Vocabulary(features.model, config.profile_size, features.decode(columns)), totals
 
 
 def signature_matrix_from_dir(config: ExperimentConfig) -> ScoreMatrix:

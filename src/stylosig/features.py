@@ -13,7 +13,7 @@ import csv
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from itertools import chain
 from pathlib import Path
 from typing import ClassVar, Sequence
 
@@ -38,13 +38,9 @@ _INT32_KEYS = np.iinfo(np.int32).max
 NGRAM_FAMILY = "ngram"
 SNGRAM_FAMILY = "sngram"
 FAMILIES = (NGRAM_FAMILY, SNGRAM_FAMILY)
-_NODE_LABELS = {
-    "word": lambda token: token.form.lower(),
-    "lemma": lambda token: token.lemma.lower(),
-    "upos": attrgetter("upos"),
-    "deprel": attrgetter("deprel"),
-}
-SNGRAM_ELEMENTS = tuple(_NODE_LABELS)
+# each sn-gram element's column of a ``conllu.DepTree``, and whether its labels are lowercased
+_NODE_COLUMNS = {"word": ("form", True), "lemma": ("lemma", True), "upos": ("upos", False), "deprel": ("deprel", False)}
+SNGRAM_ELEMENTS = tuple(_NODE_COLUMNS)
 
 
 def _token_bytes(text: str) -> bytes:
@@ -190,16 +186,18 @@ def _positions(model: FeatureModel, docs: Sequence[Document]):
         pred = np.arange(-1, label.size - 1)
         pred[(np.cumsum(lengths) - lengths)[lengths > 0]] = -1
         return names, label, pred, lengths
-    blobs, heads, node_label = [], [], _NODE_LABELS[model.element]
     for doc in docs:
         if doc.tree is None:
             raise DataError(f"document {doc.doc_id} has no dependency tree")
-        for sentence in doc.tree:
-            start = len(heads)
-            heads.extend(start + t.head if t.head >= 0 else -1 for t in sentence.tokens)
-        blobs.append(SEP.join([node_label(t) for sentence in doc.tree for t in sentence.tokens] + [""]).encode())
-    names, label, lengths = _packed_labels(blobs, ended=True)
-    return names, label, np.array(heads, dtype=np.int64), lengths
+    column, lowered = _NODE_COLUMNS[model.element]
+    sizes = np.array([len(doc.tree.head) for doc in docs], dtype=np.int64)
+    heads = np.fromiter(chain.from_iterable(doc.tree.head for doc in docs), dtype=np.int64, count=sizes.sum())
+    # each document's heads count from its first node: offset them by the nodes before it
+    heads = np.where(heads >= 0, heads + np.repeat(np.cumsum(sizes) - sizes, sizes), -1)
+    blobs = [SEP.join((*getattr(doc.tree, column), "")) for doc in docs]  # each label followed by SEP
+    # SEP is neither cased nor case-ignorable, so a joined column lowercases as its labels one by one
+    names, label, lengths = _packed_labels([(blob.lower() if lowered else blob).encode() for blob in blobs], ended=True)
+    return names, label, heads, lengths
 
 
 def _packed_labels(blobs: list[bytes], ended: bool):

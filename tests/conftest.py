@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stylosig.conllu import DepSentence, DepToken
+from stylosig.conllu import DepTree
 
 
 def write_text_corpus(root, subjects: dict[str, list[str]], conllu: dict[str, list[str]] | None = None):
@@ -63,14 +63,27 @@ def write_svc_dir(root, n_writers: int, n_samples: int, start_writer: int = 1):
     return root
 
 
-def make_sentence(heads: list[int], forms: list[str] | None = None) -> DepSentence:
+def make_sentence(heads: list[int], forms: list[str] | None = None) -> DepTree:
     """Sentence from 0-based head indices (-1 marks the root)."""
     n = len(heads)
     forms = forms or [f"tok{i}" for i in range(n)]
-    tokens = tuple(
-        DepToken(forms[i], f"lemma{i}", f"POS{i % 4}", heads[i], f"rel{i % 3}") for i in range(n)
+    return DepTree(
+        tuple(forms),
+        tuple(f"lemma{i}" for i in range(n)),
+        tuple(f"POS{i % 4}" for i in range(n)),
+        tuple(f"rel{i % 3}" for i in range(n)),
+        tuple(heads),
     )
-    return DepSentence(tokens, heads.index(-1))
+
+
+def join_sentences(sentences) -> DepTree:
+    """One file's tree of ``sentences``: each sentence's heads offset by the nodes before it."""
+    heads, start = [], 0
+    for sentence in sentences:
+        heads += [head + start if head >= 0 else -1 for head in sentence.head]
+        start += len(sentence.head)
+    columns = [sum((getattr(s, name) for s in sentences), ()) for name in ("form", "lemma", "upos", "deprel")]
+    return DepTree(*columns, tuple(heads))
 
 
 @pytest.fixture

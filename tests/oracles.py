@@ -106,20 +106,25 @@ def extract_ngrams(tokens, k):
     return Counter(SEP.join(tokens[i : i + k]) for i in range(len(tokens) - k + 1))
 
 
-def _node_label(token, element):
-    if element == "word":
-        return token.form.lower()
-    if element == "lemma":
-        return token.lemma.lower()
-    if element == "upos":
-        return token.upos
-    if element == "deprel":
-        return token.deprel
-    raise ValueError(f"unknown sn-gram element {element!r}")
+def _node_labels(tree, element):
+    """Every node's label for ``element``, node by node."""
+    labels = []
+    for i in range(len(tree.head)):
+        if element == "word":
+            labels.append(tree.form[i].lower())
+        elif element == "lemma":
+            labels.append(tree.lemma[i].lower())
+        elif element == "upos":
+            labels.append(tree.upos[i])
+        elif element == "deprel":
+            labels.append(tree.deprel[i])
+        else:
+            raise ValueError(f"unknown sn-gram element {element!r}")
+    return labels
 
 
-def extract_sngrams(sentence, element, k):
-    """Count continuous syntactic k-grams of one sentence by a depth-first walk.
+def extract_sngrams(tree, element, k):
+    """Count continuous syntactic k-grams of a dependency tree by a depth-first walk from each sentence root.
 
     A syntactic k-gram is a head-to-dependent chain of exactly k nodes,
     written root-side first.  Each node closes exactly one chain (the one
@@ -130,49 +135,45 @@ def extract_sngrams(sentence, element, k):
         raise ValueError("sn-gram order must be >= 1")
     if element not in SNGRAM_ELEMENTS:
         raise ValueError(f"unknown sn-gram element {element!r}")
-    tokens = sentence.tokens
-    n = len(tokens)
+    n = len(tree.head)
     children = [[] for _ in range(n)]
-    root = -1
-    for i, tok in enumerate(tokens):
-        if tok.head == -1:
-            if root != -1:
-                raise ValueError("sentence has multiple roots")
-            root = i
+    roots = []
+    for i, head in enumerate(tree.head):
+        if head == -1:
+            roots.append(i)
         else:
-            children[tok.head].append(i)
-    if root == -1:
-        raise ValueError("sentence has no root")
+            children[head].append(i)
 
     counts = Counter()
-    labels = [_node_label(t, element) for t in tokens]
-    # iterative DFS keeping the ancestor chain; cycles would revisit a node
-    # and overflow the chain past n, so guard on its length
-    chain = []
-    stack = [(root, 0)]  # (node, next child index)
+    labels = _node_labels(tree, element)
     visited = 0
-    while stack:
-        node, ci = stack[-1]
-        if ci == 0:
-            chain.append(node)
-            visited += 1
-            if len(chain) > n:
-                raise ValueError("dependency structure is cyclic")
-            if len(chain) >= k:
-                counts[SEP.join(labels[j] for j in chain[-k:])] += 1
-        if ci < len(children[node]):
-            stack[-1] = (node, ci + 1)
-            stack.append((children[node][ci], 0))
-        else:
-            stack.pop()
-            chain.pop()
+    for root in roots:
+        # iterative DFS keeping the ancestor chain; cycles would revisit a node
+        # and overflow the chain past n, so guard on its length
+        chain = []
+        stack = [(root, 0)]  # (node, next child index)
+        while stack:
+            node, ci = stack[-1]
+            if ci == 0:
+                chain.append(node)
+                visited += 1
+                if len(chain) > n:
+                    raise ValueError("dependency structure is cyclic")
+                if len(chain) >= k:
+                    counts[SEP.join(labels[j] for j in chain[-k:])] += 1
+            if ci < len(children[node]):
+                stack[-1] = (node, ci + 1)
+                stack.append((children[node][ci], 0))
+            else:
+                stack.pop()
+                chain.pop()
     if visited != n:
-        raise ValueError("dependency structure is not a single tree")
+        raise ValueError("dependency structure is not a forest of trees")
     return counts
 
 
 def extract_counts(model, doc):
-    """One document's feature counts under a ``FeatureModel``, one order and one sentence at a time."""
+    """One document's feature counts under a ``FeatureModel``, one order at a time."""
     counts = Counter()
     if model.family == NGRAM_FAMILY:
         tokens = tokenize_reference(doc.text)
@@ -181,33 +182,23 @@ def extract_counts(model, doc):
     else:
         if doc.tree is None:
             raise DataError(f"document {doc.doc_id} has no dependency tree")
-        for sentence in doc.tree:
-            for k in model.orders:
-                counts.update(extract_sngrams(sentence, model.element, k))
+        for k in model.orders:
+            counts.update(extract_sngrams(doc.tree, model.element, k))
     return counts
 
 
-def sngrams_recursive(sentence, element, k):
+def sngrams_recursive(tree, element, k):
     """Enumerate head-to-dependent chains by walking up from every node."""
-
-    def label(tok):
-        if element == "word":
-            return tok.form.lower()
-        if element == "lemma":
-            return tok.lemma.lower()
-        if element == "upos":
-            return tok.upos
-        return tok.deprel
-
+    labels = _node_labels(tree, element)
     counts = Counter()
-    for i in range(len(sentence.tokens)):
+    for i in range(len(tree.head)):
         path = [i]
         node = i
-        while len(path) < k and sentence.tokens[node].head != -1:
-            node = sentence.tokens[node].head
+        while len(path) < k and tree.head[node] != -1:
+            node = tree.head[node]
             path.append(node)
         if len(path) == k:
-            counts[SEP.join(label(sentence.tokens[j]) for j in reversed(path))] += 1
+            counts[SEP.join(labels[j] for j in reversed(path))] += 1
     return counts
 
 

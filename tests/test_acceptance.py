@@ -366,7 +366,7 @@ def test_criterion_10_ccat50_accuracy_if_available():
     features = extract_matrix(build_feature_model(config), docs, len(train_corpus.documents))
     train = np.arange(len(train_corpus.documents))
     subjects = [doc.subject for doc in train_corpus.documents]
-    model, columns = fit_stylome(config, features, train, subjects, train_corpus.subject_labels)
+    model, columns, _ = fit_stylome(config, features, train, subjects, train_corpus.subject_labels)
     rows, _ = possibility_rows(model, as_scipy(features.counts)[len(train) :][:, columns])
     truth = np.array([doc.subject for doc in test_corpus.documents])
     accuracy = float((rows.argmax(axis=1) == truth).mean())

@@ -107,9 +107,9 @@ def training_rows(draw):
     subjects = draw(st.permutations(list(range(n_subjects)) + draw(st.lists(st.integers(0, n_subjects - 1), max_size=5))))
     m = draw(st.integers(0, 5))
     if draw(st.booleans()):
-        values, dtype = st.integers(-(2**40), 2**40), np.int64
-    else:
-        values, dtype = st.floats(-1e17, 1e17, allow_subnormal=False) | st.sampled_from([0.1, 0.2, 0.3, 1e16, -0.0]), np.float64
+        values, dtype = st.integers(1, 2**40), np.int64
+    else:  # stored counts are positive (``_check_csr``)
+        values, dtype = st.floats(0, 1e17, exclude_min=True, allow_subnormal=False) | st.sampled_from([0.1, 0.2, 0.3, 1e16]), np.float64
     entries = st.lists(st.tuples(st.integers(0, m - 1), values), max_size=6) if m else st.just([])
     rows = [draw(entries) for _ in subjects]
     indptr = np.cumsum([0] + [len(row) for row in rows])
@@ -149,6 +149,21 @@ def test_a_count_matrix_in_another_layout_is_refused(layout):
     model = mnb_train(counts, subjects, 1.0, ("a", "b"))
     with pytest.raises(TypeError, match="must be a CSR matrix"):
         posterior(model, other)
+
+
+@pytest.mark.parametrize("as_matrix", [lambda *arrays: CsrMatrix(*arrays, (1, 2)), lambda *arrays: sparse.csr_array(arrays, shape=(1, 2))])
+def test_a_stored_count_not_above_zero_is_refused(as_matrix):
+    # a zero rate weighs -inf, and a stored 0 would meet it as 0 * -inf: a NaN posterior, not a fallback
+    model = pnb_train(*pairs_from_rows([[2, 0], [0, 4]]), 0.0, ("a", "b"))
+    indices, indptr = np.array([0, 1], dtype=np.int32), np.array([0, 2], dtype=np.int32)
+    for stored in ([1, 0], [1, -1], [1, np.nan]):
+        counts = as_matrix(np.array(stored, dtype=np.float64), indices, indptr)
+        with pytest.raises(ValueError, match="^counts must store only positive counts$"):
+            posterior(model, counts)
+        for train in (mnb_train, pnb_train):
+            with pytest.raises(ValueError, match="^counts must store only positive counts$"):
+                train(counts, [0], 1.0, ("a",))
+    assert posterior(model, as_matrix(np.array([1.0]), indices[:1], np.array([0, 1], dtype=np.int32)))[0].tolist() == [[1.0, 0.0]]
 
 
 @st.composite

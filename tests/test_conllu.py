@@ -1,6 +1,6 @@
 import pytest
 
-from stylosig.conllu import parse_conllu
+from stylosig.conllu import DepTree, parse_conllu
 from stylosig.corpus import read_conllu
 from stylosig.errors import DataError
 
@@ -16,15 +16,12 @@ SAMPLE = """# sent_id = 1
 
 
 def test_parse_two_sentences():
-    sents = parse_conllu(SAMPLE)
-    assert len(sents) == 2
-    first = sents[0]
-    assert [t.form for t in first.tokens] == ["Dogs", "chase", "cats"]
-    assert [t.head for t in first.tokens] == [1, -1, 1]
-    assert first.root == 1
-    assert first.tokens[0].deprel == "nsubj"
-    assert first.tokens[0].upos == "NOUN"
-    assert first.tokens[0].lemma == "dog"
+    tree = parse_conllu(SAMPLE)
+    assert tree.form == ("Dogs", "chase", "cats", "Birds", "sing")
+    assert tree.head == (1, -1, 1, 4, -1)
+    assert tree.deprel == ("nsubj", "root", "obj", "nsubj", "root")
+    assert tree.upos == ("NOUN", "VERB", "NOUN", "NOUN", "VERB")
+    assert tree.lemma == ("dog", "chase", "cat", "bird", "sing")
 
 
 def test_skips_multiword_and_empty_nodes():
@@ -34,8 +31,36 @@ def test_skips_multiword_and_empty_nodes():
         "2\tnot\tnot\tPART\t_\t_\t0\troot\t_\t_\n"
         "2.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_\n"
     )
-    (sent,) = parse_conllu(text)
-    assert [t.form for t in sent.tokens] == ["can", "not"]
+    tree = parse_conllu(text)
+    assert tree.form == ("can", "not") and tree.head == (1, -1)
+
+
+def test_heads_count_from_the_first_node_of_the_file():
+    # CRLF line ends, comments, a multiword range and an empty node, none of which is a node
+    text = (
+        "# sent_id = 1\n"
+        "1\tA\ta\tX\t_\t_\t0\troot\t_\t_\n"
+        "\n"
+        "# sent_id = 2\n"
+        "# text = cannot go\n"
+        "1-2\tcannot\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "1\tcan\tcan\tAUX\t_\t_\t3\taux\t_\t_\n"
+        "2\tnot\tnot\tPART\t_\t_\t3\tadvmod\t_\t_\n"
+        "2.1\tghost\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "3\tgo\tgo\tVERB\t_\t_\t0\troot\t_\t_\n"
+        "\n"
+        "1\tB\tb\tX\t_\t_\t2\tdep\t_\t_\n"
+        "2\tC\tc\tX\t_\t_\t0\troot\t_\t_\n"
+        "3\tD\td\tX\t_\t_\t1\tdep\t_\t_\n"
+    ).replace("\n", "\r\n")
+    tree = parse_conllu(text)
+    assert tree.form == ("A", "can", "not", "go", "B", "C", "D")
+    assert tree.head == (-1, 3, 3, -1, 5, -1, 4)
+    assert tree.deprel == ("root", "aux", "advmod", "root", "dep", "root", "dep")
+
+
+def test_empty_text_is_a_tree_of_no_nodes():
+    assert parse_conllu("") == parse_conllu("# only a comment\n\n") == DepTree((), (), (), (), ())
 
 
 def test_wrong_column_count():
@@ -82,7 +107,7 @@ def test_read_missing_file(tmp_path):
 def test_read_file_roundtrip(tmp_path):
     path = tmp_path / "sample.conllu"
     path.write_text(SAMPLE, encoding="utf-8")
-    assert len(read_conllu(path)) == 2
+    assert read_conllu(path) == parse_conllu(SAMPLE)
 
 
 @pytest.mark.parametrize("column, at", [("FORM", 1), ("LEMMA", 2), ("UPOS", 3), ("DEPREL", 7)])
@@ -97,8 +122,8 @@ def test_label_with_control_character_is_data_error(column, at, value):
 
 
 def test_labels_just_above_the_separator_parse():
-    (sent,) = parse_conllu("1\ta b!\t\x7f\tX\t_\t_\t0\troot\t_\t_\n")
-    assert (sent.tokens[0].form, sent.tokens[0].lemma) == ("a b!", "\x7f")
+    tree = parse_conllu("1\ta b!\t\x7f\tX\t_\t_\t0\troot\t_\t_\n")
+    assert (tree.form, tree.lemma) == (("a b!",), ("\x7f",))
 
 
 def chain(n: int, towards_root: str) -> str:
@@ -112,9 +137,9 @@ def chain(n: int, towards_root: str) -> str:
 
 @pytest.mark.parametrize("towards_root", ["first", "last"])
 def test_long_chain_parses(towards_root):
-    (sent,) = parse_conllu(chain(4000, towards_root))
-    assert len(sent) == 4000
-    assert sent.root == (0 if towards_root == "first" else 3999)
+    tree = parse_conllu(chain(4000, towards_root))
+    assert len(tree.form) == 4000
+    assert tree.head.index(-1) == (0 if towards_root == "first" else 3999) and tree.head.count(-1) == 1
 
 
 def test_cycle_inside_a_long_sentence_rejected():

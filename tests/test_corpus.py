@@ -41,7 +41,7 @@ def test_load_reads_conllu_sidecar(tmp_path):
     root = write_text_corpus(tmp_path / "c", {"solo": ["Hello"]}, conllu={"solo": [conllu]})
     corpus = load_text_corpus(root)
     doc = corpus.documents[0]
-    assert doc.tree is not None and doc.tree[0].tokens[0].form == "Hello"
+    assert doc.tree is not None and doc.tree.form == ("Hello",)
 
 
 def test_load_rejects_missing_root(tmp_path):
@@ -158,7 +158,7 @@ def test_load_matches_pathlib_reference(tmp_path, edit, error):
     assert texts["a/crlf.txt"] == "one two\nthree\n" and texts["a/cr.txt"] == "one\ntwo\n"
     assert texts["a/crcrlf.txt"] == "one\n\ntwo\n\nthree\n"
     assert texts["a/bom.txt"] == "\ufeffstarts with a byte order mark\n"
-    trees = {doc.doc_id: doc.tree and tuple(sentence.tokens[0].form for sentence in doc.tree) for doc in corpus.documents}
+    trees = {doc.doc_id: doc.tree and doc.tree.form for doc in corpus.documents}
     assert trees == {
         "a/bom.txt": None, "a/cr.txt": None, "a/crcrlf.txt": None, "a/crlf.txt": ("Crlf", "Cr"),
         "a/dangling.txt": None, "a/folder.txt": None,

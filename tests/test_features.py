@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stylosig.conllu import DepSentence, DepToken, parse_conllu
+from stylosig.conllu import DepTree, parse_conllu
 from stylosig.corpus import Document
 from stylosig import features
 from stylosig.errors import DataError
@@ -27,7 +27,7 @@ from stylosig.features import (
     write_feature_tsv,
 )
 
-from .conftest import make_sentence
+from .conftest import join_sentences, make_sentence
 from .oracles import as_scipy, extract_counts, positions_reference, sngrams_recursive, tokenize_reference
 
 
@@ -44,7 +44,7 @@ def ngrams(text, k):
 
 
 def sngrams(sentence, element, k):
-    doc = Document("d", 0, "", tree=(sentence,))
+    doc = Document("d", 0, "", tree=sentence)
     return row_counts(extract_matrix(FeatureModel("sngram", (k,), element), [doc]), 0)
 
 
@@ -168,12 +168,12 @@ CONLLU = (
 
 
 def test_sngrams_head_to_dependent():
-    (sent,) = parse_conllu(CONLLU)
+    sent = parse_conllu(CONLLU)
     assert sngrams(sent, "word", 2) == Counter({f"chase{SEP}dogs": 1, f"chase{SEP}cats": 1})
 
 
 def test_sngrams_order_one_is_per_token():
-    (sent,) = parse_conllu(CONLLU)
+    sent = parse_conllu(CONLLU)
     assert sngrams(sent, "word", 1) == Counter({"dogs": 1, "chase": 1, "cats": 1})
 
 
@@ -189,7 +189,7 @@ def test_sngrams_too_long_chain_yields_nothing():
 
 
 def test_sngrams_element_channels():
-    (sent,) = parse_conllu(CONLLU)
+    sent = parse_conllu(CONLLU)
     assert sngrams(sent, "upos", 2) == Counter({f"VERB{SEP}NOUN": 2})
     assert sngrams(sent, "deprel", 2) == Counter({f"root{SEP}nsubj": 1, f"root{SEP}obj": 1})
     assert sngrams(sent, "lemma", 2) == Counter({f"chase{SEP}dog": 1, f"chase{SEP}cat": 1})
@@ -277,18 +277,10 @@ def parsed_documents(draw):
     docs = []
     forms = ("a", "B", "a b", "a!", "a0", "é", "日本", "", "x" * 25, "ü" * 13, "a label of spaces past 24 bytes")
     for i in range(draw(st.integers(min_value=0, max_value=5))):
-        sentences = draw(st.lists(random_trees(forms=forms), max_size=3))
-        tree = tuple(
-            DepSentence(
-                tuple(
-                    DepToken(t.form, draw(st.sampled_from(WORDS)), draw(st.sampled_from("NV")), t.head, t.deprel)
-                    for t in sentence.tokens
-                ),
-                sentence.root,
-            )
-            for sentence in sentences
-        )
-        docs.append(Document(f"d{i}", 0, "", tree=tree))
+        tree = join_sentences(draw(st.lists(random_trees(forms=forms), max_size=3)))
+        n = len(tree.head)
+        lemma, upos = (tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))) for pool in (WORDS, "NV"))
+        docs.append(Document(f"d{i}", 0, "", tree=DepTree(tree.form, lemma, upos, tree.deprel, tree.head)))
     return docs
 
 
@@ -343,7 +335,48 @@ def test_syntactic_extract_matrix_matches_per_document_oracle(docs, ks, element,
     model = FeatureModel("sngram", ks, element)
     check_against_oracle(model, docs, n_indexed, lambda seen: data.draw(st.permutations(seen))[: len(seen) // 2])
     tokens = extract_matrix(model, docs).tokens
-    assert tokens == sum(len(sentence) for doc in docs for sentence in doc.tree)
+    assert tokens == sum(len(doc.tree.head) for doc in docs)
+
+
+@st.composite
+def conllu_sentences(draw):
+    """One sentence of 1 to 6 nodes as CoNLL-U rows: the root anywhere, each other node below one met before it in a random order."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    order = draw(st.permutations(range(n)))
+    heads = [0] * n
+    for at in range(1, n):
+        heads[order[at]] = order[draw(st.integers(min_value=0, max_value=at - 1))] + 1
+    labels = ("a", "A", "ΑΣ", "Σ", "σa", "x" * 25, "日本")
+    rows = []
+    for i, head in enumerate(heads):
+        form, lemma = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+        upos, deprel = draw(st.sampled_from(("NOUN", "VERB", "X"))), "root" if head == 0 else draw(st.sampled_from(("nsubj", "obj")))
+        rows.append(f"{i + 1}\t{form}\t{lemma}\t{upos}\t_\t_\t{head}\t{deprel}\t_\t_\n")
+    return "".join(rows)
+
+
+@st.composite
+def sidecar_documents(draw):
+    """2 to 4 documents parsed from CoNLL-U sidecars: each a one-node sentence and 0 to 3 more, and one of them an empty sidecar."""
+    sidecars = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        sentences = ["1\tOne\tone\tX\t_\t_\t0\troot\t_\t_\n", *draw(st.lists(conllu_sentences(), max_size=3))]
+        sidecars.append("\n".join(draw(st.permutations(sentences))))
+    sidecars[draw(st.integers(min_value=0, max_value=len(sidecars) - 1))] = ""
+    return [Document(f"d{i}", 0, "", tree=parse_conllu(text)) for i, text in enumerate(sidecars)]
+
+
+@given(sidecar_documents())
+@settings(max_examples=100, deadline=None)
+def test_syntactic_rows_of_a_batch_match_each_document_alone(docs):
+    # every row's chains follow its own document's heads and labels, wherever the document sits in the batch
+    for element in SNGRAM_ELEMENTS:
+        for ks in [(1,), (2,), (3,), (1, 2, 3)]:
+            model = FeatureModel("sngram", ks, element)
+            matrix = extract_matrix(model, docs)
+            for i, doc in enumerate(docs):
+                assert row_counts(matrix, i) == extract_counts(model, doc)
+                assert matrix.mass[i] == sum(extract_counts(model, doc).values())
 
 
 # -- count matrices and vocabulary -------------------------------------------
@@ -421,7 +454,7 @@ def test_extract_matrix_is_the_same_at_both_key_widths(ks):
 def test_an_order_no_chain_reaches_adds_no_label_id_column(monkeypatch):
     # the longest document has 5 positions: orders 3 to 5 have chains, but none is counted, so none is numbered
     trees = [make_sentence([-1, 0, 1, 2, 3]), make_sentence([1, -1, 1])]
-    docs = [Document("d0", 0, "a b c a b", (trees[0],)), Document("d1", 0, "b c d", (trees[1],)), Document("d2", 0, "", ())]
+    docs = [Document("d0", 0, "a b c a b", trees[0]), Document("d1", 0, "b c d", trees[1]), Document("d2", 0, "", join_sentences([]))]
     calls, unique = [], np.unique
     monkeypatch.setattr(features.np, "unique", lambda *args, **kwargs: calls.append(1) or unique(*args, **kwargs))
     for family in FAMILIES:

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stylosig import cli
 from stylosig.config import ExperimentConfig
+from stylosig.corpus import read_conllu
+from stylosig.features import tokenize
 from stylosig.signature import load_svc
 
 from .test_experiment import disjoint_corpus
@@ -92,3 +95,31 @@ def test_profile_sweep_reports_bad_input_as_the_cli_does(tmp_path, capsys, flags
     captured = capsys.readouterr()
     assert captured.err == message.format(missing=corpus_dir)
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_sngram_sidecars_parse_and_give_a_reproducible_eval(tmp_path, capsys):
+    corpus_dir = disjoint_corpus(tmp_path)  # 12 documents of 30 tokens
+    script = load_script("sngram_sidecars")
+    assert script.main([str(corpus_dir), "--seed", "3"]) == 0
+    assert capsys.readouterr().out == f"wrote 12 sidecars under {corpus_dir}\n"
+    sidecars = {path: path.with_suffix(".conllu").read_bytes() for path in sorted(corpus_dir.rglob("*.txt"))}
+    for path in sidecars:
+        tree = read_conllu(path.with_suffix(".conllu"))
+        assert tree.form == tuple(tokenize(path.read_text(encoding="utf-8")))
+        # 12 nodes a sentence, rooted at its first; every other node's head is an earlier node of its sentence
+        assert all(head == -1 if i % 12 == 0 else i - i % 12 <= head < i for i, head in enumerate(tree.head))
+    assert script.main([str(corpus_dir), "--seed", "3"]) == 0
+    assert sidecars == {path: path.with_suffix(".conllu").read_bytes() for path in sidecars}
+    assert script.sidecar([], np.random.default_rng(0)) == ""
+    bundles = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        overrides = ["feature_family=sngram", f"corpus_dir={corpus_dir}", "train_window=3", "test_window=1"]
+        assert cli.main(["eval", *(arg for key in overrides for arg in ("-O", key)), "--output-dir", str(out)]) == 0
+        bundles.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file() and p.name != "run.json"})
+    assert bundles[0] and bundles[0] == bundles[1]
+
+
+def test_sngram_sidecars_of_a_missing_root_is_a_data_error(tmp_path, capsys):
+    assert load_script("sngram_sidecars").main([str(tmp_path / "missing"), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"data error: corpus root {tmp_path / 'missing'} is not a directory\n"
