@@ -90,8 +90,9 @@ def run_scaling(
 ) -> ScalingReport:
     """Time the pipeline under ``config`` at each corpus size and fit a log-log growth slope, in total and per stage.
 
-    Scoring's scipy kernel, imported on first use, is loaded before the
-    first pass, so that no timed pass includes a library import.
+    scipy's product kernel is loaded before the first pass, so that no timed
+    pass includes a library import and every pass scores by the kernel, not
+    by the slower numpy route that ``posterior`` takes until it is loaded.
     """
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2 or any(s < 2 for s in sizes) or sorted(sizes) != list(sizes):

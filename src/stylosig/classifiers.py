@@ -8,13 +8,18 @@ rule for rows that fall back on the uniform posterior depends on the
 estimator.  Model files round-trip bit-exactly.
 
 Count matrices are CSR: a ``features.CsrMatrix`` or a scipy CSR.  The
-product is scipy's kernel, the one use of ``scipy.sparse``, which is
-imported on first use, so training alone loads no scipy.
+product has two routes that give the same bits: scipy's CSR kernel, the one
+use of ``scipy.sparse``, and a numpy loop that adds each row's products in
+the kernel's order.  The kernel scores once ``load_sparse`` has loaded
+``scipy.sparse`` (``eval`` and ``bench`` load it before their clocks start)
+or when a product is too large for the loop; otherwise the loop scores, so
+training and ``attribute`` load no scipy.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -89,10 +94,46 @@ def _check_csr(counts) -> None:
 
 
 def load_sparse():
-    """``scipy.sparse``, imported on the first call: only ``posterior`` runs its kernel, so a process that never scores never loads it."""
+    """``scipy.sparse``, imported on the first call; once it is loaded, ``posterior`` scores with its kernel."""
     from scipy import sparse
 
     return sparse
+
+
+# On a 2-vCPU host the numpy route takes about 3 ns a product (a stored count times one
+# subject's weight), 4-5 ns more a stored count and 5 us a row; importing scipy.sparse takes
+# 120-140 ms, and its kernel about 0.4 ns a product.  Past this many products, a stored count
+# counted as one more and a row as 2,000, the kernel pays for its import.  Timed in fresh
+# processes on batches of 1, 3 or 40 subjects and rows of 10 to 2,000 counts, the numpy route
+# took 0.94-1.06 times as long as the import and kernel at this size (1.39 at 3 subjects),
+# 0.51-0.71 times at half of it and 1.73-2.40 times at twice it.
+KERNEL_PRODUCTS = 50_000_000
+
+
+def _product_kernel(counts, weights) -> np.ndarray:
+    """``counts @ weights`` by scipy's CSR kernel, on the count matrix's own arrays."""
+    counts = load_sparse().csr_array((counts.data, counts.indices, counts.indptr), shape=counts.shape, dtype=np.float64)
+    return counts @ weights
+
+
+def _product_numpy(counts, weights) -> np.ndarray:
+    """``counts @ weights`` in scipy's CSR kernel order: each row adds its products one at a time, in stored order, to 0.0.
+
+    A row's products are a C-ordered (entries, S) block.  numpy sums pairwise
+    only along the fast axis, so ``np.add.reduce`` down the entries adds them
+    in that order when S > 1; at S = 1 the entries are the fast axis, and
+    ``np.cumsum`` adds them in order.  The row's sum is added to its 0.0, as
+    the kernel adds its first product, which turns a sum of -0.0 into 0.0.  A
+    row whose columns are distinct holds at most the weights' size in products.
+    """
+    products = np.zeros((counts.shape[0], weights.shape[1]))
+    bounds = counts.indptr.tolist()
+    for row, start, stop in zip(products, bounds, bounds[1:]):
+        if start < stop:
+            terms = np.ascontiguousarray(weights[counts.indices[start:stop]])
+            terms *= counts.data[start:stop, None]
+            row += np.add.reduce(terms, axis=0) if terms.shape[1] > 1 else np.cumsum(terms)[-1]
+    return products
 
 
 def _pool(counts, subjects, alpha: float, n_subjects: int):
@@ -161,16 +202,24 @@ def posterior(model: NbModel, counts) -> tuple[np.ndarray, np.ndarray]:
 
     Rows that no subject explains (empty under MNB, of zero likelihood for every
     subject under PNB) fall back on the uniform posterior and are set in the
-    mask; the caller reports them through ``warn_fallback``.
+    mask; the caller reports them through ``warn_fallback``.  The product
+    ``counts @ weights`` is scipy's kernel once ``scipy.sparse`` is loaded, or
+    past ``KERNEL_PRODUCTS``, and ``_product_numpy`` otherwise: the same bits.
     """
     _check_csr(counts)
-    counts = load_sparse().csr_array((counts.data, counts.indices, counts.indptr), shape=counts.shape, dtype=np.float64)
     bias, weights = model.linear
+    if counts.shape[1] != weights.shape[0]:
+        raise ValueError(f"counts have {counts.shape[1]} columns for a model of {weights.shape[0]} features")
+    products = counts.nnz * (weights.shape[1] + 1) + 2_000 * counts.shape[0]
+    if "scipy.sparse" in sys.modules or products > KERNEL_PRODUCTS:
+        posteriors = _product_kernel(counts, weights)
+    else:
+        posteriors = _product_numpy(counts, weights)
     # normalized in place: the scores become the posteriors
-    posteriors = counts @ weights
     posteriors += bias
     if model.kind == "mnb":
-        degenerate = counts.sum(axis=1) == 0
+        # every stored count is positive (``_check_csr``), so a row sums to 0 only if it stores none
+        degenerate = np.diff(counts.indptr) == 0
     else:
         degenerate = np.all(np.isneginf(posteriors), axis=1)
     posteriors[degenerate] = 0.0

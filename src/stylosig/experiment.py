@@ -64,7 +64,10 @@ def _timed(seconds: dict[str, float], stage: str):
 
 
 def _load_kernels() -> None:
-    """Import scipy's product and statistics kernels before an eval's clock starts, so no stage times a library import."""
+    """Import scipy's product and statistics kernels before an eval's clock starts, so no stage times a library import.
+
+    Once ``scipy.sparse`` is loaded, ``classifiers.posterior`` scores every fold by its kernel.
+    """
     classifiers.load_sparse()
     metrics.load_special()
 

@@ -103,7 +103,8 @@ class CsrMatrix:
     ``indices[indptr[i]:indptr[i + 1]]``, in stored order: the order in
     which a sparse product sums the row.  The arrays are kept as given, so
     the index arrays keep the width their maker chose.  Only
-    ``classifiers.posterior`` hands them to scipy, for its product kernel.
+    ``classifiers.posterior`` may hand them to scipy, when it scores by
+    scipy's product kernel; its numpy route sums in the kernel's order.
     """
 
     data: np.ndarray

@@ -2,19 +2,23 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from stylosig import classifiers
 from stylosig.classifiers import (
     KINDS,
     NbModel,
     _pool,
+    _product_kernel,
+    _product_numpy,
     load_model,
     mnb_train,
     pnb_train,
@@ -190,6 +194,100 @@ def test_posterior_of_the_count_matrix_equals_scipy_csr_bit_for_bit(case):
     ours, theirs = posterior(model, counts), posterior(model, as_scipy(counts))
     for got, want in zip(ours, theirs):
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# row lengths at the edges of numpy's pairwise blocks (8 and 128 entries), which a sum in another order would cross
+ROW_LENGTHS = st.sampled_from([0, 1, 7, 8, 9, 128, 129]) | st.integers(1001, 1500) | st.integers(0, 40)
+
+
+@st.composite
+def products(draw):
+    """Counts and weights for ``counts @ weights``, their values from a drawn seed.
+
+    The weights are an mnb model's log probabilities or a pnb model's log
+    rates with zero rates (-inf), over 1 to 50 subjects, C-ordered as a
+    trained model's or F-ordered as a loaded model's, with a few zeros of
+    either sign.  Rows repeat columns, in any order; counts are positive
+    integers, or floats of mixed magnitude, so that the order of a row's
+    sum matters.
+    """
+    kind, n_subjects, m = draw(st.sampled_from(KINDS)), draw(st.integers(1, 50) | st.just(1)), draw(st.integers(1, 300))
+    lengths = draw(st.lists(ROW_LENGTHS, min_size=1, max_size=6))
+    width, order = draw(st.sampled_from([np.int32, np.int64])), draw(st.sampled_from("CF"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indptr = np.cumsum([0, *lengths]).astype(width)
+    indices = rng.integers(0, m, indptr[-1]).astype(width)
+    if draw(st.booleans()):
+        data = rng.integers(1, 2**20, indptr[-1])
+    else:
+        data = rng.random(indptr[-1]) * 10.0 ** rng.integers(-8, 9, indptr[-1]) + 1e-300
+    weights = np.log(rng.random((m, n_subjects))) * 10.0 ** rng.integers(-6, 7, (m, n_subjects))
+    if kind == "pnb":
+        weights[rng.random((m, n_subjects)) < 0.2] = -np.inf
+    weights[rng.random((m, n_subjects)) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
+    counts = CsrMatrix(data, indices, indptr, (len(lengths), m))
+    return counts if draw(st.booleans()) else as_scipy(counts), np.asarray(weights, order=order)
+
+
+# a row whose products are all -0.0: the kernel's sum starts from 0.0, so it is 0.0
+NEGATIVE_ZEROS = CsrMatrix(np.array([3, 1]), np.array([0, 1], dtype=np.int32), np.array([0, 2], dtype=np.int32), (1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+@example((NEGATIVE_ZEROS, np.full((2, 1), -0.0)))
+@example((NEGATIVE_ZEROS, np.full((2, 3), -0.0)))
+def test_numpy_product_is_scipys_kernel_bit_for_bit(case):
+    # pytest's process has scipy.sparse loaded, so posterior takes the kernel here: both routes are called directly
+    counts, weights = case
+    ours, theirs = _product_numpy(counts, weights), _product_kernel(counts, weights)
+    assert ours.dtype == theirs.dtype == np.float64 and ours.shape == theirs.shape
+    assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_posterior_takes_the_numpy_route_until_scipy_sparse_is_loaded(monkeypatch, kind):
+    counts, subjects = wide_training(n_subjects=5, m=300)
+    model = {"mnb": mnb_train, "pnb": pnb_train}[kind](counts, subjects, 0.0, tuple("abcde"))
+    probe = sparse.vstack([counts[:4], sparse.csr_array((1, 300), dtype=np.int64)]).tocsr()
+    by_kernel = posterior(model, probe)  # pytest's process has scipy.sparse loaded
+    monkeypatch.delitem(sys.modules, "scipy.sparse")
+    monkeypatch.setattr(classifiers, "_product_kernel", None)
+    by_numpy = posterior(model, probe)
+    for ours, theirs in zip(by_numpy, by_kernel):
+        assert ours.tobytes() == theirs.tobytes()
+    assert by_numpy[1].tolist() == [False] * 4 + [kind == "mnb"]  # the empty row falls back under mnb
+
+
+def test_a_large_product_loads_the_kernel(monkeypatch):
+    # past KERNEL_PRODUCTS the numpy route would cost more than importing scipy.sparse
+    counts, subjects = wide_training(n_subjects=5, m=300)
+    model, rows = mnb_train(counts, subjects, 0.5, tuple("abcde")), counts[:2]
+    want = posterior(model, rows)[0]
+    monkeypatch.delitem(sys.modules, "scipy.sparse")
+    monkeypatch.setattr(classifiers, "_product_numpy", None)
+    monkeypatch.setattr(classifiers, "KERNEL_PRODUCTS", 0)
+    assert posterior(model, rows)[0].tobytes() == want.tobytes()
+
+
+@pytest.fixture(params=["numpy", "kernel"])
+def route(request, monkeypatch):
+    """The product ``posterior`` takes: the numpy route, as if scipy.sparse were not loaded, or scipy's kernel; the other one fails."""
+    if request.param == "numpy":
+        monkeypatch.delitem(sys.modules, "scipy.sparse")
+        monkeypatch.setattr(classifiers, "_product_kernel", None)
+    else:
+        monkeypatch.setattr(classifiers, "_product_numpy", None)
+
+
+@pytest.mark.parametrize("columns", [2, 4])
+def test_a_count_matrix_of_another_width_is_refused(route, columns):
+    # the numpy route would score a narrower matrix on the model's first columns, and fail on a wider one
+    model = mnb_train(*pairs_from_rows([[2, 0, 1], [0, 4, 1]]), 1.0, ("a", "b"))
+    counts = sparse.csr_array(np.ones((2, columns), dtype=np.int64))
+    for matrix in (counts, CsrMatrix(counts.data, counts.indices, counts.indptr, counts.shape)):
+        with pytest.raises(ValueError, match=f"^counts have {columns} columns for a model of 3 features$"):
+            posterior(model, matrix)
 
 
 def test_alpha_zero_uses_floor():

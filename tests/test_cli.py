@@ -746,17 +746,20 @@ SCIPY_MODULES = "{m for m in sys.modules if m.split('.')[0] == 'scipy'}"
 
 
 def test_train_sigscore_and_chimeric_load_no_scipy(tmp_path):
-    # only scoring multiplies through scipy.sparse, and only eval's statistics call scipy.special
+    # attribute scores without scipy.sparse, and only eval's statistics call scipy.special
     corpus_dir = disjoint_corpus(tmp_path)
     sig_dir = write_svc_dir(tmp_path / "sigs", n_writers=3, n_samples=4)
+    probe = tmp_path / "probe.txt"
+    probe.write_text("s1w0 s1w1 s1w2", encoding="utf-8")
     sizes = ["-O", "train_docs=2", "-O", "test_docs=2"]
     calls = [
         ["train", "-O", f"corpus_dir={corpus_dir}", "--output-dir", str(tmp_path / "model")],
+        ["attribute", "--model", str(tmp_path / "model" / "model.npz"), "--scores", str(tmp_path / "scores.csv"), str(probe)],
         ["sigscore", "-O", f"signature_dir={sig_dir}", *sizes, "--output-dir", str(tmp_path / "sig")],
         ["chimeric", "-O", f"corpus_dir={corpus_dir}", "-O", f"signature_dir={sig_dir}", *sizes, "--output-dir", str(tmp_path / "plan")],
     ]
     code = f"import json, sys; from stylosig.cli import main; codes = [main(argv) for argv in {calls!r}]; print(json.dumps([codes, sorted({SCIPY_MODULES})]))"
-    assert _fresh_process(code) == [[0, 0, 0], []]
+    assert _fresh_process(code) == [[0, 0, 0, 0], []]
 
 
 @pytest.mark.parametrize("protocol", ["rolling", "chimeric"])
@@ -784,6 +787,30 @@ def test_no_stage_of_a_fresh_eval_imports_scipy(tmp_path, protocol):
     stages = ["load", "extract", "folds", "write"] + (["signature"] if protocol == "chimeric" else [])
     assert rc == 0 and sorted(new) == sorted(stages)
     assert new == {stage: [] for stage in stages}
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_eval_and_bench_load_the_product_kernel_before_their_clocks(tmp_path, command):
+    # their products are several times faster by scipy's kernel, which posterior takes once scipy.sparse is loaded
+    if command == "eval":
+        argv = ["eval", "-O", f"corpus_dir={disjoint_corpus(tmp_path)}", "-O", "train_window=3", "-O", "test_window=1"]
+    else:
+        argv = ["bench", "--sizes", "2,3", "--repeats", "1"]
+    argv += ["--output-dir", str(tmp_path / "out")]
+    code = (
+        "import json, sys; from stylosig import bench, experiment; from stylosig.cli import main\n"
+        "loaded = []\n"
+        "def watched(clock):\n"
+        "    def started(*args):\n"
+        "        loaded.append('scipy.sparse' in sys.modules)\n"
+        "        return clock(*args)\n"
+        "    return started\n"
+        "experiment._timed, bench.time_attribution = watched(experiment._timed), watched(bench.time_attribution)\n"
+        f"print(json.dumps([main({argv!r}), loaded]))"
+    )
+    rc, loaded = _fresh_process(code)
+    # an eval's stages, or a bench's timed passes
+    assert rc == 0 and len(loaded) >= {"eval": 4, "bench": 2}[command] and all(loaded)
 
 
 def test_train_and_attribute_never_load_scipy_special(tmp_path):

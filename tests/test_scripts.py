@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -123,3 +125,24 @@ def test_sngram_sidecars_parse_and_give_a_reproducible_eval(tmp_path, capsys):
 def test_sngram_sidecars_of_a_missing_root_is_a_data_error(tmp_path, capsys):
     assert load_script("sngram_sidecars").main([str(tmp_path / "missing"), "--seed", "1"]) == 1
     assert capsys.readouterr().err == f"data error: corpus root {tmp_path / 'missing'} is not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--workload", "nosuch", "--seeds", "1-1"], "--workload 'nosuch': not one of rolling, chimeric, attribute"),
+        (["--workload", "attribute", "--seeds", "3,5"], "--seeds '3,5': not a range A-B of integers"),
+        (["--workload", "attribute", "--seeds", "5-3"], "--seeds '5-3': need 0 <= A <= B"),
+        (["--workload", "attribute", "--seeds", "1-1", "--parent", "no-such-commit"], "git rev-parse --verify no-such-commit^{commit}"),
+        (["--seeds", "1-1"], "the following arguments are required: --workload"),
+    ],
+)
+def test_bench_record_refuses_a_bad_argument_before_it_runs_anything(tmp_path, argv, message):
+    output = tmp_path / "bench.json"
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_record.py"), *argv, "--output", str(output)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert message in result.stderr and "Traceback" not in result.stderr
+    assert not output.exists()
