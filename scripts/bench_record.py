@@ -7,10 +7,14 @@ For every seed and workload it runs
 with T the ``run_seconds`` of ``BENCHMARK.json``, once in a copy of the
 parent commit (``git archive`` into a temporary directory) and once in the
 working tree, the side that goes first taking turns from pair to pair, so
-that a drift of the host's speed falls on both sides alike.  It keeps the
-JSON line that each run prints last and writes, per workload and end-to-end
-metric of ``BENCHMARK.json``, the median and quartiles of each side and the
-number of pairs in which the working tree did better.  The file also holds the commits, the host's CPU count and the seeds.
+that a drift of the host's speed falls on both sides alike.  Before the
+first pair it compiles the bytecode of ``src`` and ``perfbench`` on both
+sides, so that no fresh interpreter on either side compiles the program,
+even where ``PYTHONDONTWRITEBYTECODE`` is set.  It keeps the JSON line that
+each run prints last and writes, per workload and end-to-end metric of
+``BENCHMARK.json``, the median and quartiles of each side and the number of
+pairs in which the working tree did better.  The file also holds the
+commits, the host's CPU count and the seeds.
 
     python3 scripts/bench_record.py --parent HEAD --workload attribute \\
         --seeds 1-10 --output BENCH_N.json
@@ -75,6 +79,17 @@ def extract(commit: str, into: Path) -> None:
         tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
+def compile_bytecode(checkout: Path) -> None:
+    """Write the bytecode of ``src`` and ``perfbench`` under ``checkout``; a ``git archive`` copy holds none."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=checkout, check=True)
+
+
+def prepare(commit: str, into: Path) -> None:
+    """The tree of ``commit`` under ``into``, with its bytecode compiled, as the parent side runs it."""
+    extract(commit, into)
+    compile_bytecode(into)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The last JSON line that one perfbench run in ``checkout`` prints."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -124,7 +139,8 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
         copy = Path(tmp) / "parent"
-        extract(parent, copy)
+        prepare(parent, copy)
+        compile_bytecode(ROOT)
         checkouts = {"parent": copy, "change": ROOT}
         for workload in args.workload:
             pairs = []

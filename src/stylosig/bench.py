@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classifiers
 from .config import ExperimentConfig
 from .corpus import Corpus, Document, Subject
 from .experiment import score_folds
@@ -88,12 +87,7 @@ def run_scaling(
     n_subjects: int = DEFAULT_SUBJECTS,
     doc_tokens: int = DEFAULT_DOC_TOKENS,
 ) -> ScalingReport:
-    """Time the pipeline under ``config`` at each corpus size and fit a log-log growth slope, in total and per stage.
-
-    scipy's product kernel is loaded before the first pass, so that no timed
-    pass includes a library import and every pass scores by the kernel, not
-    by the slower numpy route that ``posterior`` takes until it is loaded.
-    """
+    """Time the pipeline under ``config`` at each corpus size and fit a log-log growth slope, in total and per stage."""
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2 or any(s < 2 for s in sizes) or sorted(sizes) != list(sizes):
         raise ValueError("sizes must be >= 2 each, ascending, at least two of them")
@@ -101,7 +95,6 @@ def run_scaling(
         raise ValueError("repeats must be >= 1")
     per_size = []
     per_stage = {"extract": [], "folds": []}
-    classifiers.load_sparse()
     for size in sizes:
         corpus = synthetic_corpus(n_subjects, size, doc_tokens)
         runs = [{} for _ in range(repeats)]

@@ -8,18 +8,16 @@ rule for rows that fall back on the uniform posterior depends on the
 estimator.  Model files round-trip bit-exactly.
 
 Count matrices are CSR: a ``features.CsrMatrix`` or a scipy CSR.  The
-product has two routes that give the same bits: scipy's CSR kernel, the one
-use of ``scipy.sparse``, and a numpy loop that adds each row's products in
-the kernel's order.  The kernel scores once ``load_sparse`` has loaded
-``scipy.sparse`` (``eval`` and ``bench`` load it before their clocks start)
-or when a product is too large for the loop; otherwise the loop scores, so
-training and ``attribute`` load no scipy.
+product is scipy's CSR kernel, called on the count matrix's own arrays.
+Its one extension module is loaded at import from scipy's install
+directory, without the ``scipy.sparse`` package, so no command imports it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
-import sys
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -93,46 +91,51 @@ def _check_csr(counts) -> None:
         raise ValueError("counts must store only positive counts")
 
 
-def load_sparse():
-    """``scipy.sparse``, imported on the first call; once it is loaded, ``posterior`` scores with its kernel."""
-    from scipy import sparse
-
-    return sparse
-
-
-# On a 2-vCPU host the numpy route takes about 3 ns a product (a stored count times one
-# subject's weight), 4-5 ns more a stored count and 5 us a row; importing scipy.sparse takes
-# 120-140 ms, and its kernel about 0.4 ns a product.  Past this many products, a stored count
-# counted as one more and a row as 2,000, the kernel pays for its import.  Timed in fresh
-# processes on batches of 1, 3 or 40 subjects and rows of 10 to 2,000 counts, the numpy route
-# took 0.94-1.06 times as long as the import and kernel at this size (1.39 at 3 subjects),
-# 0.51-0.71 times at half of it and 1.73-2.40 times at twice it.
-KERNEL_PRODUCTS = 50_000_000
+def _import_sparsetools():
+    """``scipy.sparse._sparsetools``, loaded from scipy's install directory without running ``scipy.sparse``'s package import."""
+    name = "scipy.sparse._sparsetools"
+    scipy = importlib.util.find_spec("scipy")  # finds the package without importing it
+    spec = scipy and importlib.machinery.PathFinder.find_spec(name, [f"{path}/sparse" for path in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"cannot find {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _product_kernel(counts, weights) -> np.ndarray:
-    """``counts @ weights`` by scipy's CSR kernel, on the count matrix's own arrays."""
-    counts = load_sparse().csr_array((counts.data, counts.indices, counts.indptr), shape=counts.shape, dtype=np.float64)
-    return counts @ weights
+_sparsetools = _import_sparsetools()
 
 
-def _product_numpy(counts, weights) -> np.ndarray:
-    """``counts @ weights`` in scipy's CSR kernel order: each row adds its products one at a time, in stored order, to 0.0.
+def _product(counts, weights) -> np.ndarray:
+    """``counts @ weights`` as a C-ordered (n, S) array, by the CSR kernel that scipy's ``csr_array @ weights`` calls.
 
-    A row's products are a C-ordered (entries, S) block.  numpy sums pairwise
-    only along the fast axis, so ``np.add.reduce`` down the entries adds them
-    in that order when S > 1; at S = 1 the entries are the fast axis, and
-    ``np.cumsum`` adds them in order.  The row's sum is added to its 0.0, as
-    the kernel adds its first product, which turns a sum of -0.0 into 0.0.  A
-    row whose columns are distinct holds at most the weights' size in products.
+    Each row adds its products one at a time, in stored order, to 0.0.
+    C-contiguous (m, S) weights take one ``csr_matvecs`` call, as scipy's
+    product does.  F-ordered weights, a loaded model's (S, m) table, take one
+    ``csr_matvec`` per subject on the table's rows in place, where scipy's
+    product would copy the table to C order first.
     """
-    products = np.zeros((counts.shape[0], weights.shape[1]))
-    bounds = counts.indptr.tolist()
-    for row, start, stop in zip(products, bounds, bounds[1:]):
-        if start < stop:
-            terms = np.ascontiguousarray(weights[counts.indices[start:stop]])
-            terms *= counts.data[start:stop, None]
-            row += np.add.reduce(terms, axis=0) if terms.shape[1] > 1 else np.cumsum(terms)[-1]
+    (n, m), n_subjects = counts.shape, weights.shape[1]
+    # the kernel reads the arrays in place and trusts every offset and column in them
+    bounds = min(counts.indices.size, counts.data.size)
+    if counts.indptr.shape != (n + 1,) or not 0 <= counts.indptr.min() <= counts.indptr.max() <= bounds:
+        raise ValueError(f"counts' indptr does not fit {n} rows of {bounds} entries")
+    if counts.indices.min(initial=0) < 0 or counts.indices.max(initial=-1) >= m:
+        raise ValueError(f"counts store a column outside 0..{m - 1}")
+    width = np.promote_types(counts.indptr.dtype, counts.indices.dtype)  # the kernel's index arrays are of one width
+    arrays = (
+        counts.indptr.astype(width, copy=False),
+        counts.indices.astype(width, copy=False),
+        counts.data.astype(np.float64, copy=False),
+    )
+    if weights.flags.f_contiguous and not weights.flags.c_contiguous:
+        products = np.zeros((n_subjects, n))
+        for subject, row in zip(weights.T, products):
+            _sparsetools.csr_matvec(n, m, *arrays, subject, row)
+        # C order, so that the softmax's row sums add in the order they do on a C-ordered product
+        return np.ascontiguousarray(products.T)
+    products = np.zeros((n, n_subjects))
+    _sparsetools.csr_matvecs(n, m, n_subjects, *arrays, np.ascontiguousarray(weights).ravel(), products.ravel())
     return products
 
 
@@ -202,19 +205,13 @@ def posterior(model: NbModel, counts) -> tuple[np.ndarray, np.ndarray]:
 
     Rows that no subject explains (empty under MNB, of zero likelihood for every
     subject under PNB) fall back on the uniform posterior and are set in the
-    mask; the caller reports them through ``warn_fallback``.  The product
-    ``counts @ weights`` is scipy's kernel once ``scipy.sparse`` is loaded, or
-    past ``KERNEL_PRODUCTS``, and ``_product_numpy`` otherwise: the same bits.
+    mask; the caller reports them through ``warn_fallback``.
     """
     _check_csr(counts)
     bias, weights = model.linear
     if counts.shape[1] != weights.shape[0]:
         raise ValueError(f"counts have {counts.shape[1]} columns for a model of {weights.shape[0]} features")
-    products = counts.nnz * (weights.shape[1] + 1) + 2_000 * counts.shape[0]
-    if "scipy.sparse" in sys.modules or products > KERNEL_PRODUCTS:
-        posteriors = _product_kernel(counts, weights)
-    else:
-        posteriors = _product_numpy(counts, weights)
+    posteriors = _product(counts, weights)
     # normalized in place: the scores become the posteriors
     posteriors += bias
     if model.kind == "mnb":
@@ -289,15 +286,23 @@ def load_model(path: str | Path) -> tuple[NbModel, Vocabulary]:
             vocab = Vocabulary(fmodel, header["profile_size"], _strings(data, "features"))
             model = NbModel(kind, _strings(data, "subject_labels"), header["alpha"], data[_TABLE_NAMES[kind]])
             log_priors = data["log_priors"]
+            # the table's ends, for the value check below; a NaN makes both NaN
+            low, high = model.table.min(initial=0.0), model.table.max(initial=0.0)
     # not an .npz archive, or a header or array of the wrong type
     except (OSError, EOFError, zipfile.BadZipFile, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load model from {path}: {exc}") from exc
+    if not model.subject_labels:
+        raise DataError(f"{path}: no subject labels")
     shape = (model.n_subjects, len(vocab))
     if model.table.shape != shape or not np.array_equal(log_priors, model.log_priors):
         raise DataError(
             f"{path}: {_TABLE_NAMES[kind]} {model.table.shape} and log_priors {log_priors.shape} do not fit "
             f"{shape[0]} subject labels with uniform priors and {shape[1]} features"
         )
+    # the values that neither estimator gives
+    if not (-np.inf < low and high < np.inf and (kind == "mnb" or low >= 0)):
+        rule = "finite" if kind == "mnb" else "finite and not negative"
+        raise DataError(f"{path}: {_TABLE_NAMES[kind]} must be {rule}")
     if len(vocab.index) != len(vocab):
         raise DataError(f"{path}: features repeat a string: {len(vocab.index)} distinct of {len(vocab)}")
     return model, vocab

@@ -127,8 +127,9 @@ def read_conllu(path: str | Path) -> DepTree:
 
 def read_document(path: Path, doc_id: str, subject: int) -> Document:
     """Read one ``.txt`` document and its optional ``.conllu`` sidecar."""
+    text = read_text(path)  # first: a path with no file name, such as ".", has no sidecar name either
     sidecar = path.with_suffix(".conllu")
-    return Document(doc_id, subject, read_text(path), read_conllu(sidecar) if sidecar.is_file() else None)
+    return Document(doc_id, subject, text, read_conllu(sidecar) if sidecar.is_file() else None)
 
 
 def keep_largest(corpus: Corpus, n: int) -> Corpus:

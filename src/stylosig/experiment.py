@@ -63,15 +63,6 @@ def _timed(seconds: dict[str, float], stage: str):
     seconds[stage] = time.perf_counter() - started
 
 
-def _load_kernels() -> None:
-    """Import scipy's product and statistics kernels before an eval's clock starts, so no stage times a library import.
-
-    Once ``scipy.sparse`` is loaded, ``classifiers.posterior`` scores every fold by its kernel.
-    """
-    classifiers.load_sparse()
-    metrics.load_special()
-
-
 def _write_run_json(out_dir: Path, config: ExperimentConfig, stages: dict, started: float, **facts) -> dict:
     """Write run.json: the resolved config, the versions, the protocol's ``facts`` and the seconds per stage and in all.
 
@@ -79,7 +70,7 @@ def _write_run_json(out_dir: Path, config: ExperimentConfig, stages: dict, start
     ``signature`` follows and the scipy whose product kernel scores, so both
     versions are recorded next to the program's.
     """
-    import scipy  # loaded already, with the kernels
+    import scipy  # loaded already, with its product and statistics kernels
 
     versions = {"version": __version__, "numpy_version": np.__version__, "scipy_version": scipy.__version__}
     run_info = {"config": config.to_json(), **versions, **facts, "stage_seconds": stages}
@@ -290,7 +281,7 @@ def _signature_counts(signatures, matrix: ScoreMatrix) -> dict:
 
 def run_chimeric(config: ExperimentConfig) -> dict:
     """Full bimodal run: stylome route, signature route, and their fusion."""
-    _load_kernels()
+    metrics.load_special()  # before the clock starts, so that no stage times a library import
     started = time.perf_counter()
     stages: dict[str, float] = {}
     with _timed(stages, "load"):
@@ -366,7 +357,7 @@ def run_rolling(config: ExperimentConfig) -> dict:
     Every document trains in some fold, so every document indexes features.
     Subjects short of train_window + test_window documents are dropped, with a warning.
     """
-    _load_kernels()
+    metrics.load_special()  # before the clock starts, so that no stage times a library import
     started = time.perf_counter()
     stages: dict[str, float] = {}
     n_docs = config.train_window + config.test_window

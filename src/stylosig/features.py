@@ -102,9 +102,8 @@ class CsrMatrix:
     Row i stores ``data[indptr[i]:indptr[i + 1]]`` at the columns
     ``indices[indptr[i]:indptr[i + 1]]``, in stored order: the order in
     which a sparse product sums the row.  The arrays are kept as given, so
-    the index arrays keep the width their maker chose.  Only
-    ``classifiers.posterior`` may hand them to scipy, when it scores by
-    scipy's product kernel; its numpy route sums in the kernel's order.
+    the index arrays keep the width their maker chose.
+    ``classifiers.posterior`` hands them to scipy's CSR product kernel.
     """
 
     data: np.ndarray

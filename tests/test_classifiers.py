@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import re
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,13 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from stylosig import classifiers
 from stylosig.classifiers import (
     KINDS,
     NbModel,
     _pool,
-    _product_kernel,
-    _product_numpy,
+    _product,
     load_model,
     mnb_train,
     pnb_train,
@@ -237,57 +234,40 @@ NEGATIVE_ZEROS = CsrMatrix(np.array([3, 1]), np.array([0, 1], dtype=np.int32), n
 @given(products())
 @example((NEGATIVE_ZEROS, np.full((2, 1), -0.0)))
 @example((NEGATIVE_ZEROS, np.full((2, 3), -0.0)))
-def test_numpy_product_is_scipys_kernel_bit_for_bit(case):
-    # pytest's process has scipy.sparse loaded, so posterior takes the kernel here: both routes are called directly
+def test_product_is_scipys_csr_product_bit_for_bit(case):
     counts, weights = case
-    ours, theirs = _product_numpy(counts, weights), _product_kernel(counts, weights)
-    assert ours.dtype == theirs.dtype == np.float64 and ours.shape == theirs.shape
-    assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_posterior_takes_the_numpy_route_until_scipy_sparse_is_loaded(monkeypatch, kind):
-    counts, subjects = wide_training(n_subjects=5, m=300)
-    model = {"mnb": mnb_train, "pnb": pnb_train}[kind](counts, subjects, 0.0, tuple("abcde"))
-    probe = sparse.vstack([counts[:4], sparse.csr_array((1, 300), dtype=np.int64)]).tocsr()
-    by_kernel = posterior(model, probe)  # pytest's process has scipy.sparse loaded
-    monkeypatch.delitem(sys.modules, "scipy.sparse")
-    monkeypatch.setattr(classifiers, "_product_kernel", None)
-    by_numpy = posterior(model, probe)
-    for ours, theirs in zip(by_numpy, by_kernel):
-        assert ours.tobytes() == theirs.tobytes()
-    assert by_numpy[1].tolist() == [False] * 4 + [kind == "mnb"]  # the empty row falls back under mnb
-
-
-def test_a_large_product_loads_the_kernel(monkeypatch):
-    # past KERNEL_PRODUCTS the numpy route would cost more than importing scipy.sparse
-    counts, subjects = wide_training(n_subjects=5, m=300)
-    model, rows = mnb_train(counts, subjects, 0.5, tuple("abcde")), counts[:2]
-    want = posterior(model, rows)[0]
-    monkeypatch.delitem(sys.modules, "scipy.sparse")
-    monkeypatch.setattr(classifiers, "_product_numpy", None)
-    monkeypatch.setattr(classifiers, "KERNEL_PRODUCTS", 0)
-    assert posterior(model, rows)[0].tobytes() == want.tobytes()
-
-
-@pytest.fixture(params=["numpy", "kernel"])
-def route(request, monkeypatch):
-    """The product ``posterior`` takes: the numpy route, as if scipy.sparse were not loaded, or scipy's kernel; the other one fails."""
-    if request.param == "numpy":
-        monkeypatch.delitem(sys.modules, "scipy.sparse")
-        monkeypatch.setattr(classifiers, "_product_kernel", None)
-    else:
-        monkeypatch.setattr(classifiers, "_product_numpy", None)
+    got = _product(counts, weights)
+    want = sparse.csr_array((counts.data, counts.indices, counts.indptr), shape=counts.shape, dtype=np.float64) @ weights
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("columns", [2, 4])
-def test_a_count_matrix_of_another_width_is_refused(route, columns):
-    # the numpy route would score a narrower matrix on the model's first columns, and fail on a wider one
+def test_a_count_matrix_of_another_width_is_refused(columns):
+    # the kernel would score a narrower matrix on the model's first columns
     model = mnb_train(*pairs_from_rows([[2, 0, 1], [0, 4, 1]]), 1.0, ("a", "b"))
     counts = sparse.csr_array(np.ones((2, columns), dtype=np.int64))
     for matrix in (counts, CsrMatrix(counts.data, counts.indices, counts.indptr, counts.shape)):
         with pytest.raises(ValueError, match=f"^counts have {columns} columns for a model of 3 features$"):
             posterior(model, matrix)
+
+
+@pytest.mark.parametrize(
+    "indices, indptr, message",
+    [
+        ([0, 1], [0, 2, 2], "indptr does not fit 1 rows of 2 entries"),
+        ([0, 1], [0, 3], "indptr does not fit 1 rows of 2 entries"),
+        ([0, 1], [-1, 2], "indptr does not fit 1 rows of 2 entries"),
+        ([0, 3], [0, 2], r"a column outside 0\.\.2"),
+        ([-1, 1], [0, 2], r"a column outside 0\.\.2"),
+    ],
+)
+def test_a_count_matrix_whose_arrays_point_outside_them_is_refused(indices, indptr, message):
+    # the kernel would read outside the arrays
+    model = mnb_train(*pairs_from_rows([[2, 0, 1], [0, 4, 1]]), 1.0, ("a", "b"))
+    counts = CsrMatrix(np.ones(2), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32), (1, 3))
+    with pytest.raises(ValueError, match=message):
+        posterior(model, counts)
 
 
 def test_alpha_zero_uses_floor():
@@ -449,15 +429,18 @@ def test_posterior_of_a_trained_mnb_model_does_not_copy_its_table():
 @pytest.mark.parametrize("train", [mnb_train, pnb_train])
 def test_model_file_and_scores_do_not_depend_on_the_table_layout(tmp_path, train):
     counts, subjects = wide_training(n_subjects=5, m=300)
-    model = train(counts, subjects, 0.5, tuple("abcde"))
+    model = train(counts, subjects, 0.0, tuple("abcde"))  # pnb at alpha 0 has zero rates, which weigh -inf
     c_ordered = dataclasses.replace(model, table=np.ascontiguousarray(model.table))  # as load_model gives it
     assert not model.table.flags.c_contiguous and c_ordered.table.flags.c_contiguous
     vocab = make_vocab(300)
     save_model(model, tmp_path / "trained.npz", vocab)
     save_model(c_ordered, tmp_path / "c_ordered.npz", vocab)
     assert (tmp_path / "trained.npz").read_bytes() == (tmp_path / "c_ordered.npz").read_bytes()
-    for ours, theirs in zip(posterior(model, counts), posterior(c_ordered, counts)):
-        assert np.array_equal(ours, theirs)
+    probe = sparse.vstack([counts, sparse.csr_array((1, 300), dtype=np.int64)]).tocsr()
+    ours, theirs = posterior(model, probe), posterior(c_ordered, probe)
+    for got, want in zip(ours, theirs):
+        assert got.tobytes() == want.tobytes()
+    assert ours[1].tolist() == [False] * 15 + [train is mnb_train]  # the empty row falls back under mnb only
 
 
 @pytest.mark.parametrize("train, rows, alpha, labels, doc", ROUNDTRIP_CASES)

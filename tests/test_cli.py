@@ -58,6 +58,18 @@ def test_attribute_missing_model_is_data_error(tmp_path):
     assert main(["attribute", "--model", str(tmp_path / "no.npz"), str(probe)]) == 1
 
 
+@pytest.mark.parametrize("text", [".", "/", ""])
+def test_attribute_text_path_with_no_file_name_is_data_error(tmp_path, capsys, text):
+    # such a path has no sidecar name, and the text is read before one is made
+    out = tmp_path / "out"
+    assert main(["train", "-O", f"corpus_dir={disjoint_corpus(tmp_path)}", "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["attribute", "--model", str(out / "model.npz"), text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"data error: cannot read {Path(text)}: [Errno 21] Is a directory") and captured.err.count("\n") == 1
+
+
 def _resave(edit):
     """Rewrite a model file with some of its arrays replaced by ``edit(arrays)``."""
     def write(path, arrays):
@@ -72,6 +84,19 @@ def _write_npy(path, arrays):
 
 def _header(edit):
     return _resave(lambda arrays: {"header": np.array(json.dumps(edit(json.loads(str(arrays["header"])))))})
+
+
+def _first_cell(value, kind="mnb"):
+    """Rewrite a trained mnb model file as a model of ``kind`` whose table's first cell is ``value``.
+
+    As a pnb model, its rates are the mnb model's feature probabilities.
+    """
+    def write(path, arrays):
+        header = {**json.loads(str(arrays.pop("header"))), "kind": kind}
+        table = arrays.pop("log_params") if kind == "mnb" else np.exp(arrays.pop("log_params"))
+        table[0, 0] = value
+        np.savez(path, **arrays, **{"log_params" if kind == "mnb" else "rates": table}, header=np.array(json.dumps(header)))
+    return write
 
 
 @pytest.mark.parametrize(
@@ -110,6 +135,16 @@ def _header(edit):
             "{path}: features repeat a string: 35 distinct of 36\n",
             id="features-repeat",
         ),
+        pytest.param(
+            _resave(lambda arrays: {name: arrays[name][:0] for name in ("subject_labels", "log_params", "log_priors")}),
+            "{path}: no subject labels\n",
+            id="no-labels",
+        ),
+        pytest.param(_first_cell(np.nan), "{path}: log_params must be finite\n", id="mnb-nan"),
+        pytest.param(_first_cell(np.inf), "{path}: log_params must be finite\n", id="mnb-inf"),
+        pytest.param(_first_cell(-1.0, "pnb"), "{path}: rates must be finite and not negative\n", id="pnb-negative"),
+        pytest.param(_first_cell(np.nan, "pnb"), "{path}: rates must be finite and not negative\n", id="pnb-nan"),
+        pytest.param(_first_cell(np.inf, "pnb"), "{path}: rates must be finite and not negative\n", id="pnb-inf"),
     ],
 )
 def test_attribute_model_that_does_not_fit_is_data_error(tmp_path, capsys, write, message):
@@ -746,7 +781,7 @@ SCIPY_MODULES = "{m for m in sys.modules if m.split('.')[0] == 'scipy'}"
 
 
 def test_train_sigscore_and_chimeric_load_no_scipy(tmp_path):
-    # attribute scores without scipy.sparse, and only eval's statistics call scipy.special
+    # scoring loads only the product kernel's extension module, and only eval's statistics call scipy.special
     corpus_dir = disjoint_corpus(tmp_path)
     sig_dir = write_svc_dir(tmp_path / "sigs", n_writers=3, n_samples=4)
     probe = tmp_path / "probe.txt"
@@ -759,12 +794,13 @@ def test_train_sigscore_and_chimeric_load_no_scipy(tmp_path):
         ["chimeric", "-O", f"corpus_dir={corpus_dir}", "-O", f"signature_dir={sig_dir}", *sizes, "--output-dir", str(tmp_path / "plan")],
     ]
     code = f"import json, sys; from stylosig.cli import main; codes = [main(argv) for argv in {calls!r}]; print(json.dumps([codes, sorted({SCIPY_MODULES})]))"
-    assert _fresh_process(code) == [[0, 0, 0, 0], []]
+    assert _fresh_process(code) == [[0, 0, 0, 0], ["scipy.sparse._sparsetools"]]
 
 
 @pytest.mark.parametrize("protocol", ["rolling", "chimeric"])
 def test_no_stage_of_a_fresh_eval_imports_scipy(tmp_path, protocol):
-    # the kernels load before the eval's clock starts, so run.json's stage seconds time the program's own work
+    # the kernels load before the eval's clock starts, so run.json's stage seconds time the program's own work,
+    # and the product kernel loads without the scipy.sparse package
     corpus_dir = disjoint_corpus(tmp_path)
     argv = ["eval", "-O", f"corpus_dir={corpus_dir}", "-O", "train_window=3", "-O", "test_window=1"]
     if protocol == "chimeric":
@@ -781,50 +817,9 @@ def test_no_stage_of_a_fresh_eval_imports_scipy(tmp_path, protocol):
         "        yield\n"
         f"    new[stage] = sorted({SCIPY_MODULES} - before)\n"
         "experiment._timed = watched\n"
-        f"print(json.dumps([main({argv!r}), new]))"
+        f"print(json.dumps([main({argv!r}), new, 'scipy.sparse' in sys.modules]))"
     )
-    rc, new = _fresh_process(code)
+    rc, new, sparse_loaded = _fresh_process(code)
     stages = ["load", "extract", "folds", "write"] + (["signature"] if protocol == "chimeric" else [])
-    assert rc == 0 and sorted(new) == sorted(stages)
+    assert rc == 0 and sorted(new) == sorted(stages) and not sparse_loaded
     assert new == {stage: [] for stage in stages}
-
-
-@pytest.mark.parametrize("command", ["eval", "bench"])
-def test_eval_and_bench_load_the_product_kernel_before_their_clocks(tmp_path, command):
-    # their products are several times faster by scipy's kernel, which posterior takes once scipy.sparse is loaded
-    if command == "eval":
-        argv = ["eval", "-O", f"corpus_dir={disjoint_corpus(tmp_path)}", "-O", "train_window=3", "-O", "test_window=1"]
-    else:
-        argv = ["bench", "--sizes", "2,3", "--repeats", "1"]
-    argv += ["--output-dir", str(tmp_path / "out")]
-    code = (
-        "import json, sys; from stylosig import bench, experiment; from stylosig.cli import main\n"
-        "loaded = []\n"
-        "def watched(clock):\n"
-        "    def started(*args):\n"
-        "        loaded.append('scipy.sparse' in sys.modules)\n"
-        "        return clock(*args)\n"
-        "    return started\n"
-        "experiment._timed, bench.time_attribution = watched(experiment._timed), watched(bench.time_attribution)\n"
-        f"print(json.dumps([main({argv!r}), loaded]))"
-    )
-    rc, loaded = _fresh_process(code)
-    # an eval's stages, or a bench's timed passes
-    assert rc == 0 and len(loaded) >= {"eval": 4, "bench": 2}[command] and all(loaded)
-
-
-def test_train_and_attribute_never_load_scipy_special(tmp_path):
-    # only eval's accuracy intervals and t-tests call the scipy.special kernels
-    corpus_dir = disjoint_corpus(tmp_path)
-    probe = tmp_path / "probe.txt"
-    probe.write_text("s1w0 s1w1 s1w2", encoding="utf-8")
-    model_dir = tmp_path / "model"
-    train = ["train", "-O", f"corpus_dir={corpus_dir}", "--output-dir", str(model_dir)]
-    attribute = ["attribute", "--model", str(model_dir / "model.npz"), str(probe)]
-    code = (
-        "import json, sys; from stylosig.cli import main; "
-        f"codes = [main({train!r}), main({attribute!r})]; "
-        "print(json.dumps([codes, 'scipy.special' in sys.modules]))"
-    )
-    codes, special_loaded = _fresh_process(code)
-    assert codes == [0, 0] and not special_loaded

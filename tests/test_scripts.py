@@ -146,3 +146,10 @@ def test_bench_record_refuses_a_bad_argument_before_it_runs_anything(tmp_path, a
     assert result.returncode == 2 and result.stdout == ""
     assert message in result.stderr and "Traceback" not in result.stderr
     assert not output.exists()
+
+
+def test_bench_record_gives_the_parent_copy_bytecode(tmp_path):
+    # the working tree may hold bytecode, and a fresh interpreter without it compiles all of src
+    load_script("bench_record").prepare("HEAD", tmp_path / "parent")
+    cli = tmp_path / "parent" / "src" / "stylosig" / "cli.py"
+    assert cli.is_file() and Path(importlib.util.cache_from_source(str(cli))).is_file()
