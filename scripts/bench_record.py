@@ -16,6 +16,15 @@ each run prints last and writes, per workload and end-to-end metric of
 pairs in which the working tree did better.  The file also holds the
 commits, the host's CPU count and the seeds.
 
+On ``attribute`` each pair also measures the CPU time of calls made in
+process, where the host's drifting speed spreads wall times more widely:
+one fresh interpreter per side, the sides taking turns as above, trains
+the model of the seed's inputs (``perfbench/.work/data/attribute-v<k>``,
+which the pair's runs generate) and makes the benchmark's ``attribute``
+calls, one untimed pass and then ``CPU_PASSES`` timed ones.  Each side's
+median and quartiles of CPU ms per call, over every timed call, go under
+``cpu_ms_per_call``, with the pairs in which the working tree's median was lower.
+
     python3 scripts/bench_record.py --parent HEAD --workload attribute \\
         --seeds 1-10 --output BENCH_N.json
 """
@@ -35,6 +44,30 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CPU_PASSES = 10
+WORK_DATA = ROOT / "perfbench" / ".work" / "data"  # perfbench's input cache, shared by both sides' probes
+# run in a checkout with arguments CACHE SEED PASSES: prints the CPU ms of each timed attribute call as JSON
+CPU_PROBE = """
+import contextlib, io, json, sys, tempfile, time
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+from stylosig.cli import main
+inputs = workloads.prepare("attribute", int(sys.argv[2]), Path(sys.argv[1]))
+ms = []
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    if any(main(call) for call in workloads.setup_calls("attribute", inputs, Path(tmp))):
+        sys.exit("train failed")
+    calls = workloads.unit_calls("attribute", inputs, Path(tmp), Path(tmp))
+    for k in range(1 + int(sys.argv[3])):
+        for call in calls:
+            start = time.process_time()
+            if main(call):
+                sys.exit("attribute failed")
+            if k:
+                ms.append(round(1000 * (time.process_time() - start), 4))
+print(json.dumps(ms))
+"""
 
 
 class UsageError(Exception):
@@ -100,6 +133,29 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def cpu_ms_per_call(checkout: Path, cache: Path, seed: int, passes: int) -> list[float]:
+    """The CPU ms of each timed ``attribute`` call that one fresh interpreter in ``checkout`` makes on the inputs of ``seed`` under ``cache``."""
+    argv = [sys.executable, "-c", CPU_PROBE, str(cache), str(seed), str(passes)]
+    result = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if result.returncode:
+        raise RuntimeError(f"the CPU probe in {checkout} exited with code {result.returncode}: {result.stderr.strip()[-500:]}")
+    return json.loads(result.stdout)
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize_cpu(pairs: list[dict]) -> dict:
+    """Each side's median and quartiles of CPU ms per call over every pair, and the pairs whose change median is lower."""
+    medians = [{side: statistics.median(pair["cpu_ms"][side]) for side in ("parent", "change")} for pair in pairs]
+    summary = {"unit": "ms", "better": "lower", "wins": sum(m["change"] < m["parent"] for m in medians), "pairs": len(pairs)}
+    for side in ("parent", "change"):
+        summary[side] = quartiles([ms for pair in pairs for ms in pair["cpu_ms"][side]])
+    return summary
+
+
 def summarize(pairs: list[dict], metrics: dict) -> dict:
     """Per metric: each side's median and quartiles, and the pairs in which the change did better."""
     summary = {}
@@ -109,8 +165,7 @@ def summarize(pairs: list[dict], metrics: dict) -> dict:
         wins = sum((c < p) if lower else (c > p) for p, c in zip(sides["parent"], sides["change"]))
         summary[name] = {"unit": metric["unit"], "better": metric["better"], "wins": wins, "pairs": len(pairs)}
         for side, values in sides.items():
-            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-            summary[name][side] = {"median": median, "q1": q1, "q3": q3}
+            summary[name][side] = quartiles(values)
     return summary
 
 
@@ -154,6 +209,15 @@ def main(argv=None) -> int:
                         print(f"bench_record: {exc}", file=sys.stderr)
                         return 1
                     print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['metrics'])}", file=sys.stderr)
+                if workload == "attribute":
+                    pair["cpu_ms"] = {}
+                    for side in order:
+                        try:
+                            pair["cpu_ms"][side] = cpu_ms_per_call(checkouts[side], WORK_DATA, seed, CPU_PASSES)
+                        except RuntimeError as exc:
+                            print(f"bench_record: {exc}", file=sys.stderr)
+                            return 1
+                        print(f"{workload} seed {seed} {side}: CPU {statistics.median(pair['cpu_ms'][side]):.2f} ms per call", file=sys.stderr)
                 pairs.append(pair)
             results = [pair[side] for pair in pairs for side in ("parent", "change")]
             record["workloads"][workload] = {
@@ -162,6 +226,8 @@ def main(argv=None) -> int:
                 "metrics": summarize(pairs, {m["name"]: m for m in spec["end_to_end"]}),
                 "runs": pairs,
             }
+            if workload == "attribute":
+                record["workloads"][workload]["cpu_ms_per_call"] = summarize_cpu(pairs)
     Path(args.output).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"{len(seeds)} pairs of {', '.join(args.workload)} -> {args.output}")
     return 0

@@ -22,7 +22,7 @@ import numpy as np
 
 from stylosig.corpus import read_text
 from stylosig.errors import DataError
-from stylosig.features import tokenize
+from stylosig.features import _token_bytes
 
 SENTENCE = 12
 UPOS = ("ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM", "PART", "PRON", "PROPN", "VERB", "X")
@@ -52,7 +52,7 @@ def write_sidecars(root: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
     paths = sorted(root.rglob("*.txt"))
     for path in paths:
-        path.with_suffix(".conllu").write_text(sidecar(tokenize(read_text(path)), rng), encoding="utf-8")
+        path.with_suffix(".conllu").write_text(sidecar(_token_bytes(read_text(path)).decode().split(), rng), encoding="utf-8")
     return len(paths)
 
 

@@ -267,7 +267,11 @@ def _strings(data, name: str) -> tuple:
 
 
 def load_model(path: str | Path) -> tuple[NbModel, Vocabulary]:
-    """Read a model file and its vocabulary; one whose arrays do not fit its labels and features, or that repeats a feature, is a DataError."""
+    """Read a model file and its vocabulary; one whose arrays do not fit its labels and features, or whose table its kind cannot score, is a DataError.
+
+    Its features are checked where they are extracted: ``extract_matrix``
+    refuses features that repeat or that extraction never gives.
+    """
     path = Path(path)
     try:
         data = np.load(path, allow_pickle=False)
@@ -303,6 +307,4 @@ def load_model(path: str | Path) -> tuple[NbModel, Vocabulary]:
     if not (-np.inf < low and high < np.inf and (kind == "mnb" or low >= 0)):
         rule = "finite" if kind == "mnb" else "finite and not negative"
         raise DataError(f"{path}: {_TABLE_NAMES[kind]} must be {rule}")
-    if len(vocab.index) != len(vocab):
-        raise DataError(f"{path}: features repeat a string: {len(vocab.index)} distinct of {len(vocab)}")
     return model, vocab

@@ -53,7 +53,10 @@ def cmd_attribute(args, config: ExperimentConfig) -> int:
         raise ConfigError([f"--scores {args.scores}: not a file in an existing directory"])
     model, vocab = classifiers.load_model(args.model)
     docs = [read_document(Path(name), name, 0) for name in args.texts]
-    counts = extract_matrix(vocab.model, docs, index=vocab.index).counts
+    try:
+        counts = extract_matrix(vocab.model, docs, features=vocab.features).counts
+    except ValueError as exc:  # features that no extraction gives: the model file is malformed
+        raise DataError(f"{Path(args.model)}: {exc}") from None
     scores, fallback = experiment.possibility_rows(model, counts)
     classifiers.warn_fallback(model, int(fallback.sum()))
     for name, subject, tie in zip(args.texts, *decide(scores)):
@@ -138,10 +141,16 @@ _COMMANDS = {  # name: (handler, help line), in --help order
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone, whose usage line still lists every one."""
     parser = argparse.ArgumentParser(prog="stylosig", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # one subcommand's usage line lists every one through the metavar; the full parser keeps
+    # none, since a metavar also renames the argument in its errors ("argument command: ...")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (_, help_line) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_line)
         p.add_argument("-c", "--config", help="key = value config file")
         p.add_argument(
@@ -153,20 +162,20 @@ def build_parser() -> argparse.ArgumentParser:
             help="override one config key (repeatable)",
         )
         p.add_argument("--output-dir", help="shortcut for -O output_dir=...")
-
-    p = sub.choices["attribute"]
-    p.add_argument("--model", required=True, help="model .npz written by train")
-    p.add_argument("--scores", help="also write the possibility matrix as CSV")
-    p.add_argument("texts", nargs="+", help=".txt files to attribute")
-
-    p = sub.choices["bench"]
-    p.add_argument("--sizes", default="8,16,32", help="comma-separated docs per subject")
-    p.add_argument("--repeats", type=int, default=5)
+        if name == "attribute":
+            p.add_argument("--model", required=True, help="model .npz written by train")
+            p.add_argument("--scores", help="also write the possibility matrix as CSV")
+            p.add_argument("texts", nargs="+", help=".txt files to attribute")
+        elif name == "bench":
+            p.add_argument("--sizes", default="8,16,32", help="comma-separated docs per subject")
+            p.add_argument("--repeats", type=int, default=5)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named subcommand needs only its own parser; anything else, help or an error, needs every one
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         config = _config_from_args(args)
         validate_for(config, args.command)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import ClassVar, Sequence
@@ -50,11 +49,6 @@ def _token_bytes(text: str) -> bytes:
     return " ".join(_TOKEN_RE.findall(text.lower())).encode()
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split on anything that is not a letter or digit."""
-    return _token_bytes(text).decode().split()
-
-
 @dataclass(frozen=True)
 class FeatureModel:
     """What to count in a document.
@@ -86,10 +80,6 @@ class Vocabulary:
     model: FeatureModel
     profile_size: int
     features: tuple[str, ...]
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {f: i for i, f in enumerate(self.features)}
 
     def __len__(self):
         return len(self.features)
@@ -147,9 +137,9 @@ class CsrMatrix:
 class FeatureMatrix:
     """Feature counts of a document list: row i is document i, column j counts the gram ``grams[j]``.
 
-    Extracted without an index, the columns are in string order, the tie order of ``build_vocabulary``.
-    Extracted through an index, the columns are the index's, whose features the caller holds:
-    ``labels`` and ``grams`` are None and there is nothing to decode.
+    Extracted without ``features``, the columns are in string order, the tie order of ``build_vocabulary``.
+    Extracted onto given features, the columns are those features in their order, which the caller
+    holds: ``labels`` and ``grams`` are None and there is nothing to decode.
     """
 
     model: FeatureModel
@@ -173,31 +163,79 @@ def _join(labels: np.ndarray, grams: np.ndarray) -> np.ndarray:
     return strings
 
 
-def _positions(model: FeatureModel, docs: Sequence[Document]):
-    """The distinct labels, ascending; the label id and predecessor of every position; each document's position count.
+def _chain_preds(lengths: np.ndarray) -> np.ndarray:
+    """The predecessor of every position of chains of ``lengths`` positions laid end to end: the one before, -1 at each chain's start."""
+    pred = np.arange(-1, lengths.sum() - 1)
+    pred[(np.cumsum(lengths) - lengths)[lengths > 0]] = -1
+    return pred
 
-    The predecessor is the previous token (word n-grams) or the head (syntactic
-    n-grams), -1 for none.  Each document becomes UTF-8 bytes, its tokens
-    between spaces or each of its node labels followed by ``SEP``, and one
-    packer numbers the labels of the whole batch.
+
+def _feature_chains(model: FeatureModel, features: Sequence[str]):
+    """The labels of ``features`` as one blob in their documents' form, and each feature's order; None if ``model`` never extracts some feature.
+
+    The features are joined by a byte that no label of the family holds, a
+    space between word n-grams and a line feed between sn-grams, so every
+    label ends at a ``SEP``, a joint or the end.  The blob holds word n-gram
+    labels between spaces, or each sn-gram label followed by ``SEP``.
+    Extraction gives features of the model's orders only, word labels that
+    are nonempty tokens, and sn-gram labels without a control character,
+    lowercased where the element is.
     """
+    if not features:
+        return b"", np.zeros(0, dtype=np.int64)
+    ngram = model.family == NGRAM_FAMILY
+    joint = " " if ngram else "\n"
+    text = joint.join(features)
+    raw = text.encode()
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    # where labels end; a control byte other than SEP or the joint ends one too, and is refused below
+    stops = np.flatnonzero(codes <= ord(" ") if ngram else codes < ord(" "))
+    marks = codes[stops]
+    joints = np.flatnonzero(marks == ord(joint))
+    orders = np.diff(joints, prepend=-1, append=stops.size)  # the labels up to each joint, and after the last
+    if joints.size != len(features) - 1 or not set(np.flatnonzero(np.bincount(orders)).tolist()) <= set(model.orders):
+        return None
+    if ngram:
+        blob = raw.replace(SEP.encode(), b" ")
+        empty = (np.diff(stops, prepend=-1, append=len(raw)) == 1).any()
+        return None if empty or _token_bytes(blob.decode()) != blob else (blob, orders)
+    if np.count_nonzero(marks != ord(SEP)) != joints.size or (_NODE_COLUMNS[model.element][1] and text.lower() != text):
+        return None
+    return raw.replace(joint.encode(), SEP.encode()) + SEP.encode(), orders
+
+
+def _positions(model: FeatureModel, docs: Sequence[Document], features: Sequence[str] = ()):
+    """The distinct labels, ascending; the label id and predecessor of every position; each chain's position count.
+
+    The chains are each feature of ``features`` and then each document.  The
+    predecessor is the previous token (word n-grams and features) or the
+    head (syntactic n-grams), -1 for none.  The features become one blob
+    and each document its own, its tokens between spaces or each of its node
+    labels followed by ``SEP``, and one packer numbers the labels of the whole batch.
+    A feature that ``model`` never extracts is a ValueError naming it.
+    """
+    chains = _feature_chains(model, features)
+    if chains is None:
+        bad = next(f for f in features if _feature_chains(model, (f,)) is None)
+        element = f" of {model.element} labels" if model.family == SNGRAM_FAMILY else ""
+        raise ValueError(f"{model.family}{element} of order {','.join(map(str, model.orders))} gives no feature {bad!r}")
+    feature_blob, orders = chains
     if model.family == NGRAM_FAMILY:
-        names, label, lengths = _packed_labels([_token_bytes(doc.text) for doc in docs], ended=False)
-        pred = np.arange(-1, label.size - 1)
-        pred[(np.cumsum(lengths) - lengths)[lengths > 0]] = -1
-        return names, label, pred, lengths
+        names, label, lengths = _packed_labels([feature_blob, *(_token_bytes(doc.text) for doc in docs)], ended=False)
+        lengths = np.concatenate([orders, lengths[1:]])
+        return names, label, _chain_preds(lengths), lengths
     for doc in docs:
         if doc.tree is None:
             raise DataError(f"document {doc.doc_id} has no dependency tree")
     column, lowered = _NODE_COLUMNS[model.element]
     sizes = np.array([len(doc.tree.head) for doc in docs], dtype=np.int64)
     heads = np.fromiter(chain.from_iterable(doc.tree.head for doc in docs), dtype=np.int64, count=sizes.sum())
-    # each document's heads count from its first node: offset them by the nodes before it
-    heads = np.where(heads >= 0, heads + np.repeat(np.cumsum(sizes) - sizes, sizes), -1)
+    # each document's heads count from its first node: offset them by the positions before it
+    heads = np.where(heads >= 0, heads + np.repeat(np.cumsum(sizes) - sizes + orders.sum(), sizes), -1)
     blobs = [SEP.join((*getattr(doc.tree, column), "")) for doc in docs]  # each label followed by SEP
     # SEP is neither cased nor case-ignorable, so a joined column lowercases as its labels one by one
-    names, label, lengths = _packed_labels([(blob.lower() if lowered else blob).encode() for blob in blobs], ended=True)
-    return names, label, heads, lengths
+    names, label, lengths = _packed_labels([feature_blob, *((blob.lower() if lowered else blob).encode() for blob in blobs)], ended=True)
+    return names, label, np.concatenate([_chain_preds(orders), heads]), np.concatenate([orders, lengths[1:]])
 
 
 def _packed_labels(blobs: list[bytes], ended: bool):
@@ -300,14 +338,15 @@ def _label_ids(blocks, tables, wanted: np.ndarray) -> np.ndarray:
     return grams
 
 
-def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None, index=None) -> FeatureMatrix:
+def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None, features=None) -> FeatureMatrix:
     """Extract each document once into a sparse count matrix.
 
-    Without ``index``, the columns are the features of the first
+    Without ``features``, the columns are the grams of the first
     ``n_indexed`` documents (default: all), in string order; the others lose
-    the features outside them, which no vocabulary ranked on the indexed
-    documents can hold.  With ``index`` (feature -> column), its columns, and
-    no document adds to it.  ``mass`` counts every extracted feature either way.
+    the grams outside them, which no vocabulary ranked on the indexed
+    documents can hold.  With ``features`` (feature strings in column order),
+    those columns, and no document adds to them.  ``mass`` counts every
+    extracted gram either way.
 
     The order-k code at a position is the dense rank of (the order-(k-1)
     code at its predecessor, its label id): one ``np.unique`` per order for
@@ -319,12 +358,20 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
     every label character sorts above ``SEP``, so the order of codes, and of
     label-id tuples padded with -1 across orders, is the order of the
     feature strings.
+
+    Given features are chains ahead of the documents, numbered with them, so
+    feature i's column is the gram id at its chain's last label, at its own
+    order, and no feature string is made.  They add to no row.  A feature
+    that ``model`` never extracts, or two features of one gram, is a ValueError.
     """
-    names, label, pred, lengths = _positions(model, docs)
+    n_features = 0 if features is None else len(features)
+    names, label, pred, lengths = _positions(model, docs, () if features is None else features)
+    orders, lengths = lengths[:n_features], lengths[n_features:]
+    offset = int(orders.sum())  # the first document position
     code, tables, codes, blocks, n_grams = label, [], [], [], 0
     n_codes = names.size  # of the order below
-    # a chain is never longer than its document: no order above the longest one is numbered
-    top = max((k for k in model.orders if k <= lengths.max(initial=0)), default=0)
+    # a chain is never longer than its document or feature: no order above the longest one is numbered
+    top = max((k for k in model.orders if k <= max(lengths.max(initial=0), orders.max(initial=0))), default=0)
     for k in range(1, top + 1):
         if k > 1:
             has = pred >= 0
@@ -345,7 +392,7 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
             blocks.append((k, n_grams, n_grams + (names.size if k == 1 else table.size)))
             n_grams = blocks[-1][2]
     del label, pred, code
-    if index is None:  # the columns: every gram of the indexed documents, in label-id tuple order
+    if features is None:  # the columns: every gram of the indexed documents, in label-id tuple order
         indexed, n_indexed = np.zeros(n_grams, dtype=bool), int(lengths[:n_indexed].sum())
         for lo, code in codes:
             indexed[lo + code[:n_indexed][code[:n_indexed] >= 0]] = True
@@ -361,11 +408,18 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
         n_columns = wanted.size
         column = np.full(n_grams, n_columns, dtype=np.int64)
         column[wanted[order]] = np.arange(n_columns)
-    else:  # every gram of the batch, looked up in the index by its string
-        strings = _join(names, _label_ids(blocks, tables, np.arange(n_grams)))
+    else:  # the columns: each feature's gram id, at the last label of its chain
+        ends, gram = np.cumsum(orders) - 1, np.empty(n_features, dtype=np.int64)
+        for (k, *_), (lo, code) in zip(blocks, codes):
+            at = orders == k
+            gram[at] = lo + code[ends[at]]
+        repeats = np.count_nonzero(np.diff(np.sort(gram)) == 0)
+        if repeats:
+            raise ValueError(f"features repeat a string: {n_features - repeats} distinct of {n_features}")
         names = grams = None
-        n_columns = len(index)
-        column = np.array([index.get(f, n_columns) for f in strings], dtype=np.int64)
+        n_columns = n_features
+        column = np.full(n_grams, n_columns, dtype=np.int64)
+        column[gram] = np.arange(n_columns)
     # a gram outside the columns has column n_columns: counted in mass, then dropped
     stride = n_columns + 1
     width = _key_dtype(len(docs) * stride)
@@ -373,6 +427,7 @@ def extract_matrix(model: FeatureModel, docs: Sequence[Document], n_indexed=None
     row = np.repeat(np.arange(0, len(docs) * stride, stride, dtype=width), lengths)
     keys = [np.zeros(0, dtype=width)]
     for lo, code in codes:
+        code = code[offset:]  # the documents' positions
         at = code >= 0
         keys.append(row[at] + column[lo + code[at]])  # document * stride + column
     del codes, row, column

@@ -172,6 +172,17 @@ def extract_sngrams(tree, element, k):
     return counts
 
 
+def extracted_feature(model, feature):
+    """Whether some document gives ``feature`` under ``model``: its order is one of the model's and each of its labels is one a document holds."""
+    labels = feature.split(SEP)
+    if len(labels) not in model.orders:
+        return False
+    if model.family == NGRAM_FAMILY:
+        return all(tokenize_reference(label) == [label] for label in labels)
+    lowered = model.element in ("word", "lemma")
+    return not any(re.search("[\x00-\x1f]", label) or (lowered and label.lower() != label) for label in labels)
+
+
 def extract_counts(model, doc):
     """One document's feature counts under a ``FeatureModel``, one order at a time."""
     counts = Counter()

@@ -8,7 +8,7 @@ import pytest
 
 from stylosig.bench import run_scaling, synthetic_corpus, time_attribution
 from stylosig.config import ExperimentConfig
-from stylosig.features import tokenize
+from stylosig.features import _token_bytes
 
 
 def test_synthetic_corpus_shape_and_token_budget():
@@ -16,7 +16,7 @@ def test_synthetic_corpus_shape_and_token_budget():
     assert len(corpus.subjects) == 3
     assert len(corpus.documents) == 12
     for doc in corpus.documents:
-        assert len(tokenize(doc.text)) == 100
+        assert len(_token_bytes(doc.text).decode().split()) == 100
 
 
 def test_synthetic_corpus_is_deterministic():

@@ -58,6 +58,25 @@ def test_attribute_missing_model_is_data_error(tmp_path):
     assert main(["attribute", "--model", str(tmp_path / "no.npz"), str(probe)]) == 1
 
 
+def test_attribute_makes_no_feature_string(tmp_path, capsys, monkeypatch):
+    # the texts' grams meet the model's features as label ids: only train turns columns into strings
+    out = tmp_path / "out"
+    assert main(["train", "-O", f"corpus_dir={disjoint_corpus(tmp_path)}", "--output-dir", str(out)]) == 0
+    probes = [tmp_path / "p1.txt", tmp_path / "p2.txt"]
+    probes[0].write_text("s1w0 s1w1 s1w2 s1w0 s0w3", encoding="utf-8")
+    probes[1].write_text("S2W5, s2w4 unseen s0w1 s2w5", encoding="utf-8")
+    outputs = []
+    for run in ("strings", "no-strings"):
+        if run == "no-strings":
+            monkeypatch.setattr(features, "_join", lambda *args: pytest.fail("attribute made feature strings"))
+        scores = tmp_path / f"{run}.csv"
+        capsys.readouterr()
+        assert main(["attribute", "--model", str(out / "model.npz"), "--scores", str(scores), *map(str, probes)]) == 0
+        outputs.append((capsys.readouterr().out, scores.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[1][0] == f"{probes[0]}\tsubj1\n{probes[1]}\tsubj2\n"
+
+
 @pytest.mark.parametrize("text", [".", "/", ""])
 def test_attribute_text_path_with_no_file_name_is_data_error(tmp_path, capsys, text):
     # such a path has no sidecar name, and the text is read before one is made
@@ -84,6 +103,12 @@ def _write_npy(path, arrays):
 
 def _header(edit):
     return _resave(lambda arrays: {"header": np.array(json.dumps(edit(json.loads(str(arrays["header"])))))})
+
+
+def _last_feature(feature, id):
+    """A case that rewrites a model file with ``feature`` for its last feature, one that ``train`` never writes."""
+    message = f"{{path}}: ngram of order 1,2 gives no feature {feature!r}\n"
+    return pytest.param(_resave(lambda arrays: {"features": np.append(arrays["features"][:-1], feature)}), message, id=id)
 
 
 def _first_cell(value, kind="mnb"):
@@ -135,6 +160,10 @@ def _first_cell(value, kind="mnb"):
             "{path}: features repeat a string: 35 distinct of 36\n",
             id="features-repeat",
         ),
+        _last_feature("s1w0 s1w1", id="feature-label-with-a-space"),
+        _last_feature(f"s1w0{features.SEP}", id="feature-empty-label"),
+        _last_feature("S1W0", id="feature-upper-case"),
+        _last_feature(features.SEP.join(["s1w0"] * 3), id="feature-order-3"),
         pytest.param(
             _resave(lambda arrays: {name: arrays[name][:0] for name in ("subject_labels", "log_params", "log_priors")}),
             "{path}: no subject labels\n",
@@ -442,6 +471,93 @@ def test_each_subcommand_keeps_its_options():
     for name, parser in sub.choices.items():
         options = [(tuple(a.option_strings) or a.dest, a.default, a.required) for a in parser._actions]
         assert options == COMMON_OPTIONS + EXTRA_OPTIONS.get(name, []), name
+
+
+TOP_USAGE = "usage: stylosig [-h] {train,attribute,sigscore,chimeric,eval,bench} ...\n"
+TOP_HELP = TOP_USAGE + """
+Command-line entry points. Exit codes: 0 success, 1 data problem (missing or malformed inputs), 2
+configuration problem (bad keys, values, or command usage).
+
+positional arguments:
+  {train,attribute,sigscore,chimeric,eval,bench}
+    train               fit a stylome model on a whole corpus
+    attribute           attribute text files with a trained model
+    sigscore            baseline-score held-out signatures
+    chimeric            write the author+writer pairing manifest
+    eval                run the configured protocol end to end
+    bench               measure pipeline scaling on synthetic corpora
+
+options:
+  -h, --help            show this help message and exit
+"""
+COMMON_HELP = """options:
+  -h, --help            show this help message and exit
+  -c CONFIG, --config CONFIG
+                        key = value config file
+  -O KEY=VALUE, --override KEY=VALUE
+                        override one config key (repeatable)
+  --output-dir OUTPUT_DIR
+                        shortcut for -O output_dir=...
+"""
+ATTRIBUTE_USAGE = """usage: stylosig attribute [-h] [-c CONFIG] [-O KEY=VALUE] [--output-dir OUTPUT_DIR] --model MODEL
+                          [--scores SCORES]
+                          texts [texts ...]
+"""
+ATTRIBUTE_HELP = ATTRIBUTE_USAGE + """
+positional arguments:
+  texts                 .txt files to attribute
+
+""" + COMMON_HELP + """  --model MODEL         model .npz written by train
+  --scores SCORES       also write the possibility matrix as CSV
+"""
+BENCH_HELP = """usage: stylosig bench [-h] [-c CONFIG] [-O KEY=VALUE] [--output-dir OUTPUT_DIR] [--sizes SIZES]
+                      [--repeats REPEATS]
+
+""" + COMMON_HELP + """  --sizes SIZES         comma-separated docs per subject
+  --repeats REPEATS
+"""
+
+
+def _plain_help(name):
+    return f"usage: stylosig {name} [-h] [-c CONFIG] [-O KEY=VALUE] [--output-dir OUTPUT_DIR]\n\n{COMMON_HELP}"
+
+
+# every usage, help and error text of the parser, byte for byte: (exit code, stdout, stderr)
+PARSER_TEXTS = [
+    (["--help"], 0, TOP_HELP, ""),
+    ([], 2, "", TOP_USAGE + "stylosig: error: the following arguments are required: command\n"),
+    (
+        ["nosuch"], 2, "",
+        TOP_USAGE + "stylosig: error: argument command: invalid choice: 'nosuch' "
+        "(choose from 'train', 'attribute', 'sigscore', 'chimeric', 'eval', 'bench')\n",
+    ),
+    (["attribute", "t.txt"], 2, "", ATTRIBUTE_USAGE + "stylosig attribute: error: the following arguments are required: --model\n"),
+    (["train", "extra"], 2, "", TOP_USAGE + "stylosig: error: unrecognized arguments: extra\n"),
+    *[([name, "--help"], 0, _plain_help(name), "") for name in ("train", "sigscore", "chimeric", "eval")],
+    (["attribute", "--help"], 0, ATTRIBUTE_HELP, ""),
+    (["bench", "--help"], 0, BENCH_HELP, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PARSER_TEXTS, ids=[" ".join(case[0]) or "no-arguments" for case in PARSER_TEXTS])
+def test_parser_texts_are_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("argv, built", [(["train", "--help"], "train"), (["--help"], None), (["nosuch"], None), ([], None)])
+def test_main_builds_only_the_named_subcommand(monkeypatch, capsys, argv, built):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: calls.append(command) or build(command))
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert calls == [built]
+    (sub,) = [action for action in build(built)._actions if isinstance(action, argparse._SubParsersAction)]
+    assert list(sub.choices) == ([built] if built else [name for name, _ in SUBCOMMANDS])
 
 
 @pytest.mark.parametrize("protocol", ["rolling", "chimeric"])

@@ -13,7 +13,7 @@ from stylosig.cli import main
 from stylosig.config import ExperimentConfig, build_config
 from stylosig.corpus import load_text_corpus
 from stylosig.errors import DegenerateInputWarning
-from stylosig.features import FeatureModel, tokenize
+from stylosig.features import FeatureModel, _token_bytes
 from stylosig.fusion import decide
 from stylosig.signature import save_score_matrix
 from stylosig.experiment import (
@@ -503,7 +503,7 @@ def test_run_json_records_stages_and_feature_stats(tmp_path):
     assert run["features"]["indexed"] > 0
     assert 0.0 < run["features"]["test_oov_rate"] < 1.0
     corpus = load_text_corpus(corpus_dir)
-    assert run["features"]["tokens"] == sum(len(tokenize(doc.text)) for doc in corpus.documents)
+    assert run["features"]["tokens"] == sum(len(_token_bytes(doc.text).decode().split()) for doc in corpus.documents)
     assert run["features"]["uniform_fallback_rows"] == 1
     assert run["version"] == stylosig.__version__
     assert run["config"] == json.loads(json.dumps(config.to_json()))

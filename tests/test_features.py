@@ -23,20 +23,24 @@ from stylosig.features import (
     build_vocabulary,
     extract_matrix,
     take_columns,
-    tokenize,
     write_feature_tsv,
 )
 
 from .conftest import join_sentences, make_sentence
-from .oracles import as_scipy, extract_counts, positions_reference, sngrams_recursive, tokenize_reference
+from .oracles import as_scipy, extract_counts, extracted_feature, positions_reference, sngrams_recursive, tokenize_reference
 
 
-def row_counts(matrix, i, index=None):
-    """Row i of a feature matrix as a Counter over feature strings; ``index`` names the columns of a projected one."""
+def row_counts(matrix, i, names=None):
+    """Row i of a feature matrix as a Counter over feature strings; ``names`` names the columns of one extracted onto given features."""
     row = as_scipy(matrix.counts)[[i]].toarray()[0]
     (columns,) = np.nonzero(row)
-    features = matrix.decode(columns) if index is None else np.array(list(index), dtype=object)[columns]
-    return Counter(dict(zip(features, row[columns].tolist())))
+    strings = matrix.decode(columns) if names is None else np.array(names, dtype=object)[columns]
+    return Counter(dict(zip(strings, row[columns].tolist())))
+
+
+def tokens_of(text):
+    """The tokens extraction counts in ``text``."""
+    return features._token_bytes(text).decode().split()
 
 
 def ngrams(text, k):
@@ -51,23 +55,23 @@ def sngrams(sentence, element, k):
 # -- tokenization -----------------------------------------------------------
 
 def test_tokenize_lowercases_and_splits():
-    assert tokenize("Dogs chase cats.") == ["dogs", "chase", "cats"]
+    assert tokens_of("Dogs chase cats.") == ["dogs", "chase", "cats"]
 
 
 def test_tokenize_punctuation_and_digits():
-    assert tokenize("E-mail me 2x, O.K.?") == ["e", "mail", "me", "2x", "o", "k"]
+    assert tokens_of("E-mail me 2x, O.K.?") == ["e", "mail", "me", "2x", "o", "k"]
 
 
 def test_tokenize_underscore_is_a_separator():
-    assert tokenize("snake_case") == ["snake", "case"]
+    assert tokens_of("snake_case") == ["snake", "case"]
 
 
 def test_tokenize_unicode_letters():
-    assert tokenize("Café naïve") == ["café", "naïve"]
+    assert tokens_of("Café naïve") == ["café", "naïve"]
 
 
 def test_tokenize_empty():
-    assert tokenize("...") == []
+    assert tokens_of("...") == []
 
 
 # ASCII punctuation, "_", digits, the separator, DEL, whitespace, other control
@@ -82,13 +86,13 @@ token_texts = st.one_of(
 
 def test_tokenize_every_ascii_character_as_the_regex():
     for c in map(chr, range(128)):
-        assert tokenize(f"Ab{c}9z{c}") == tokenize_reference(f"Ab{c}9z{c}"), repr(c)
+        assert tokens_of(f"Ab{c}9z{c}") == tokenize_reference(f"Ab{c}9z{c}"), repr(c)
 
 
 @given(token_texts)
 @settings(max_examples=500, deadline=None)
 def test_tokenize_equals_regex_reference(text):
-    assert tokenize(text) == tokenize_reference(text)
+    assert tokens_of(text) == tokenize_reference(text)
 
 
 # -- packed tokens ----------------------------------------------------------
@@ -293,16 +297,17 @@ def check_against_oracle(model, docs, n_indexed, index_draw):
     for i, ref in enumerate(refs):
         assert row_counts(matrix, i) == Counter({f: c for f, c in ref.items() if f in indexed})
         assert matrix.mass[i] == sum(ref.values())
-    # projection through a given index: some of the grams seen, plus ones never seen
+    # projection onto given features: some of the grams seen, plus one never seen at each order ("never", "never\x1fseen", ...)
     seen = sorted(set().union(*refs))
-    index = {f: j for j, f in enumerate(index_draw(seen) + ["never", f"never{SEP}seen"])}
-    projected = extract_matrix(model, docs, index=index)
-    assert projected.labels is None and projected.grams is None and projected.counts.shape == (len(docs), len(index))
+    names = index_draw(seen) + [SEP.join(["never", *["seen"] * (k - 1)]) for k in model.orders]
+    projected = extract_matrix(model, docs, features=names)
+    assert projected.labels is None and projected.grams is None and projected.counts.shape == (len(docs), len(names))
     # scoring sums each row in stored order, so both keep columns ascending whatever the numbering
     assert as_scipy(matrix.counts).has_sorted_indices and as_scipy(projected.counts).has_sorted_indices
     for i, ref in enumerate(refs):
-        assert row_counts(projected, i, index) == Counter({f: c for f, c in ref.items() if f in index})
+        assert row_counts(projected, i, names) == Counter({f: c for f, c in ref.items() if f in set(names)})
         assert projected.mass[i] == sum(ref.values())
+    assert projected.tokens == matrix.tokens
 
 
 orders = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4, unique=True).map(tuple)
@@ -315,7 +320,7 @@ def test_word_extract_matrix_matches_per_document_oracle(docs, ks, data):
     model = FeatureModel("ngram", ks)
     check_against_oracle(model, docs, n_indexed, lambda seen: data.draw(st.permutations(seen))[: len(seen) // 2])
     tokens = extract_matrix(model, docs).tokens
-    assert tokens == sum(len(tokenize(doc.text)) for doc in docs)
+    assert tokens == sum(len(tokens_of(doc.text)) for doc in docs)
 
 
 @given(st.lists(token_texts, max_size=5), orders, st.data())
@@ -441,10 +446,9 @@ def test_extract_matrix_is_the_same_at_both_key_widths(ks):
     docs = [Document(f"d{i}", 0, " ".join(rng.choice(words, int(rng.integers(0, 40))))) for i in range(30)]
     model = FeatureModel("ngram", ks)
     seen = set().union(*(extract_counts(model, doc) for doc in docs[:5]))
-    index = {f: j for j, f in enumerate(sorted(seen))}
-    narrow = extract_matrix(model, docs, n_indexed=20), extract_matrix(model, docs, index=index)
+    narrow = extract_matrix(model, docs, n_indexed=20), extract_matrix(model, docs, features=sorted(seen))
     with mock.patch.object(features, "_INT32_KEYS", 0):  # every key past the bound
-        wide = extract_matrix(model, docs, n_indexed=20), extract_matrix(model, docs, index=index)
+        wide = extract_matrix(model, docs, n_indexed=20), extract_matrix(model, docs, features=sorted(seen))
     for a, b in zip(narrow, wide):
         assert a.counts.indices.dtype == a.counts.indptr.dtype == np.int32
         assert b.counts.indices.dtype == b.counts.indptr.dtype == np.int64
@@ -522,11 +526,82 @@ def test_vocabulary_ranks_as_the_int64_key(totals, m):
 
 def test_extract_matrix_over_vocabulary_drops_out_of_vocabulary():
     vocab = Vocabulary(UNIGRAMS, 2, ranked([{"a": 2, "b": 1}], 2))
-    counts = extract_matrix(UNIGRAMS, [Document("q", 0, text_of({"a": 4, "z": 9}))], index=vocab.index).counts
+    counts = extract_matrix(UNIGRAMS, [Document("q", 0, text_of({"a": 4, "z": 9}))], features=vocab.features).counts
     assert counts.shape == (1, 2) and counts.nnz == 1
-    assert as_scipy(counts)[0, vocab.index["a"]] == 4
+    assert as_scipy(counts)[0, vocab.features.index("a")] == 4
     assert as_scipy(counts).sum() == 4
-    assert vocab.index == {"a": 0, "b": 1}  # a given index is not extended
+
+
+WORD_PAIRS, WORD_TREES = FeatureModel("ngram", (1, 2)), FeatureModel("sngram", (1, 2))
+
+
+@pytest.mark.parametrize(
+    "model, feature",
+    [
+        pytest.param(WORD_PAIRS, "a b", id="ngram-label-with-a-space"),
+        pytest.param(WORD_PAIRS, f"a{SEP}", id="ngram-empty-label"),
+        pytest.param(WORD_PAIRS, "", id="ngram-empty-feature"),
+        pytest.param(WORD_PAIRS, "A", id="ngram-upper-case"),
+        pytest.param(WORD_PAIRS, "a-b", id="ngram-punctuation"),
+        pytest.param(WORD_PAIRS, "é\n", id="ngram-line-feed"),
+        pytest.param(WORD_PAIRS, f"a{SEP}b{SEP}c", id="ngram-order-3"),
+        pytest.param(FeatureModel("ngram", (2,)), "a", id="ngram-order-1"),
+        pytest.param(WORD_TREES, "A", id="sngram-word-upper-case"),
+        pytest.param(FeatureModel("sngram", (1,), "lemma"), "É", id="sngram-lemma-upper-case"),
+        pytest.param(WORD_TREES, "a\nb", id="sngram-line-feed"),
+        pytest.param(WORD_TREES, "a\tb", id="sngram-tab"),
+        pytest.param(FeatureModel("sngram", (1,), "upos"), f"X{SEP}X", id="sngram-order-2"),
+    ],
+)
+def test_extract_matrix_refuses_a_feature_no_extraction_gives(model, feature):
+    # a misread chain would shift the columns of every later feature, so none is matched silently
+    docs = [Document("d", 0, "a b", tree=make_sentence([-1, 0], ["a", "b"]))]
+    with pytest.raises(ValueError) as caught:
+        extract_matrix(model, docs, features=["a", feature, "b"])
+    assert str(caught.value).endswith(f" gives no feature {feature!r}")
+
+
+@pytest.mark.parametrize(
+    "element, labels, feature",
+    [
+        pytest.param("word", ("a b", "c"), "a b", id="label-with-a-space"),
+        pytest.param("word", ("", "a"), f"{SEP}a", id="empty-label"),
+        pytest.param("upos", ("X", "Y"), "X", id="upos-upper-case"),
+    ],
+)
+def test_extract_matrix_takes_an_sngram_feature_a_tree_can_give(element, labels, feature):
+    tree = DepTree(labels, labels, labels, labels, (-1, 0))
+    counts = extract_matrix(FeatureModel("sngram", (1, 2), element), [Document("d", 0, "", tree=tree)], features=["b", feature]).counts
+    assert as_scipy(counts).toarray().tolist() == [[0, 1]]
+
+
+# labels of the documents above, their cased and uncased forms, and labels that no word n-gram holds
+FEATURE_LABELS = ("a", "b", "ab", "é", "É", "x1", "ωμέγα", "ς", "σ", "Σ", "İ", "i\u0307", "a!", "a b", "", "a\n", "a\t", "N", "n", "日本", "x" * 25)
+
+
+@given(st.data(), st.booleans(), orders)
+@settings(max_examples=300, deadline=None)
+def test_extract_matrix_takes_exactly_the_features_some_document_gives(data, syntactic, ks):
+    if syntactic:
+        model, docs = FeatureModel("sngram", ks, data.draw(st.sampled_from(SNGRAM_ELEMENTS))), data.draw(parsed_documents())
+    else:
+        model, docs = FeatureModel("ngram", ks), data.draw(word_documents())
+    label_lists = st.lists(st.sampled_from(FEATURE_LABELS), min_size=1, max_size=4)
+    names = data.draw(st.lists(label_lists.map(SEP.join), max_size=6, unique=True))
+    refused = [f for f in names if not extracted_feature(model, f)]
+    if refused:
+        with pytest.raises(ValueError) as caught:
+            extract_matrix(model, docs, features=names)
+        assert str(caught.value).endswith(f" gives no feature {refused[0]!r}")
+        return
+    projected = extract_matrix(model, docs, features=names)
+    for i, doc in enumerate(docs):
+        assert row_counts(projected, i, names) == Counter({f: c for f, c in extract_counts(model, doc).items() if f in names})
+
+
+def test_extract_matrix_refuses_features_that_repeat():
+    with pytest.raises(ValueError, match=r"^features repeat a string: 2 distinct of 3$"):
+        extract_matrix(WORD_PAIRS, [Document("d", 0, "a b")], features=["a", f"a{SEP}b", "a"])
 
 
 @given(

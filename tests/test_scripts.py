@@ -12,7 +12,7 @@ import pytest
 from stylosig import cli
 from stylosig.config import ExperimentConfig
 from stylosig.corpus import read_conllu
-from stylosig.features import tokenize
+from stylosig.features import _token_bytes
 from stylosig.signature import load_svc
 
 from .test_experiment import disjoint_corpus
@@ -107,7 +107,7 @@ def test_sngram_sidecars_parse_and_give_a_reproducible_eval(tmp_path, capsys):
     sidecars = {path: path.with_suffix(".conllu").read_bytes() for path in sorted(corpus_dir.rglob("*.txt"))}
     for path in sidecars:
         tree = read_conllu(path.with_suffix(".conllu"))
-        assert tree.form == tuple(tokenize(path.read_text(encoding="utf-8")))
+        assert tree.form == tuple(_token_bytes(path.read_text(encoding="utf-8")).decode().split())
         # 12 nodes a sentence, rooted at its first; every other node's head is an earlier node of its sentence
         assert all(head == -1 if i % 12 == 0 else i - i % 12 <= head < i for i, head in enumerate(tree.head))
     assert script.main([str(corpus_dir), "--seed", "3"]) == 0
@@ -153,3 +153,21 @@ def test_bench_record_gives_the_parent_copy_bytecode(tmp_path):
     load_script("bench_record").prepare("HEAD", tmp_path / "parent")
     cli = tmp_path / "parent" / "src" / "stylosig" / "cli.py"
     assert cli.is_file() and Path(importlib.util.cache_from_source(str(cli))).is_file()
+
+
+def test_bench_record_times_attribute_calls_in_a_fresh_process(tmp_path):
+    script = load_script("bench_record")
+    ms = script.cpu_ms_per_call(script.ROOT, tmp_path / "data", 3, 1)
+    assert len(ms) == 8 and all(t > 0 for t in ms)  # one timed pass of a unit's 8 calls
+    assert [path.name for path in (tmp_path / "data").iterdir()] == ["attribute-v3"]
+
+
+def test_bench_record_summarizes_cpu_time_per_call():
+    pairs = [
+        {"cpu_ms": {"parent": [3.0, 5.0, 4.0], "change": [2.0, 2.5, 3.0]}},
+        {"cpu_ms": {"parent": [1.0], "change": [2.0]}},
+    ]
+    summary = load_script("bench_record").summarize_cpu(pairs)
+    assert (summary["wins"], summary["pairs"], summary["unit"], summary["better"]) == (1, 2, "ms", "lower")
+    assert summary["parent"] == {"median": 3.5, "q1": 2.5, "q3": 4.25}  # over every call: 1, 3, 4, 5
+    assert summary["change"] == {"median": 2.25, "q1": 2.0, "q3": 2.625}
